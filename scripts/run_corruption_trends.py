@@ -30,8 +30,9 @@ def run_kind(kind: str, n_train: int, n_test: int, seed: int, verbose_rows: bool
     family = family_for_kind(kind)
     train_scenes = scene_set(family, n_train, seed=seed)
     test_scenes = scene_set(family, n_test, seed=seed + 10_000)
-    records = [toy_encode(img, 4, f"t{i}") for i, img in enumerate(train_scenes)]
-    train = EmbeddingSet(dim=records[0].dim, records=tuple(records))
+    train = EmbeddingSet(
+        [f"t{i}" for i in range(n_train)], [toy_encode(img, 4) for img in train_scenes]
+    )
     model = fit_gmm(train, components=4, seed=seed)
     clean = [(f"s{i}", img) for i, img in enumerate(test_scenes)]
     specs = severity_sweep(kind, PRESETS[kind], base_seed=seed)

@@ -32,20 +32,16 @@ from .corruptions import (
 from .density import (
     GmmModel,
     KnnIndex,
-    ScoreRecord,
     build_knn_index,
     fit_gmm,
     fit_gmm_bic,
     persist_model,
     restore_model,
-    score_gmm,
-    score_knn,
     score_set,
 )
 from .embeddings import (
     DatasetManifest,
     EmbeddingSet,
-    EmbeddingVector,
     FeatureMap,
     load_embeddings,
     load_feature_map,

@@ -21,10 +21,9 @@ from .corruptions import (
     CORRUPTION_KINDS,
     DEFAULT_ATMOSPHERIC_LIGHT,
     SWEEP_PRESETS,
-    CorruptionSpec,
-    apply_corruption,
     severity_dirname,
     severity_sweep,
+    sweep_images,
 )
 from .density import build_knn_index, fit_gmm, fit_gmm_bic, score_set
 from .embeddings import (
@@ -36,11 +35,7 @@ from .embeddings import (
 )
 from .errors import ConfigError, DegenerateInputError, ValidationError
 from .images import load_depth, load_image
-from .metrics import (
-    DetectionReport,
-    detection_report,
-    labeled_scores_from_records,
-)
+from .metrics import DetectionReport, LabeledScores, detection_report
 from .stats import CorrelationResult, pearson, spearman
 from .uncertainty import load_uncertainty_map, mean_uncertainty
 from .version import TOOLKIT_VERSION
@@ -203,25 +198,27 @@ def config_from_dict(data: dict, base_dir) -> BenchConfig:
             f"config schema {data['schema']} is not supported "
             f"(this toolkit reads schema {SCHEMA_VERSION})"
         )
-    sweep = None
-    if data.get("sweep") is not None:
-        s = data["sweep"]
-        if not isinstance(s, dict):
-            raise ConfigError("sweep: must be an object")
-        images = s.get("images")
-        depth = s.get("depth")
-        sweep = SweepSettings(
-            kind=_require(s, "kind", "sweep"),
-            preset=s.get("preset"),
-            grid=tuple(s.get("grid") or ()),
-            encoder=s.get("encoder", "toy"),
-            encoder_grid=int(s.get("encoder_grid", 4)),
-            images=str(base / images) if images else None,
-            depth=str(base / depth) if depth else None,
-            atmospheric_light=float(s.get("atmospheric_light", DEFAULT_ATMOSPHERIC_LIGHT)),
-            severity_embeddings=tuple(str(base / p) for p in s.get("severity_embeddings") or ()),
-        )
     try:
+        sweep = None
+        if data.get("sweep") is not None:
+            s = data["sweep"]
+            if not isinstance(s, dict):
+                raise ConfigError("sweep: must be an object")
+            images = s.get("images")
+            depth = s.get("depth")
+            sweep = SweepSettings(
+                kind=_require(s, "kind", "sweep"),
+                preset=s.get("preset"),
+                grid=tuple(s.get("grid") or ()),
+                encoder=s.get("encoder", "toy"),
+                encoder_grid=int(s.get("encoder_grid", 4)),
+                images=str(base / images) if images else None,
+                depth=str(base / depth) if depth else None,
+                atmospheric_light=float(s.get("atmospheric_light", DEFAULT_ATMOSPHERIC_LIGHT)),
+                severity_embeddings=tuple(
+                    str(base / p) for p in s.get("severity_embeddings") or ()
+                ),
+            )
         return BenchConfig(
             seed=int(_require(data, "seed", "config")),
             methods=tuple(_require(data, "methods", "config")),
@@ -296,10 +293,9 @@ def load_dataset_embeddings(manifest: DatasetManifest, grid: int = 4) -> Embeddi
         pngs = _sorted_pngs(path)
         if not pngs:
             raise ValidationError(f"{manifest.name}: no PNG images under {path}")
-        records = [
-            toy_encode(load_image(p), grid=grid, sample_id=p.stem) for p in pngs
-        ]
-        return EmbeddingSet(dim=records[0].dim, records=tuple(records))
+        return EmbeddingSet(
+            [p.stem for p in pngs], [toy_encode(load_image(p), grid=grid) for p in pngs]
+        )
     return load_embeddings(path)
 
 
@@ -373,6 +369,21 @@ def _sweep_correlations(severities, sweep_reports) -> tuple:
     return tuple(out)
 
 
+def _score_sweep(model, id_set: EmbeddingSet, severity_sets, specs, tpr_target) -> tuple:
+    """Score the ID side once and each spec's severity set against it.
+
+    severity_sets aligns with specs and is consumed lazily, one set at a
+    time. Returns (sweep_rows, correlations).
+    """
+    severities = [spec.severity for spec in specs]
+    id_scores = score_set(model, id_set)
+    reports = [
+        detection_report(LabeledScores(id_scores, score_set(model, es)), tpr_target)
+        for es in severity_sets
+    ]
+    return tuple(zip(severities, reports)), _sweep_correlations(severities, reports)
+
+
 def run_corruption_sweep(
     clean_images,
     specs,
@@ -392,35 +403,19 @@ def run_corruption_sweep(
     if not clean_images:
         raise ValidationError("sweep needs at least one clean image")
     specs = list(specs)
-    if depths is None:
-        depths = [None] * len(clean_images)
-    id_records = [
-        toy_encode(img, grid=grid, sample_id=sid) for sid, img in clean_images
-    ]
-    id_set = EmbeddingSet(dim=id_records[0].dim, records=tuple(id_records))
-    id_scores = score_set(model, id_set)
-    sweep_rows = []
-    for spec in specs:
-        corrupted = []
-        for idx, ((sid, img), depth) in enumerate(zip(clean_images, depths)):
-            per_image = CorruptionSpec(
-                kind=spec.kind,
-                severity=spec.severity,
-                seed=spec.seed + idx,
-                atmospheric_light=spec.atmospheric_light,
-            )
-            corrupted.append(
-                toy_encode(apply_corruption(img, per_image, depth), grid=grid, sample_id=sid)
-            )
-        ood_set = EmbeddingSet(dim=corrupted[0].dim, records=tuple(corrupted))
-        ood_scores = score_set(model, ood_set)
-        rep = detection_report(
-            labeled_scores_from_records(id_scores, ood_scores), tpr_target
-        )
-        sweep_rows.append((spec.severity, rep))
-    severities = [s for s, _ in sweep_rows]
-    reports = [r for _, r in sweep_rows]
-    return tuple(sweep_rows), _sweep_correlations(severities, reports)
+    depths = [None] * len(clean_images) if depths is None else list(depths)
+    if len(depths) != len(clean_images):
+        raise ValidationError(f"{len(depths)} depth maps for {len(clean_images)} images")
+    ids = [sid for sid, _ in clean_images]
+    id_set = EmbeddingSet(ids, [toy_encode(img, grid=grid) for _, img in clean_images])
+    # one array rather than lists of small rows: rows kept alive between
+    # the per-image temporaries made the allocator re-fault their pages
+    feats = np.empty((len(specs), len(ids), id_set.dim))
+    sources = zip((img for _, img in clean_images), depths)
+    for i, j, _, corrupted in sweep_images(sources, specs):
+        feats[j, i] = toy_encode(corrupted, grid=grid)
+    severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in feats)
+    return _score_sweep(model, id_set, severity_sets, specs, tpr_target)
 
 
 def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, model) -> tuple:
@@ -429,19 +424,14 @@ def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, model) -> tuple
     if sweep.encoder == "external":
         id_test = load_dataset_embeddings(cfg.id_test, sweep.encoder_grid)
         _check_dim(train, id_test, "sweep id side")
-        id_scores = score_set(model, id_test)
-        sweep_rows = []
-        for spec, emb_path in zip(specs, sweep.severity_embeddings):
-            es = load_embeddings(emb_path)
-            _check_dim(train, es, f"sweep severity {severity_dirname(spec.severity)}")
-            rep = detection_report(
-                labeled_scores_from_records(id_scores, score_set(model, es)),
-                cfg.tpr_target,
-            )
-            sweep_rows.append((spec.severity, rep))
-        severities = [s for s, _ in sweep_rows]
-        reports = [r for _, r in sweep_rows]
-        return tuple(sweep_rows), _sweep_correlations(severities, reports)
+
+        def severity_sets():
+            for spec, emb_path in zip(specs, sweep.severity_embeddings):
+                es = load_embeddings(emb_path)
+                _check_dim(train, es, f"sweep severity {severity_dirname(spec.severity)}")
+                yield es
+
+        return _score_sweep(model, id_test, severity_sets(), specs, cfg.tpr_target)
 
     images_dir = sweep.images or (
         cfg.id_test.path if Path(cfg.id_test.path).is_dir() else None
@@ -494,14 +484,10 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     for method in cfg.methods:
         if method == "mean_uncertainty":
             id_maps = load_dataset_maps(cfg.id_test)
-            id_scores = [mean_uncertainty(um, sid) for sid, um in id_maps]
+            id_scores = [mean_uncertainty(um) for _, um in id_maps]
             for m in cfg.ood_sets:
-                ood_scores = [
-                    mean_uncertainty(um, sid) for sid, um in load_dataset_maps(m)
-                ]
-                rep = detection_report(
-                    labeled_scores_from_records(id_scores, ood_scores), cfg.tpr_target
-                )
+                ood_scores = [mean_uncertainty(um) for _, um in load_dataset_maps(m)]
+                rep = detection_report(LabeledScores(id_scores, ood_scores), cfg.tpr_target)
                 rows.append((method, m.name, rep))
             continue
         model = _fit_method(method, train, cfg)
@@ -510,7 +496,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         id_scores = score_set(model, id_test)
         for m in cfg.ood_sets:
             rep = detection_report(
-                labeled_scores_from_records(id_scores, score_set(model, ood_embeddings[m.name])),
+                LabeledScores(id_scores, score_set(model, ood_embeddings[m.name])),
                 cfg.tpr_target,
             )
             rows.append((method, m.name, rep))
@@ -574,7 +560,7 @@ def generate_synthetic_benchmark(
         data = rng.normal(size=(count, dim)) + offset
         ids = [f"{name}-{i:05d}" for i in range(count)]
         path = out_dir / f"{name}.ccemb"
-        save_embeddings(EmbeddingSet.from_matrix(ids, data), path, fmt="binary")
+        save_embeddings(EmbeddingSet(ids, data), path, fmt="binary")
         return path.name
 
     zero = np.zeros(dim)

@@ -11,9 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import corruptions, density, metrics, stats
-from .embeddings import DatasetManifest, load_embeddings
+from .embeddings import DatasetManifest, EmbeddingSet, load_embeddings
 from .errors import ConfigError, CornerCaseError, ValidationError
 from .version import TOOLKIT_VERSION
 
@@ -149,17 +151,17 @@ def _cmd_score(args) -> int:
         from .uncertainty import mean_uncertainty
 
         manifest = DatasetManifest(name="maps", role="id_test", path=args.maps)
-        records = [
-            mean_uncertainty(um, sid) for sid, um in load_dataset_maps(manifest)
-        ]
+        maps = load_dataset_maps(manifest)
+        ids = [sid for sid, _ in maps]
+        scores = [mean_uncertainty(um) for _, um in maps]
     else:
         if not args.model or not args.embeddings:
             raise ConfigError("score needs --model and --embeddings, or --maps")
         model = density.restore_model(args.model)
         es = load_embeddings(args.embeddings)
-        records = density.score_set(model, es)
-    metrics.save_scores(args.out, records, args.label)
-    print(f"wrote {len(records)} scores -> {args.out}")
+        ids, scores = es.ids(), density.score_set(model, es)
+    metrics.save_scores(args.out, ids, scores, args.label)
+    print(f"wrote {len(ids)} scores -> {args.out}")
     return EXIT_OK
 
 
@@ -191,7 +193,12 @@ def _cmd_corrupt(args) -> int:
 def _cmd_sweep(args) -> int:
     if (args.preset is None) == (args.grid is None):
         raise ConfigError("sweep needs exactly one of --preset or --grid")
-    grid = args.preset if args.preset else [float(v) for v in args.grid.split(",")]
+    grid = args.preset
+    if args.grid is not None:
+        try:
+            grid = [float(v) for v in args.grid.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--grid expects comma-separated numbers ({exc})") from exc
     specs = corruptions.severity_sweep(
         args.kind, grid, base_seed=args.seed, atmospheric_light=args.atmospheric_light
     )
@@ -210,15 +217,15 @@ def _cmd_pca(args) -> int:
         if not sep or not name or not path:
             raise ConfigError(f"--embeddings expects NAME=PATH, got {item!r}")
         named.append((name, load_embeddings(path)))
-    from .embeddings import EmbeddingSet, EmbeddingVector
-
-    pooled = []
-    for name, es in named:
-        for rec in es.records:
-            pooled.append(EmbeddingVector(id=f"{name}/{rec.id}", values=rec.values))
-    if not pooled:
+    parts = [(name, es) for name, es in named if len(es)]
+    if not parts:
         raise ValidationError("no embeddings to fit PCA on")
-    pool_set = EmbeddingSet(dim=pooled[0].dim, records=tuple(pooled))
+    if len({es.dim for _, es in parts}) > 1:
+        raise ValidationError("embedding files to pool for PCA differ in dim")
+    pool_set = EmbeddingSet(
+        [f"{name}/{ident}" for name, es in parts for ident in es.ids()],
+        np.concatenate([es.matrix() for _, es in parts]),
+    )
     k = min(args.k, pool_set.dim, len(pool_set) - 1)
     if k < 1:
         raise ValidationError("not enough records to fit PCA")

@@ -14,7 +14,7 @@ seed, so sweeps replay bit-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +195,20 @@ def severity_dirname(severity: float) -> str:
     return format(severity, ".6g")
 
 
+def sweep_images(sources, specs):
+    """Corrupt every source image under every spec, images in the outer loop.
+
+    sources yields (ImageBuffer, DepthMap | None) pairs and is consumed
+    once, in order, so a lazy source reads each file once. The noise/box
+    seed of image i under a spec is spec.seed + i. Yields
+    (image index, spec index, seed, corrupted image).
+    """
+    for idx, (img, depth) in enumerate(sources):
+        for j, spec in enumerate(specs):
+            per_image = replace(spec, seed=spec.seed + idx)
+            yield idx, j, per_image.seed, apply_corruption(img, per_image, depth)
+
+
 def run_sweep(
     images_dir,
     specs,
@@ -204,11 +218,12 @@ def run_sweep(
     """Corrupt every PNG under images_dir once per spec.
 
     Output layout is <out>/<kind>/<severity>/<original-filename>, plus
-    a manifest.json listing (source, spec, output) triples and the
-    depth policy actually used. Depth maps, when given, are matched to
-    images by filename in depth_dir. Per-image noise/box seeds derive
-    as spec.seed + image index (sorted filename order) and are recorded
-    in the manifest.
+    a manifest.json listing (source, spec, output) triples, spec by
+    spec, and the depth policy actually used. Depth maps, when given,
+    are matched to images by filename in depth_dir. Each source image
+    and depth map is read once. Per-image noise/box seeds derive as
+    spec.seed + image index (sorted filename order) and are recorded in
+    the manifest.
     """
     images_dir = Path(images_dir)
     out_dir = Path(out_dir)
@@ -225,42 +240,39 @@ def run_sweep(
     depth_policy = "default_ramp"
     if depth_dir is not None:
         depth_policy = "provided"
-    entries = []
-    for spec in specs:
-        sev_dir = out_dir / kind / severity_dirname(spec.severity)
-        sev_dir.mkdir(parents=True, exist_ok=True)
-        for idx, src in enumerate(sources):
+
+    def read():
+        nonlocal depth_policy
+        for src in sources:
             img = load_image(src)
             depth = None
             if depth_dir is not None:
-                depth_path = Path(depth_dir) / src.name
-                depth = load_depth(depth_path)
+                depth = load_depth(Path(depth_dir) / src.name)
                 if not depth.valid.all():
                     depth_policy = "provided_with_median_fill"
-            per_image = CorruptionSpec(
-                kind=spec.kind,
-                severity=spec.severity,
-                seed=spec.seed + idx,
-                atmospheric_light=spec.atmospheric_light,
-            )
-            corrupted = apply_corruption(img, per_image, depth)
-            dst = sev_dir / src.name
-            save_image(corrupted, dst)
-            entries.append(
-                {
-                    "source": str(src),
-                    "output": str(dst),
-                    "severity": spec.severity,
-                    "seed": per_image.seed,
-                }
-            )
+            yield img, depth
+
+    sev_dirs = [out_dir / kind / severity_dirname(spec.severity) for spec in specs]
+    for sev_dir in sev_dirs:
+        sev_dir.mkdir(parents=True, exist_ok=True)
+    entries = [[] for _ in specs]
+    for idx, j, seed, corrupted in sweep_images(read(), specs):
+        dst = sev_dirs[j] / sources[idx].name
+        save_image(corrupted, dst)
+        entries[j].append(
+            {
+                "source": str(sources[idx]),
+                "output": str(dst),
+                "severity": specs[j].severity,
+                "seed": seed,
+            }
+        )
     manifest = {
         "kind": kind,
         "atmospheric_light": specs[0].atmospheric_light,
         "depth_policy": depth_policy if kind == "fog" else "not_applicable",
-        "entries": entries,
+        "entries": [entry for per_spec in entries for entry in per_spec],
     }
     manifest_path = out_dir / kind / "manifest.json"
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

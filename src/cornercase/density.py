@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, EmbeddingVector
+from .embeddings import EmbeddingSet
 from .errors import FitError, FormatError, ValidationError
 from .images import _frozen_array
 
@@ -29,24 +29,6 @@ _KIND_GMM = 0
 _KIND_KNN = 1
 
 VARIANCE_FLOOR = 1e-6
-
-SCORE_METHODS = ("gmm", "knn", "mean_uncertainty")
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    """A per-sample detection score; larger means more in-distribution."""
-
-    id: str
-    score: float
-    method: str
-
-    def __post_init__(self):
-        if self.method not in SCORE_METHODS:
-            raise ValidationError(f"unknown scoring method {self.method!r}")
-        if not np.isfinite(self.score):
-            raise ValidationError(f"score for {self.id!r} is not finite")
-
 
 @dataclass(frozen=True)
 class GmmModel:
@@ -270,14 +252,6 @@ def gmm_log_density(model: GmmModel, X: np.ndarray) -> np.ndarray:
     return _logsumexp_rows(log_joint)
 
 
-def score_gmm(model: GmmModel, z: EmbeddingVector) -> ScoreRecord:
-    """Score one embedding by its log density under the fitted mixture."""
-    if z.dim != model.dim:
-        raise ValidationError(f"query dim {z.dim} does not match model dim {model.dim}")
-    score = float(gmm_log_density(model, z.values[None, :])[0])
-    return ScoreRecord(id=z.id, score=score, method="gmm")
-
-
 def build_knn_index(ids: EmbeddingSet, k: int = 50) -> KnnIndex:
     """Store the embedding set for exact k-th-neighbor queries."""
     if k < 1:
@@ -308,33 +282,18 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_knn(index: KnnIndex, z: EmbeddingVector) -> ScoreRecord:
-    """Score one embedding by negative squared distance to its k-th neighbor.
+def score_set(model, es: EmbeddingSet) -> np.ndarray:
+    """Score every row of an embedding set against a fitted model.
 
-    Stored points equal to the query count as neighbors (self-match is
-    permitted for external queries); equidistant points tie-break by
-    insertion order, which cannot change the k-th distance itself.
+    A GMM scores by log density; a k-NN index by the negative squared
+    distance to the k-th stored neighbor, where stored points equal to
+    the query count as neighbors and equidistant points cannot change
+    the k-th distance itself.
     """
-    if z.dim != index.dim:
-        raise ValidationError(f"query dim {z.dim} does not match index dim {index.dim}")
-    d2 = float(knn_kth_sqdist(index, z.values[None, :])[0])
-    return ScoreRecord(id=z.id, score=-d2, method="knn")
-
-
-def score_set(model, es: EmbeddingSet, method: str | None = None) -> list[ScoreRecord]:
-    """Score every record of an embedding set against a fitted model."""
     if isinstance(model, GmmModel):
-        scores = gmm_log_density(model, es.matrix())
-        return [
-            ScoreRecord(id=rec.id, score=float(s), method="gmm")
-            for rec, s in zip(es.records, scores)
-        ]
+        return gmm_log_density(model, es.matrix())
     if isinstance(model, KnnIndex):
-        d2 = knn_kth_sqdist(model, es.matrix())
-        return [
-            ScoreRecord(id=rec.id, score=float(-d), method="knn")
-            for rec, d in zip(es.records, d2)
-        ]
+        return -knn_kth_sqdist(model, es.matrix())
     raise ValidationError(f"cannot score with model of type {type(model).__name__}")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,72 +61,59 @@ class FeatureMap:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A pooled latent vector tagged with a sample identifier."""
-
-    id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).reshape(-1)
-        if arr.size < 1:
-            raise ValidationError("embedding vector must be non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"embedding {self.id!r} contains non-finite values")
-        object.__setattr__(self, "values", _frozen_array(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class EmbeddingSet:
-    """An ordered collection of embeddings sharing one dimensionality.
+    """An ordered collection of embeddings: one string id per row of a
+    frozen (n, dim) float64 matrix.
 
-    An empty set (dim 0) is loadable but rejected by every fitting
+    The set is validated once, on construction: the matrix is 2-d and
+    finite, ids are unique strings, and there is one id per row. An
+    empty set (dim 0) is loadable but rejected by every fitting
     operation; validation happens at the consumer.
     """
 
-    dim: int
-    records: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        records = tuple(self.records)
+    def __init__(self, ids, matrix):
+        ids = tuple(ids)
+        try:
+            matrix = np.array(matrix, dtype=float, order="C")
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"embeddings do not form an (n, dim) matrix ({exc})") from exc
+        if matrix.ndim != 2 or len(ids) != matrix.shape[0]:
+            raise ValidationError("ids and matrix rows must correspond")
+        if ids and matrix.shape[1] == 0:
+            raise ValidationError("embedding vectors must be non-empty")
+        if not all(isinstance(i, str) for i in ids):
+            raise ValidationError("embedding ids must be strings")
         seen = set()
-        for rec in records:
-            if rec.dim != self.dim:
-                raise ValidationError(
-                    f"record {rec.id!r} has dim {rec.dim}, set has dim {self.dim}"
-                )
-            if rec.id in seen:
-                raise ValidationError(f"duplicate embedding id {rec.id!r}")
-            seen.add(rec.id)
-        object.__setattr__(self, "records", records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def ids(self) -> list[str]:
-        return [rec.id for rec in self.records]
-
-    def matrix(self) -> np.ndarray:
-        """Stack records into an (n, dim) array."""
-        if not self.records:
-            return np.zeros((0, self.dim))
-        return np.stack([rec.values for rec in self.records])
+        for ident in ids:
+            if ident in seen:
+                raise ValidationError(f"duplicate embedding id {ident!r}")
+            seen.add(ident)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            bad = ids[int(np.argmin(finite))]
+            raise ValidationError(f"embedding {bad!r} contains non-finite values")
+        matrix.flags.writeable = False
+        self._ids = ids
+        self._matrix = matrix
 
     @classmethod
     def from_matrix(cls, ids, matrix) -> "EmbeddingSet":
-        matrix = np.asarray(matrix, dtype=float)
-        ids = list(ids)
-        if matrix.ndim != 2 or len(ids) != matrix.shape[0]:
-            raise ValidationError("ids and matrix rows must correspond")
-        records = tuple(
-            EmbeddingVector(id=str(i), values=row) for i, row in zip(ids, matrix)
-        )
-        return cls(dim=matrix.shape[1], records=records)
+        """Same as EmbeddingSet(ids, matrix)."""
+        return cls(ids, matrix)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    @property
+    def dim(self) -> int:
+        return self._matrix.shape[1]
+
+    def ids(self) -> list[str]:
+        return list(self._ids)
+
+    def matrix(self) -> np.ndarray:
+        """The read-only (n, dim) matrix, row i belonging to ids()[i]."""
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -151,16 +138,16 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 
 
-def pool_spatial_mean(fm: FeatureMap, sample_id: str = "") -> EmbeddingVector:
+def pool_spatial_mean(fm: FeatureMap) -> np.ndarray:
     """Average each channel over its spatial extent.
 
     Component c of the result is the mean of fm.data[c] over all (i, j).
     """
-    return EmbeddingVector(id=sample_id, values=fm.data.mean(axis=(1, 2)))
+    return fm.data.mean(axis=(1, 2))
 
 
-def toy_encode(img: ImageBuffer, grid: int = 4, sample_id: str = "") -> EmbeddingVector:
-    """Deterministic image embedding of length 3*grid*grid + 3.
+def toy_encode(img: ImageBuffer, grid: int = 4) -> np.ndarray:
+    """Deterministic 1-d image embedding of length 3*grid*grid + 3.
 
     Features are per-cell per-channel means over a grid x grid partition
     (remainder rows/columns absorbed by the last cell), followed by the
@@ -183,7 +170,7 @@ def toy_encode(img: ImageBuffer, grid: int = 4, sample_id: str = "") -> Embeddin
             c1 = (c + 1) * col_step if c < grid - 1 else w
             feats.extend(img.pixels[r0:r1, c0:c1].mean(axis=(0, 1)))
     feats.extend(img.pixels.std(axis=(0, 1)))
-    return EmbeddingVector(id=sample_id, values=np.array(feats))
+    return np.array(feats)
 
 
 # ---------------------------------------------------------------------------
@@ -198,33 +185,37 @@ def _format_real(v: float) -> str:
 def save_embeddings(es: EmbeddingSet, path, fmt: str = "binary") -> None:
     """Write an embedding set as JSON-lines text or the binary container."""
     path = Path(path)
+    rows = zip(es.ids(), es.matrix())
     if fmt == "text":
         lines = []
-        for rec in es.records:
-            vec = ", ".join(_format_real(v) for v in rec.values)
-            lines.append(f'{{"id": {json.dumps(rec.id)}, "vec": [{vec}]}}\n')
+        for ident, row in rows:
+            vec = ", ".join(_format_real(v) for v in row.tolist())
+            lines.append(f'{{"id": {json.dumps(ident)}, "vec": [{vec}]}}\n')
         path.write_text("".join(lines), encoding="utf-8")
     elif fmt == "binary":
-        parts = [
-            EMBED_MAGIC,
-            struct.pack("<HIQ", EMBED_VERSION, es.dim, len(es.records)),
-        ]
-        for rec in es.records:
-            ident = rec.id.encode("utf-8")
-            if len(ident) > 0xFFFF:
-                raise ValidationError(f"id {rec.id!r} too long for binary format")
-            parts.append(struct.pack("<H", len(ident)))
-            parts.append(ident)
-            parts.append(rec.values.astype("<f4").tobytes())
+        parts = [EMBED_MAGIC, struct.pack("<HIQ", EMBED_VERSION, es.dim, len(es))]
+        for ident, row in rows:
+            encoded = ident.encode("utf-8")
+            if len(encoded) > 0xFFFF:
+                raise ValidationError(f"id {ident!r} too long for binary format")
+            parts.append(struct.pack("<H", len(encoded)))
+            parts.append(encoded)
+            parts.append(row.astype("<f4").tobytes())
         path.write_bytes(b"".join(parts))
     else:
         raise ValidationError(f"unknown embedding format {fmt!r}")
 
 
+def _checked_set(path: Path, ids, rows) -> EmbeddingSet:
+    """Build the set from parsed rows; a bad row is a format error."""
+    try:
+        return EmbeddingSet(ids, rows if len(ids) else np.zeros((0, 0)))
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _load_embeddings_text(path: Path) -> EmbeddingSet:
-    records = []
-    dim = None
-    seen = set()
+    ids, rows = [], []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -232,27 +223,19 @@ def _load_embeddings_text(path: Path) -> EmbeddingSet:
                 continue
             try:
                 obj = json.loads(line)
-                ident = obj["id"]
-                vec = obj["vec"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                ident, values = obj["id"], np.array(obj["vec"], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: bad embedding record ({exc})") from exc
-            if not isinstance(ident, str) or not isinstance(vec, list) or not vec:
+            if not isinstance(ident, str) or values.ndim != 1 or not values.size:
                 raise FormatError(f"{path}:{lineno}: bad embedding record")
-            values = np.asarray(vec, dtype=float)
-            if not np.all(np.isfinite(values)):
-                raise FormatError(f"{path}:{lineno}: non-finite value in record {ident!r}")
-            if dim is None:
-                dim = values.size
-            elif values.size != dim:
+            if rows and values.size != rows[0].size:
                 raise FormatError(
                     f"{path}:{lineno}: record {ident!r} has dim {values.size}, "
-                    f"expected {dim}"
+                    f"expected {rows[0].size}"
                 )
-            if ident in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate id {ident!r}")
-            seen.add(ident)
-            records.append(EmbeddingVector(id=ident, values=values))
-    return EmbeddingSet(dim=dim or 0, records=tuple(records))
+            ids.append(ident)
+            rows.append(values)
+    return _checked_set(path, ids, rows)
 
 
 def _load_embeddings_binary(path: Path) -> EmbeddingSet:
@@ -267,8 +250,7 @@ def _load_embeddings_binary(path: Path) -> EmbeddingSet:
             f"{path}: file version {version}, supported version {EMBED_VERSION}"
         )
     pos = 6 + 14
-    records = []
-    seen = set()
+    ids, payloads = [], []
     for _ in range(count):
         if pos + 2 > len(data):
             raise FormatError(f"{path}: truncated record header")
@@ -276,17 +258,15 @@ def _load_embeddings_binary(path: Path) -> EmbeddingSet:
         pos += 2
         if pos + id_len + 4 * dim > len(data):
             raise FormatError(f"{path}: truncated record payload")
-        ident = data[pos : pos + id_len].decode("utf-8")
+        try:
+            ids.append(data[pos : pos + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: record {len(ids)} id is not UTF-8 ({exc})") from exc
         pos += id_len
-        values = np.frombuffer(data, dtype="<f4", count=dim, offset=pos).astype(float)
+        payloads.append(data[pos : pos + 4 * dim])
         pos += 4 * dim
-        if not np.all(np.isfinite(values)):
-            raise FormatError(f"{path}: non-finite value in record {ident!r}")
-        if ident in seen:
-            raise FormatError(f"{path}: duplicate id {ident!r}")
-        seen.add(ident)
-        records.append(EmbeddingVector(id=ident, values=values))
-    return EmbeddingSet(dim=dim if records else 0, records=tuple(records))
+    rows = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(ids), dim)
+    return _checked_set(path, ids, rows)
 
 
 def load_embeddings(path, fmt: str | None = None) -> EmbeddingSet:
@@ -327,7 +307,7 @@ def load_feature_map(path) -> FeatureMap:
             f"{path}: file version {version}, supported version {FMAP_VERSION}"
         )
     expect = channels * height * width
-    values = np.frombuffer(data, dtype="<f4", count=-1, offset=20)
-    if values.size != expect:
-        raise FormatError(f"{path}: payload has {values.size} values, expected {expect}")
+    if len(data) - 20 != 4 * expect:
+        raise FormatError(f"{path}: payload has {len(data) - 20} bytes, expected {4 * expect}")
+    values = np.frombuffer(data, dtype="<f4", offset=20)
     return FeatureMap(data=values.astype(float).reshape(channels, height, width))

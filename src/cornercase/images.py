@@ -181,6 +181,8 @@ def read_png(path) -> np.ndarray:
             raise FormatError(f"{path}: PNG chunk {ctype!r} fails CRC check")
         pos += 12 + length
         if ctype == b"IHDR":
+            if length != 13:
+                raise FormatError(f"{path}: IHDR chunk has {length} bytes, expected 13")
             header = struct.unpack(">IIBBBBB", chunk)
         elif ctype == b"IDAT":
             idat.extend(chunk)

@@ -229,13 +229,18 @@ def load_pixel_ground_truth(path) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def save_scores(path, records, label: str) -> None:
-    """Write score records as JSON-lines with one shared split label."""
+def save_scores(path, ids, scores, label: str) -> None:
+    """Write per-sample scores as JSON-lines with one shared split label."""
     if label not in ("id", "ood"):
         raise ValidationError(f"label must be 'id' or 'ood', got {label!r}")
+    scores = np.asarray(scores, dtype=float).reshape(-1)
+    if len(ids) != scores.size:
+        raise ValidationError(f"{len(ids)} ids for {scores.size} scores")
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("scores must be finite")
     lines = [
-        json.dumps({"id": rec.id, "score": rec.score, "label": label}) + "\n"
-        for rec in records
+        json.dumps({"id": ident, "score": score, "label": label}) + "\n"
+        for ident, score in zip(ids, scores.tolist())
     ]
     Path(path).write_text("".join(lines), encoding="utf-8")
 
@@ -268,11 +273,3 @@ def labeled_scores_from_files(*paths) -> LabeledScores:
         for _, score, label in load_score_lines(path):
             (id_scores if label == "id" else ood_scores).append(score)
     return LabeledScores(id_scores=np.array(id_scores), ood_scores=np.array(ood_scores))
-
-
-def labeled_scores_from_records(id_records, ood_records) -> LabeledScores:
-    """Build a split from two lists of ScoreRecord."""
-    return LabeledScores(
-        id_scores=np.array([r.score for r in id_records]),
-        ood_scores=np.array([r.score for r in ood_records]),
-    )

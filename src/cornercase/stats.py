@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, EmbeddingVector
+from .embeddings import EmbeddingSet
 from .errors import DegenerateInputError, ValidationError
 from .images import _frozen_array
 
@@ -246,29 +246,24 @@ def pca_fit(data: EmbeddingSet, k: int) -> PcaModel:
     return PcaModel(mean=mean, components=comps, explained_variances=evs)
 
 
-def pca_transform(model: PcaModel, z: EmbeddingVector) -> EmbeddingVector:
-    """Project one embedding onto the principal axes."""
-    if z.dim != model.input_dim:
+def pca_transform(model: PcaModel, X) -> np.ndarray:
+    """Project each row of X onto the principal axes."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValidationError(
-            f"query dim {z.dim} does not match PCA input dim {model.input_dim}"
+            f"query shape {X.shape} does not match PCA input dim {model.input_dim}"
         )
-    return EmbeddingVector(id=z.id, values=model.components @ (z.values - model.mean))
-
-
-def pca_transform_set(model: PcaModel, es: EmbeddingSet) -> EmbeddingSet:
-    coords = (es.matrix() - model.mean) @ model.components.T
-    return EmbeddingSet.from_matrix(es.ids(), coords)
+    return (X - model.mean) @ model.components.T
 
 
 def export_pca_coords(model: PcaModel, named_sets, path) -> None:
     """Write JSON-lines {"id", "dataset", "coords"} for external plotting."""
     lines = []
     for name, es in named_sets:
-        transformed = pca_transform_set(model, es)
-        for rec in transformed.records:
-            coords = ", ".join(format(v, ".9g") for v in rec.values)
+        for ident, row in zip(es.ids(), pca_transform(model, es.matrix())):
+            coords = ", ".join(format(v, ".9g") for v in row.tolist())
             lines.append(
-                f'{{"id": {json.dumps(rec.id)}, "dataset": {json.dumps(name)}, '
+                f'{{"id": {json.dumps(ident)}, "dataset": {json.dumps(name)}, '
                 f'"coords": [{coords}]}}\n'
             )
     Path(path).write_text("".join(lines), encoding="utf-8")

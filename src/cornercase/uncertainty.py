@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import ScoreRecord
 from .embeddings import FMAP_MAGIC, load_feature_map
 from .errors import FormatError, ValidationError
 from .images import _frozen_array, read_png
@@ -88,16 +87,7 @@ def dirichlet_pdf(params: DirichletParams, p) -> float:
     distinguished overflow value).
     """
     p = _validate_simplex(params, p)
-    kappa = params.kappa
-    zero = p == 0.0
-    if np.any(zero & (kappa < 1.0)):
-        return math.inf
-    log_norm = math.lgamma(kappa.sum()) - sum(math.lgamma(k) for k in kappa)
-    active = ~zero & (kappa != 1.0)
-    if np.any(zero & (kappa > 1.0)):
-        return 0.0
-    log_terms = ((kappa[active] - 1.0) * np.log(p[active])).sum()
-    return float(math.exp(log_norm + log_terms))
+    return float(dirichlet_pdf_batch(params, p[None, :])[0])
 
 
 def dirichlet_pdf_batch(params: DirichletParams, P: np.ndarray) -> np.ndarray:
@@ -107,11 +97,12 @@ def dirichlet_pdf_batch(params: DirichletParams, P: np.ndarray) -> np.ndarray:
         raise ValidationError("P must be (n, K) with K matching the parameters")
     kappa = params.kappa
     log_norm = math.lgamma(kappa.sum()) - sum(math.lgamma(k) for k in kappa)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # boundary rows may sum +inf and -inf terms; the masks below decide them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logs = (kappa - 1.0)[None, :] * np.log(P)
-    # kappa == 1 contributes factor 1 even at p == 0
-    logs[:, kappa == 1.0] = 0.0
-    out = np.exp(log_norm + logs.sum(axis=1))
+        # kappa == 1 contributes factor 1 even at p == 0
+        logs[:, kappa == 1.0] = 0.0
+        out = np.exp(log_norm + logs.sum(axis=1))
     inf_rows = ((P == 0.0) & (kappa < 1.0)[None, :]).any(axis=1)
     out[inf_rows] = np.inf
     zero_rows = ((P == 0.0) & (kappa > 1.0)[None, :]).any(axis=1) & ~inf_rows
@@ -124,14 +115,13 @@ def dirichlet_uncertainty(params: DirichletParams) -> float:
     return params.num_classes / float(params.kappa.sum())
 
 
-def mean_uncertainty(umap: UncertaintyMap, sample_id: str = "") -> ScoreRecord:
+def mean_uncertainty(umap: UncertaintyMap) -> float:
     """Aggregate a pixel-wise map into one score.
 
     Returns the negated mean so the module-wide orientation (larger
     score = more in-distribution) holds.
     """
-    mean = float(umap.values.mean())
-    return ScoreRecord(id=sample_id, score=-mean, method="mean_uncertainty")
+    return -float(umap.values.mean())
 
 
 def load_uncertainty_map(path) -> UncertaintyMap:

@@ -172,7 +172,7 @@ def test_criterion_3_em_correctness():
 
 
 def test_criterion_4_knn_exactness():
-    with criterion(4, "score_knn equals the O(n^2) full-scan oracle exactly"):
+    with criterion(4, "knn_kth_sqdist equals the O(n^2) full-scan oracle exactly"):
         rng = np.random.default_rng(104)
         for _ in range(100):
             n = int(rng.integers(60, 501))
@@ -232,8 +232,9 @@ def test_criterion_5_synthetic_shift_separation(tmp_path):
 
 
 def _toy_model(train_scenes, seed=0):
-    records = [toy_encode(img, 4, f"t{i}") for i, img in enumerate(train_scenes)]
-    es = EmbeddingSet(dim=records[0].dim, records=tuple(records))
+    es = EmbeddingSet.from_matrix(
+        [f"t{i}" for i in range(len(train_scenes))], [toy_encode(img, 4) for img in train_scenes]
+    )
     return fit_gmm(es, components=4, seed=seed)
 
 

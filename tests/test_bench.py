@@ -214,8 +214,9 @@ class TestSweepRoutes:
     def test_toy_sweep_on_scene_images(self, tmp_path):
         scenes = scene_set(NOISE_FAMILY, 40, seed=0)
         named = [(f"s{i}", img) for i, img in enumerate(scenes)]
-        train_records = [toy_encode(img, 4, f"s{i}") for i, img in enumerate(scenes)]
-        train = EmbeddingSet(dim=train_records[0].dim, records=tuple(train_records))
+        train = EmbeddingSet.from_matrix(
+            [sid for sid, _ in named], [toy_encode(img, 4) for img in scenes]
+        )
         model = fit_gmm(train, components=2, seed=0)
         specs = severity_sweep("gaussian_noise", [0.01, 0.05, 0.2], base_seed=0)
         sweep_rows, correlations = run_corruption_sweep(named, specs, model)
@@ -224,6 +225,19 @@ class TestSweepRoutes:
         assert aurocs[-1] > aurocs[0]  # strong noise is easier to detect
         kinds = {(m, c.kind) for m, c in correlations}
         assert ("auroc", "pearson") in kinds and ("fpr_at_95", "spearman") in kinds
+
+    def test_depths_must_align_with_images(self):
+        from cornercase.corruptions import default_depth_ramp
+
+        scenes = scene_set(NOISE_FAMILY, 3, seed=0)
+        named = [(f"s{i}", img) for i, img in enumerate(scenes)]
+        train = EmbeddingSet.from_matrix(
+            [sid for sid, _ in named], [toy_encode(img, 4) for img in scenes]
+        )
+        model = fit_gmm(train, components=1, seed=0)
+        specs = severity_sweep("fog", [0.01])
+        with pytest.raises(ValidationError, match="1 depth maps for 3 images"):
+            run_corruption_sweep(named, specs, model, depths=[default_depth_ramp(64, 96)])
 
     def test_config_driven_toy_sweep_on_image_dirs(self, tmp_path):
         from cornercase.synthetic import FOG_FAMILY, write_scene_set

@@ -1,11 +1,14 @@
 """End-to-end command-line tests, including exit-code mapping."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
+import pytest
 
 from cornercase.cli import main
-from cornercase.embeddings import EmbeddingSet, save_embeddings
+from cornercase.embeddings import EMBED_MAGIC, FMAP_MAGIC, EmbeddingSet, save_embeddings
 from cornercase.images import write_png
 from cornercase.synthetic import WHITEBOX_FAMILY, write_scene_set
 
@@ -147,3 +150,86 @@ class TestExitCodes:
         save_embeddings(es, path, fmt="binary")
         assert main(["fit-gmm", "--embeddings", str(path),
                      "--out", str(tmp_path / "m.ccmdl"), "--components", "2"]) == 3
+
+
+def _fit_gmm_argv(tmp_path, name, blob):
+    (tmp_path / name).write_bytes(blob)
+    return ["fit-gmm", "--embeddings", str(tmp_path / name), "--out", str(tmp_path / "m")]
+
+
+def _score_maps_argv(tmp_path, name, blob):
+    (tmp_path / "maps").mkdir()
+    (tmp_path / "maps" / name).write_bytes(blob)
+    return ["score", "--maps", str(tmp_path / "maps"), "--out", str(tmp_path / "s.jsonl")]
+
+
+def _bench_argv(tmp_path, sweep):
+    manifest = {"name": "x", "role": "id_train", "path": "x.ccemb"}
+    config = {
+        "schema": 1,
+        "seed": 0,
+        "methods": ["gmm"],
+        "id_train": manifest,
+        "id_test": {**manifest, "role": "id_test"},
+        "ood_sets": [{**manifest, "role": "ood"}],
+        "sweep": sweep,
+    }
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    return ["bench", "--config", str(tmp_path / "c.json")]
+
+
+def _png_chunk(ctype, payload):
+    crc = zlib.crc32(ctype + payload) & 0xFFFFFFFF
+    return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
+
+
+MALFORMED_INPUTS = {
+    "text embedding with a non-numeric value": (
+        lambda t: _fit_gmm_argv(t, "e.jsonl", b'{"id": "a", "vec": [1.0, "x"]}\n'),
+        3,
+    ),
+    "binary embedding id that is not UTF-8": (
+        lambda t: _fit_gmm_argv(
+            t,
+            "e.ccemb",
+            EMBED_MAGIC + struct.pack("<HIQ", 1, 1, 1) + struct.pack("<H", 1) + b"\xff"
+            + struct.pack("<f", 1.0),
+        ),
+        3,
+    ),
+    "feature-map payload not a multiple of 4 bytes": (
+        lambda t: _score_maps_argv(
+            t, "m.ccfm", FMAP_MAGIC + struct.pack("<HIII", 1, 1, 1, 1) + bytes(6)
+        ),
+        3,
+    ),
+    "PNG with a 12-byte IHDR": (
+        lambda t: _score_maps_argv(
+            t,
+            "m.png",
+            b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", bytes(12)) + _png_chunk(b"IEND", b""),
+        ),
+        3,
+    ),
+    "non-integer sweep.encoder_grid": (
+        lambda t: _bench_argv(
+            t, {"kind": "gaussian_noise", "preset": "noise-paper", "encoder_grid": "four"}
+        ),
+        2,
+    ),
+    "non-numeric sweep.grid value": (
+        lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.01, "heavy"]}),
+        2,
+    ),
+    "non-numeric sweep --grid": (
+        lambda t: ["sweep", "--images", str(t), "--kind", "fog", "--grid", "a,b",
+                   "--out", str(t / "o")],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_typed_error(tmp_path, case):
+    make_argv, expected = MALFORMED_INPUTS[case]
+    assert main(make_argv(tmp_path)) == expected

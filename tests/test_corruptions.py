@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +248,28 @@ class TestRunSweep:
         run_sweep(src, severity_sweep("white_box", [0.25]), out)
         img = load_image(out / "white_box" / "0.25" / "a.png")
         assert np.any(img.pixels == 1.0)
+
+    def test_each_source_read_once(self, tmp_path, monkeypatch):
+        import cornercase.corruptions as corruptions
+
+        src = tmp_path / "clean"
+        src.mkdir()
+        for i in range(3):
+            save_image(_random_image(50 + i, h=8, w=8), src / f"img-{i}.png")
+        reads = []
+
+        def counting_load_image(path):
+            reads.append(path)
+            return load_image(path)
+
+        monkeypatch.setattr(corruptions, "load_image", counting_load_image)
+        specs = severity_sweep("white_box", [0.05, 0.1, 0.2, 0.4], base_seed=10)
+        manifest = run_sweep(src, specs, tmp_path / "o")
+        assert len(reads) == 3
+        # manifest stays spec-major; image i under spec j has seed 10 + j + i
+        assert [(e["severity"], e["seed"], Path(e["source"]).name) for e in manifest["entries"]] == [
+            (spec.severity, spec.seed + i, f"img-{i}.png") for spec in specs for i in range(3)
+        ]
 
     def test_empty_dir_rejected(self, tmp_path):
         src = tmp_path / "clean"

@@ -15,17 +15,19 @@ from cornercase.density import (
     knn_kth_sqdist,
     persist_model,
     restore_model,
-    score_gmm,
-    score_knn,
     score_set,
 )
-from cornercase.embeddings import EmbeddingSet, EmbeddingVector
+from cornercase.embeddings import EmbeddingSet
 from cornercase.errors import FitError, FormatError, ValidationError
 
 
 def _set_from(matrix, prefix="s"):
     matrix = np.asarray(matrix, dtype=float)
     return EmbeddingSet.from_matrix([f"{prefix}{i}" for i in range(len(matrix))], matrix)
+
+
+def _score_one(model, z):
+    return float(score_set(model, _set_from([z], prefix="q"))[0])
 
 
 class TestFitGmm:
@@ -95,18 +97,17 @@ class TestScoreGmm:
         model = GmmModel(
             weights=[1.0], means=[[0.0]], variances=[[1.0]], trained_on=2, seed=0
         )
-        rec = score_gmm(model, EmbeddingVector(id="q", values=[0.0]))
-        assert rec.score == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
-        assert rec.method == "gmm"
+        score = _score_one(model, [0.0])
+        assert score == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_mean_scores_above_displaced(self):
         rng = np.random.default_rng(7)
         model = fit_gmm(_set_from(rng.normal(size=(200, 4))), components=1, seed=0)
-        at_mean = score_gmm(model, EmbeddingVector(id="m", values=model.means[0])).score
+        at_mean = _score_one(model, model.means[0])
         for axis in range(4):
             off = model.means[0].copy()
             off[axis] += 3.0 * math.sqrt(model.variances[0, axis])
-            assert at_mean > score_gmm(model, EmbeddingVector(id="o", values=off)).score
+            assert at_mean > _score_one(model, off)
 
     def test_matches_naive_summation_oracle(self):
         rng = np.random.default_rng(8)
@@ -124,7 +125,7 @@ class TestScoreGmm:
                 quad = np.sum((z - means[j]) ** 2 / variances[j])
                 norm = np.prod(1.0 / np.sqrt(2 * math.pi * variances[j]))
                 total += w[j] * norm * math.exp(-0.5 * quad)
-            got = score_gmm(model, EmbeddingVector(id="q", values=z)).score
+            got = _score_one(model, z)
             assert got == pytest.approx(math.log(total), rel=1e-9)
 
     def test_dim_mismatch(self):
@@ -132,7 +133,7 @@ class TestScoreGmm:
             weights=[1.0], means=[[0.0, 0.0]], variances=[[1.0, 1.0]], trained_on=2, seed=0
         )
         with pytest.raises(ValidationError):
-            score_gmm(model, EmbeddingVector(id="q", values=[0.0]))
+            _score_one(model, [0.0])
 
 
 class TestKnn:
@@ -145,7 +146,7 @@ class TestKnn:
         for i in (0, 17, 49):
             d2 = ((pts - pts[i]) ** 2).sum(axis=1)
             expected = -float(np.sort(d2)[-1])
-            assert score_knn(index, es.records[i]).score == expected
+            assert _score_one(index, pts[i]) == expected
 
     def test_k_zero_rejected(self):
         es = _set_from(np.eye(2))
@@ -160,14 +161,12 @@ class TestKnn:
     def test_analytic_1d(self):
         es = _set_from(np.array([[0.0], [2.0]]))
         index = build_knn_index(es, k=1)
-        rec = score_knn(index, EmbeddingVector(id="q", values=[0.5]))
-        assert rec.score == pytest.approx(-0.25)
-        assert rec.method == "knn"
+        assert _score_one(index, [0.5]) == pytest.approx(-0.25)
 
     def test_self_match_scores_zero(self):
         es = _set_from(np.array([[1.0, 1.0], [3.0, 3.0]]))
         index = build_knn_index(es, k=1)
-        assert score_knn(index, EmbeddingVector(id="q", values=[1.0, 1.0])).score == 0.0
+        assert _score_one(index, [1.0, 1.0]) == 0.0
 
     def test_matches_full_scan_oracle(self):
         rng = np.random.default_rng(10)
@@ -188,13 +187,13 @@ class TestInvariants:
         q = rng.normal(size=3)
         m1 = fit_gmm(_set_from(data), components=2, seed=1)
         m2 = fit_gmm(_set_from(data + shift), components=2, seed=1)
-        s1 = score_gmm(m1, EmbeddingVector(id="q", values=q)).score
-        s2 = score_gmm(m2, EmbeddingVector(id="q", values=q + shift)).score
+        s1 = _score_one(m1, q)
+        s2 = _score_one(m2, q + shift)
         assert s1 == pytest.approx(s2, abs=1e-9)
         i1 = build_knn_index(_set_from(data), k=10)
         i2 = build_knn_index(_set_from(data + shift), k=10)
-        k1 = score_knn(i1, EmbeddingVector(id="q", values=q)).score
-        k2 = score_knn(i2, EmbeddingVector(id="q", values=q + shift)).score
+        k1 = _score_one(i1, q)
+        k2 = _score_one(i2, q + shift)
         assert k1 == pytest.approx(k2, abs=1e-9)
 
     def test_scores_fall_along_ray(self):
@@ -205,11 +204,11 @@ class TestInvariants:
         direction = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
         radii = [4.0, 6.0, 9.0, 14.0, 22.0]
         gmm_scores = [
-            score_gmm(model, EmbeddingVector(id="q", values=r * direction)).score
+            _score_one(model, r * direction)
             for r in radii
         ]
         knn_scores = [
-            score_knn(index, EmbeddingVector(id="q", values=r * direction)).score
+            _score_one(index, r * direction)
             for r in radii
         ]
         assert all(b < a for a, b in zip(gmm_scores, gmm_scores[1:]))
@@ -292,6 +291,6 @@ class TestScoreSet:
         queries = _set_from(rng.normal(size=(20, 3)), prefix="q")
         model = fit_gmm(train, components=2, seed=0)
         batch = score_set(model, queries)
-        for rec, q in zip(batch, queries.records):
-            assert rec.score == pytest.approx(score_gmm(model, q).score, rel=1e-12)
-            assert rec.id == q.id
+        assert batch.shape == (len(queries),)
+        for score, q in zip(batch, queries.matrix()):
+            assert score == pytest.approx(_score_one(model, q), rel=1e-12)

@@ -9,7 +9,6 @@ from cornercase.corruptions import apply_fog
 from cornercase.embeddings import (
     DatasetManifest,
     EmbeddingSet,
-    EmbeddingVector,
     FeatureMap,
     load_embeddings,
     load_feature_map,
@@ -25,17 +24,17 @@ from cornercase.images import ImageBuffer
 class TestPoolSpatialMean:
     def test_two_channel_example(self):
         fm = FeatureMap(np.array([[[4.0, 4.0], [4.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]]))
-        np.testing.assert_allclose(pool_spatial_mean(fm).values, [4.0, 2.5])
+        np.testing.assert_allclose(pool_spatial_mean(fm), [4.0, 2.5])
 
     def test_single_pixel_identity(self):
         fm = FeatureMap(np.array([[[3.5]], [[-1.25]], [[0.0]]]))
-        np.testing.assert_array_equal(pool_spatial_mean(fm).values, [3.5, -1.25, 0.0])
+        np.testing.assert_array_equal(pool_spatial_mean(fm), [3.5, -1.25, 0.0])
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(8, 16, 16))
         fm = FeatureMap(data)
-        pooled = pool_spatial_mean(fm).values
+        pooled = pool_spatial_mean(fm)
         # independent brute-force mean
         oracle = np.zeros(8)
         for c in range(8):
@@ -60,10 +59,10 @@ class TestPoolSpatialMean:
         rng = np.random.default_rng(seed)
         z1 = rng.normal(size=(3, 4, 5))
         z2 = rng.normal(size=(3, 4, 5))
-        lhs = pool_spatial_mean(FeatureMap(a * z1 + b * z2)).values
-        rhs = a * pool_spatial_mean(FeatureMap(z1)).values + b * pool_spatial_mean(
+        lhs = pool_spatial_mean(FeatureMap(a * z1 + b * z2))
+        rhs = a * pool_spatial_mean(FeatureMap(z1)) + b * pool_spatial_mean(
             FeatureMap(z2)
-        ).values
+        )
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -74,8 +73,8 @@ class TestPoolSpatialMean:
         perm = rng.permutation(12)
         shuffled = data.reshape(2, 12)[:, perm].reshape(2, 4, 3)
         np.testing.assert_allclose(
-            pool_spatial_mean(FeatureMap(data)).values,
-            pool_spatial_mean(FeatureMap(shuffled)).values,
+            pool_spatial_mean(FeatureMap(data)),
+            pool_spatial_mean(FeatureMap(shuffled)),
             rtol=1e-12,
         )
 
@@ -130,7 +129,7 @@ class TestEmbeddingFiles:
     def test_empty_set_round_trip(self, tmp_path):
         for fmt in ("text", "binary"):
             path = tmp_path / f"empty-{fmt}"
-            save_embeddings(EmbeddingSet(dim=0), path, fmt=fmt)
+            save_embeddings(EmbeddingSet.from_matrix([], np.zeros((0, 0))), path, fmt=fmt)
             assert len(load_embeddings(path)) == 0
 
     def test_single_record_text_is_one_line(self, tmp_path):
@@ -209,13 +208,13 @@ class TestToyEncoder:
     def test_uniform_gray_g1(self):
         img = ImageBuffer(np.full((8, 8, 3), 0.5))
         np.testing.assert_allclose(
-            toy_encode(img, grid=1).values, [0.5, 0.5, 0.5, 0.0, 0.0, 0.0]
+            toy_encode(img, grid=1), [0.5, 0.5, 0.5, 0.0, 0.0, 0.0]
         )
 
     def test_half_split_g2(self):
         px = np.zeros((8, 8, 3))
         px[:, 4:, :] = 1.0
-        v = toy_encode(ImageBuffer(px), grid=2).values
+        v = toy_encode(ImageBuffer(px), grid=2)
         cells = v[:12].reshape(4, 3)  # (cell, channel) means, row-major cells
         np.testing.assert_allclose(cells[0], 0.0)  # top-left
         np.testing.assert_allclose(cells[1], 1.0)  # top-right
@@ -224,13 +223,13 @@ class TestToyEncoder:
 
     def test_output_length(self):
         img = ImageBuffer(np.full((16, 16, 3), 0.25))
-        assert toy_encode(img, grid=4).dim == 3 * 16 + 3
+        assert toy_encode(img, grid=4).size == 3 * 16 + 3
 
     def test_remainders_absorbed_by_last_cell(self):
         # 7x9 with grid 2: last cells take the odd remainder
         px = np.zeros((7, 9, 3))
         px[3:, 4:, :] = 1.0  # exactly the bottom-right cell (rows 3.., cols 4..)
-        v = toy_encode(ImageBuffer(px), grid=2).values
+        v = toy_encode(ImageBuffer(px), grid=2)
         cells = v[:12].reshape(4, 3)
         np.testing.assert_allclose(cells[3], 1.0)
         np.testing.assert_allclose(cells[:3], 0.0)
@@ -239,16 +238,16 @@ class TestToyEncoder:
         rng = np.random.default_rng(2)
         img = ImageBuffer(rng.uniform(0.0, 0.6, size=(16, 16, 3)))
         foggy = apply_fog(img, None, beta=0.02, atmospheric_light=1.0)
-        clean_v = toy_encode(img, grid=2).values
-        fog_v = toy_encode(foggy, grid=2).values
+        clean_v = toy_encode(img, grid=2)
+        fog_v = toy_encode(foggy, grid=2)
         # atmospheric light above all scene radiance brightens every cell mean
         assert np.all(fog_v[:12] > clean_v[:12])
 
     def test_pure_function(self):
         rng = np.random.default_rng(3)
         img = ImageBuffer(rng.uniform(size=(12, 10, 3)))
-        a = toy_encode(img, grid=3).values
-        b = toy_encode(img, grid=3).values
+        a = toy_encode(img, grid=3)
+        b = toy_encode(img, grid=3)
         np.testing.assert_array_equal(a, b)
 
     def test_pure_across_process_restarts(self):
@@ -261,7 +260,7 @@ class TestToyEncoder:
             "from cornercase.embeddings import toy_encode\n"
             "from cornercase.images import ImageBuffer\n"
             "img = ImageBuffer(np.random.default_rng(99).uniform(size=(16, 12, 3)))\n"
-            "print(toy_encode(img, grid=4).values.tobytes().hex())\n"
+            "print(toy_encode(img, grid=4).tobytes().hex())\n"
         )
         runs = [
             subprocess.run(
@@ -279,15 +278,12 @@ class TestToyEncoder:
 
 class TestContainers:
     def test_set_rejects_mixed_dims(self):
-        a = EmbeddingVector(id="a", values=[1.0, 2.0])
-        b = EmbeddingVector(id="b", values=[1.0])
         with pytest.raises(ValidationError):
-            EmbeddingSet(dim=2, records=(a, b))
+            EmbeddingSet.from_matrix(["a", "b"], [[1.0, 2.0], [1.0]])
 
     def test_set_rejects_duplicate_ids(self):
-        a = EmbeddingVector(id="a", values=[1.0])
         with pytest.raises(ValidationError):
-            EmbeddingSet(dim=1, records=(a, a))
+            EmbeddingSet.from_matrix(["a", "a"], [[1.0], [1.0]])
 
     def test_manifest_role_enum(self):
         with pytest.raises(ValidationError):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornercase.density import ScoreRecord
 from cornercase.errors import FormatError, ValidationError
 from cornercase.images import write_png
 from cornercase.metrics import (
@@ -328,10 +327,10 @@ class TestPixelMetrics:
 
 class TestScoreFiles:
     def test_round_trip(self, tmp_path):
-        recs = [ScoreRecord(id=f"r{i}", score=float(i), method="gmm") for i in range(5)]
+        ids, scores = [f"r{i}" for i in range(5)], [float(i) for i in range(5)]
         id_path, ood_path = tmp_path / "id.jsonl", tmp_path / "ood.jsonl"
-        save_scores(id_path, recs, "id")
-        save_scores(ood_path, recs[:2], "ood")
+        save_scores(id_path, ids, scores, "id")
+        save_scores(ood_path, ids[:2], scores[:2], "ood")
         split = labeled_scores_from_files(id_path, ood_path)
         assert split.id_scores.size == 5 and split.ood_scores.size == 2
 

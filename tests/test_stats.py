@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornercase.embeddings import EmbeddingSet, EmbeddingVector
+from cornercase.embeddings import EmbeddingSet
 from cornercase.errors import DegenerateInputError, ValidationError
 from cornercase.stats import (
     corr_p_value,
@@ -15,7 +15,6 @@ from cornercase.stats import (
     midranks,
     pca_fit,
     pca_transform,
-    pca_transform_set,
     pearson,
     regularized_incomplete_beta,
     spearman,
@@ -226,15 +225,14 @@ class TestPca:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(25, 5)) + 3.0
         model = pca_fit(self._embedding_set(X), 2)
-        z = EmbeddingVector(id="m", values=model.mean)
-        np.testing.assert_allclose(pca_transform(model, z).values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(pca_transform(model, model.mean[None, :]), 0.0, atol=1e-12)
 
     def test_transform_variances_match(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 8)) * np.array([5, 3, 2, 1, 1, 1, 0.5, 0.1])
         es = self._embedding_set(X)
         model = pca_fit(es, 4)
-        coords = pca_transform_set(model, es).matrix()
+        coords = pca_transform(model, es.matrix())
         np.testing.assert_allclose(
             coords.var(axis=0, ddof=1), model.explained_variances, rtol=1e-9, atol=1e-9
         )
@@ -247,10 +245,10 @@ class TestPca:
         X = rng.normal(size=(50, 6))
         es = self._embedding_set(X)
         model = pca_fit(es, 6)
-        z = es.records[7]
-        coords = pca_transform(model, z).values
+        z = es.matrix()[7]
+        coords = pca_transform(model, z[None, :])[0]
         recon = model.mean + model.components.T @ coords
-        np.testing.assert_allclose(recon, z.values, atol=1e-8)
+        np.testing.assert_allclose(recon, z, atol=1e-8)
 
     def test_k_too_large_rejected(self):
         rng = np.random.default_rng(9)

@@ -114,14 +114,12 @@ class TestDirichletUncertainty:
 
 class TestMeanUncertainty:
     def test_constant_map(self):
-        rec = mean_uncertainty(UncertaintyMap(values=np.full((4, 4), 0.3)), "x")
-        assert rec.score == pytest.approx(-0.3)
-        assert rec.method == "mean_uncertainty"
-        assert rec.id == "x"
+        score = mean_uncertainty(UncertaintyMap(values=np.full((4, 4), 0.3)))
+        assert score == pytest.approx(-0.3)
 
     def test_checkerboard(self):
         umap = UncertaintyMap(values=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert mean_uncertainty(umap).score == pytest.approx(-0.5)
+        assert mean_uncertainty(umap) == pytest.approx(-0.5)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -131,7 +129,7 @@ class TestMeanUncertainty:
             for j in range(64):
                 total += values[i, j]
         oracle = total / (64 * 64)
-        assert mean_uncertainty(UncertaintyMap(values=values)).score == pytest.approx(
+        assert mean_uncertainty(UncertaintyMap(values=values)) == pytest.approx(
             -oracle, abs=1e-12
         )
 
@@ -142,14 +140,14 @@ class TestMeanUncertainty:
         values = rng.uniform(size=(5, 6))
         perm = rng.permutation(30)
         shuffled = values.ravel()[perm].reshape(5, 6)
-        assert mean_uncertainty(UncertaintyMap(values=values)).score == pytest.approx(
-            mean_uncertainty(UncertaintyMap(values=shuffled)).score, abs=1e-15
+        assert mean_uncertainty(UncertaintyMap(values=values)) == pytest.approx(
+            mean_uncertainty(UncertaintyMap(values=shuffled)), abs=1e-15
         )
 
     def test_tiling_weighted_average(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(size=(12, 9))
-        whole = -mean_uncertainty(UncertaintyMap(values=values)).score
+        whole = -mean_uncertainty(UncertaintyMap(values=values))
         tiles = [values[:5, :], values[5:, :4], values[5:, 4:]]
         weighted = sum(t.size * t.mean() for t in tiles) / values.size
         assert whole == pytest.approx(weighted, abs=1e-12)
