@@ -175,6 +175,16 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _integer(value, where: str) -> int:
+    """An int, or a float with an integral value; bools, strings and
+    fractional values are rejected rather than coerced or truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+
+
 def _manifest_from_dict(d: dict, base: Path, where: str) -> DatasetManifest:
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: manifest must be an object")
@@ -211,7 +221,7 @@ def config_from_dict(data: dict, base_dir) -> BenchConfig:
                 preset=s.get("preset"),
                 grid=tuple(s.get("grid") or ()),
                 encoder=s.get("encoder", "toy"),
-                encoder_grid=int(s.get("encoder_grid", 4)),
+                encoder_grid=_integer(s.get("encoder_grid", 4), "sweep.encoder_grid"),
                 images=str(base / images) if images else None,
                 depth=str(base / depth) if depth else None,
                 atmospheric_light=float(s.get("atmospheric_light", DEFAULT_ATMOSPHERIC_LIGHT)),
@@ -220,7 +230,7 @@ def config_from_dict(data: dict, base_dir) -> BenchConfig:
                 ),
             )
         return BenchConfig(
-            seed=int(_require(data, "seed", "config")),
+            seed=_integer(_require(data, "seed", "config"), "seed"),
             methods=tuple(_require(data, "methods", "config")),
             id_train=_manifest_from_dict(_require(data, "id_train", "config"), base, "id_train"),
             id_test=_manifest_from_dict(_require(data, "id_test", "config"), base, "id_test"),
@@ -228,10 +238,10 @@ def config_from_dict(data: dict, base_dir) -> BenchConfig:
                 _manifest_from_dict(m, base, f"ood_sets[{i}]")
                 for i, m in enumerate(_require(data, "ood_sets", "config"))
             ),
-            gmm_components=int(data.get("gmm_components", 4)),
+            gmm_components=_integer(data.get("gmm_components", 4), "gmm_components"),
             gmm_bic=bool(data.get("gmm_bic", False)),
-            knn_k=int(data.get("knn_k", 50)),
-            max_iters=int(data.get("max_iters", 200)),
+            knn_k=_integer(data.get("knn_k", 50), "knn_k"),
+            max_iters=_integer(data.get("max_iters", 200), "max_iters"),
             tol=float(data.get("tol", 1e-6)),
             tpr_target=float(data.get("tpr_target", 0.95)),
             sweep=sweep,

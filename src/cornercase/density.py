@@ -30,6 +30,10 @@ _KIND_KNN = 1
 
 VARIANCE_FLOOR = 1e-6
 
+# Largest temporary a kNN query block may allocate, in float64 values
+# (2 MiB), apart from one row of distances per query.
+_KNN_BLOCK_ELEMENTS = 1 << 18
+
 @dataclass(frozen=True)
 class GmmModel:
     """Diagonal-covariance Gaussian mixture over the fitting embeddings.
@@ -264,21 +268,82 @@ def build_knn_index(ids: EmbeddingSet, k: int = 50) -> KnnIndex:
 def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     """Squared distance from each row of X to its k-th nearest stored point.
 
-    Distances are computed from explicit differences (not the expanded
-    quadratic form) so results match a brute-force scan bit for bit;
-    queries are chunked to bound memory.
+    The result equals a brute-force scan of explicit differences,
+    ``((x - p) ** 2).sum()``, bit for bit. It is found in two stages:
+
+    1. Candidates. One GEMM per block of queries gives the expanded
+       distance |x|^2 + |p|^2 - 2 x.p to every stored point. It rounds
+       differently from the explicit sum, but by at most a bound E
+       (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+       so every point within 2E of the k-th smallest expanded distance
+       is kept.
+    2. Re-rank. Explicit differences are recomputed for the candidates
+       only, and the k-th smallest of those is the result.
+
+    Both stages work in blocks of at most _KNN_BLOCK_ELEMENTS values
+    (beyond one row of distances per query), so memory stays bounded
+    whatever the index size or the number of ties. Non-finite query
+    rows raise ValidationError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != index.dim:
         raise ValidationError(
             f"query dim {X.shape[-1] if X.ndim else '?'} does not match index dim {index.dim}"
         )
+    if not np.isfinite(X).all():
+        raise ValidationError("kNN query rows must be finite")
+    points, k = index.points, index.k
+    count, dim = points.shape
+    # For a query x and a point p, let a be the expanded distance and f
+    # the explicit one. Each is at most gamma_(dim+2) * (|x| + |p|)^2 away
+    # from the exact |x - p|^2: a takes dim roundings per inner product
+    # plus two additions, f takes a difference (counted twice, as it is
+    # squared), a square and dim - 1 additions. So |a - f| <= E with
+    # E = gamma_(2 dim + 4) * (|x| + max|p|)^2, plus one `tiny` per
+    # rounding for underflow. The factor 2 in `bound` also covers the
+    # roundings of the norms, of E itself and of the threshold.
+    # Let tau be the k-th smallest a in a row:
+    #   - the k points with the smallest a have f <= a + E <= tau + E,
+    #     so the true k-th explicit distance F is at most tau + E;
+    #   - any point with f <= F has a <= f + E <= tau + 2E.
+    # Every point with f <= F is therefore a candidate, and the k-th
+    # smallest f over the candidates is F itself. When 4 (|x| + max|p|)^2
+    # is not finite, the bound can overflow, and the row keeps all points.
+    roundings = 2 * dim + 4
+    unit = np.finfo(float).eps / 2
+    gamma = roundings * unit / (1 - roundings * unit)
+    floor = roundings * np.finfo(float).tiny
     out = np.empty(X.shape[0])
-    chunk = max(1, 4_000_000 // max(index.count * index.dim, 1))
-    for start in range(0, X.shape[0], chunk):
-        block = X[start : start + chunk]
-        d2 = ((block[:, None, :] - index.points[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + chunk] = np.partition(d2, index.k - 1, axis=1)[:, index.k - 1]
+    rows = max(1, _KNN_BLOCK_ELEMENTS // count)
+    pair_step = max(1, _KNN_BLOCK_ELEMENTS // max(dim, 1))
+    # overflow in the expanded form is expected: such rows keep all points
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_sq = np.einsum("ij,ij->i", points, points)
+        p_max = np.sqrt(p_sq.max())
+        for start in range(0, X.shape[0], rows):
+            block = X[start : start + rows]
+            x_sq = np.einsum("ij,ij->i", block, block)
+            approx = block @ points.T
+            approx *= -2.0
+            approx += p_sq
+            approx += x_sq[:, None]
+            scale = (np.sqrt(x_sq) + p_max) ** 2
+            bound = 2.0 * (gamma * scale + floor)
+            tau = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            keep = approx <= (tau + 2.0 * bound)[:, None]
+            keep[~np.isfinite(4.0 * scale)] = True
+            row, col = np.nonzero(keep)
+            exact = np.empty(row.size)
+            for s in range(0, row.size, pair_step):
+                diff = block[row[s : s + pair_step]]
+                diff -= points[col[s : s + pair_step]]
+                exact[s : s + pair_step] = (diff * diff).sum(axis=1)
+            # row is sorted, so each query's candidates are one run of
+            # pairs; its k-th sits k - 1 places after the run's start
+            counts = keep.sum(axis=1)
+            first = np.cumsum(counts) - counts
+            order = np.lexsort((exact, row))
+            out[start : start + rows] = exact[order[first + k - 1]]
     return out
 
 

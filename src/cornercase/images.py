@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,11 +206,19 @@ def read_png(path) -> np.ndarray:
     channels = 3 if color_type == 2 else 1
     sample_bytes = bit_depth // 8
     stride = width * channels * sample_bytes
+    # Inflate at most one byte past the size the header implies, so a
+    # small IDAT that inflates to gigabytes cannot exhaust memory.
+    expected = height * (stride + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(idat, min(expected + 1, sys.maxsize))
     except zlib.error as exc:
         raise FormatError(f"{path}: corrupt PNG image data ({exc})") from exc
-    if len(raw) != height * (stride + 1):
+    if len(raw) > expected or inflater.unconsumed_tail or inflater.unused_data:
+        raise FormatError(
+            f"{path}: PNG image data goes past the {expected} bytes its header implies"
+        )
+    if len(raw) != expected or not inflater.eof:
         raise FormatError(f"{path}: PNG pixel payload has wrong size")
     flat = _unfilter(raw, height, stride, channels * sample_bytes)
     if bit_depth == 8:

@@ -203,6 +203,25 @@ class TestConfigSchema:
         report = run_benchmark(cfg)
         assert len(report.rows) == 1
 
+    def test_integral_float_fields_accepted(self, tmp_path):
+        paths = _write_sets(tmp_path)
+        data = config_to_dict(_basic_config(paths))
+        data.update(seed=3.0, gmm_components=2.0, knn_k=5.0, max_iters=50.0)
+        cfg = config_from_dict(data, ".")
+        assert (cfg.seed, cfg.gmm_components, cfg.knn_k, cfg.max_iters) == (3, 2, 5, 50)
+        assert all(
+            type(v) is int for v in (cfg.seed, cfg.gmm_components, cfg.knn_k, cfg.max_iters)
+        )
+
+    @pytest.mark.parametrize("field", ["seed", "gmm_components", "knn_k", "max_iters"])
+    @pytest.mark.parametrize("value", [2.7, True, "4", float("inf")])
+    def test_non_integer_fields_rejected(self, tmp_path, field, value):
+        paths = _write_sets(tmp_path)
+        data = config_to_dict(_basic_config(paths))
+        data[field] = value
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(data, ".")
+
     def test_digest_stable_under_formatting(self, tmp_path):
         paths = _write_sets(tmp_path)
         cfg = _basic_config(paths)

@@ -163,7 +163,7 @@ def _score_maps_argv(tmp_path, name, blob):
     return ["score", "--maps", str(tmp_path / "maps"), "--out", str(tmp_path / "s.jsonl")]
 
 
-def _bench_argv(tmp_path, sweep):
+def _bench_argv(tmp_path, sweep, **fields):
     manifest = {"name": "x", "role": "id_train", "path": "x.ccemb"}
     config = {
         "schema": 1,
@@ -173,6 +173,7 @@ def _bench_argv(tmp_path, sweep):
         "id_test": {**manifest, "role": "id_test"},
         "ood_sets": [{**manifest, "role": "ood"}],
         "sweep": sweep,
+        **fields,
     }
     (tmp_path / "c.json").write_text(json.dumps(config))
     return ["bench", "--config", str(tmp_path / "c.json")]
@@ -215,6 +216,24 @@ MALFORMED_INPUTS = {
         lambda t: _bench_argv(
             t, {"kind": "gaussian_noise", "preset": "noise-paper", "encoder_grid": "four"}
         ),
+        2,
+    ),
+    "non-integral sweep.encoder_grid": (
+        lambda t: _bench_argv(
+            t, {"kind": "gaussian_noise", "preset": "noise-paper", "encoder_grid": 2.5}
+        ),
+        2,
+    ),
+    "non-integral gmm_components": (
+        lambda t: _bench_argv(t, None, gmm_components=2.7),
+        2,
+    ),
+    "boolean knn_k": (
+        lambda t: _bench_argv(t, None, knn_k=True),
+        2,
+    ),
+    "string seed": (
+        lambda t: _bench_argv(t, None, seed="7"),
         2,
     ),
     "non-numeric sweep.grid value": (

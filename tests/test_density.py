@@ -1,11 +1,13 @@
 """GMM fitting, k-NN scoring and model persistence tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cornercase.density import (
+    _KNN_BLOCK_ELEMENTS,
     GmmModel,
     KnnIndex,
     build_knn_index,
@@ -177,6 +179,89 @@ class TestKnn:
         for qi, q in enumerate(queries):
             d2 = np.sort(((pts - q) ** 2).sum(axis=1))
             assert got[qi] == d2[49]
+
+
+def _brute_kth(pts, queries, k):
+    return np.array([np.sort(((pts - q) ** 2).sum(axis=1))[k - 1] for q in queries])
+
+
+class TestKnnTwoStage:
+    """The GEMM candidate stage must never change the k-th distance."""
+
+    def _check(self, pts, queries, k):
+        got = knn_kth_sqdist(KnnIndex(k=k, points=pts), queries)
+        assert np.array_equal(got, _brute_kth(pts, queries, k))
+
+    @pytest.mark.parametrize("spread", [1.0, 0.05])
+    def test_large_common_offset(self, spread):
+        # |x|^2 + |p|^2 - 2 x.p cancels ~1e13 down to the distances, so its
+        # rounding error (~1e-2) exceeds the gaps between neighbors when
+        # the cloud is narrow
+        rng = np.random.default_rng(20)
+        pts = spread * rng.normal(size=(500, 8)) + 1e6
+        self._check(pts, spread * rng.normal(size=(30, 8)) + 1e6, k=10)
+
+    def test_duplicates_tie_at_kth(self):
+        rng = np.random.default_rng(21)
+        pts = np.repeat(rng.normal(size=(40, 8)), 5, axis=0)
+        for k in (1, 3, 5, 6, 12):
+            self._check(pts, rng.normal(size=(10, 8)), k)
+
+    def test_k_equals_count(self):
+        rng = np.random.default_rng(22)
+        pts = rng.normal(size=(70, 16)) * 1e3
+        self._check(pts, rng.normal(size=(9, 16)), k=70)
+
+    def test_all_points_identical(self):
+        rng = np.random.default_rng(23)
+        pts = np.tile(rng.normal(size=(1, 24)), (300, 1))
+        self._check(pts, rng.normal(size=(7, 24)), k=50)
+        self._check(pts, pts[:2], k=300)
+
+    def test_queries_equal_stored_points(self):
+        rng = np.random.default_rng(24)
+        pts = rng.normal(size=(200, 12)) + 50.0
+        self._check(pts, pts[::17], k=1)
+        self._check(pts, pts[::17], k=4)
+
+    def test_query_count_straddles_block(self):
+        rng = np.random.default_rng(25)
+        pts = rng.normal(size=(3000, 6))
+        rows = _KNN_BLOCK_ELEMENTS // len(pts)
+        self._check(pts, rng.normal(size=(2 * rows + 1, 6)), k=7)
+
+    def test_overflowing_norms_fall_back_to_all_points(self):
+        # |p|^2 overflows to inf, so the expanded form is nan, while the
+        # explicit differences (~1e150) square to finite values
+        rng = np.random.default_rng(27)
+        pts = 1e150 * rng.normal(size=(60, 4)) + 1e154
+        self._check(pts, 1e150 * rng.normal(size=(5, 4)) + 1e154, k=3)
+
+    def test_nan_query_rejected(self):
+        index = KnnIndex(k=1, points=np.eye(3))
+        queries = np.zeros((4, 3))
+        queries[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            knn_kth_sqdist(index, queries)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "identical"])
+    def test_memory_bounded(self, kind):
+        # numpy reports its buffers to tracemalloc; a full (count, dim)
+        # temporary here would be 41 MB
+        rng = np.random.default_rng(26)
+        pts = rng.normal(size=(20000, 256))
+        if kind == "identical":
+            pts[:] = pts[0]
+        index = KnnIndex(k=50, points=pts)
+        queries = rng.normal(size=(8, 256))
+        tracemalloc.start()
+        try:
+            got = knn_kth_sqdist(index, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert np.array_equal(got, _brute_kth(pts, queries, 50))
 
 
 class TestInvariants:

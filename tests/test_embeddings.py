@@ -251,10 +251,20 @@ class TestToyEncoder:
         np.testing.assert_array_equal(a, b)
 
     def test_pure_across_process_restarts(self):
-        # byte-identical output from a fresh interpreter
+        # byte-identical output from a fresh interpreter, which imports
+        # the same cornercase package as this one
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import cornercase
+
+        package_root = str(Path(cornercase.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
         snippet = (
             "import numpy as np\n"
             "from cornercase.embeddings import toy_encode\n"
@@ -264,7 +274,8 @@ class TestToyEncoder:
         )
         runs = [
             subprocess.run(
-                [sys.executable, "-c", snippet], capture_output=True, text=True, check=True
+                [sys.executable, "-c", snippet],
+                capture_output=True, text=True, check=True, env=env,
             ).stdout
             for _ in range(2)
         ]

@@ -94,6 +94,12 @@ def _encode_with_filters(arr: np.ndarray, filters: list) -> bytes:
             out.append(enc & 0xFF)
         prior = line
 
+    return _png_file(w, h, 2, zlib.compress(bytes(out)))
+
+
+def _png_file(width, height, color_type, idat):
+    """PNG bytes for an 8-bit image with the given raw IDAT payload."""
+
     def chunk(ctype, payload):
         return (
             struct.pack(">I", len(payload))
@@ -102,11 +108,11 @@ def _encode_with_filters(arr: np.ndarray, filters: list) -> bytes:
             + struct.pack(">I", zlib.crc32(ctype + payload) & 0xFFFFFFFF)
         )
 
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(bytes(out)))
+        + chunk(b"IDAT", idat)
         + chunk(b"IEND", b"")
     )
 
@@ -134,6 +140,27 @@ class TestPngErrors:
         blob = bytearray(path.read_bytes())
         blob[-5] ^= 0xFF  # flip a bit inside the IEND CRC
         path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            read_png(path)
+
+    def test_inflate_bomb_rejected(self, tmp_path):
+        # a 1x1 gray image needs 2 bytes; this IDAT inflates to 1 MiB
+        idat = zlib.compress(bytes(1 << 20))
+        assert len(idat) < 2048
+        path = tmp_path / "bomb.png"
+        path.write_bytes(_png_file(1, 1, 0, idat))
+        with pytest.raises(FormatError, match="goes past"):
+            read_png(path)
+
+    def test_trailing_image_data_rejected(self, tmp_path):
+        path = tmp_path / "x.png"
+        path.write_bytes(_png_file(1, 1, 0, zlib.compress(b"\x00\x07") + b"junk"))
+        with pytest.raises(FormatError):
+            read_png(path)
+
+    def test_truncated_image_data_rejected(self, tmp_path):
+        path = tmp_path / "x.png"
+        path.write_bytes(_png_file(1, 1, 0, zlib.compress(b"\x00\x07")[:-4]))
         with pytest.raises(FormatError):
             read_png(path)
 
