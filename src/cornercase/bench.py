@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from .corruptions import (
     CORRUPTION_KINDS,
     DEFAULT_ATMOSPHERIC_LIGHT,
-    SWEEP_PRESETS,
     severity_dirname,
     severity_sweep,
     sweep_images,
@@ -33,7 +32,7 @@ from .embeddings import (
     save_embeddings,
     toy_encode,
 )
-from .errors import ConfigError, DegenerateInputError, ValidationError
+from .errors import ConfigError, DegenerateInputError, FormatError, ValidationError
 from .images import load_depth, load_image
 from .metrics import DetectionReport, LabeledScores, detection_report
 from .stats import CorrelationResult, pearson, spearman
@@ -71,26 +70,21 @@ class SweepSettings:
             raise ConfigError(f"unknown sweep kind {self.kind!r}")
         if (self.preset is None) == (len(self.grid) == 0):
             raise ConfigError("sweep needs exactly one of preset or grid")
-        if self.preset is not None and self.preset not in SWEEP_PRESETS:
-            raise ConfigError(f"unknown sweep preset {self.preset!r}")
         if self.encoder not in ("toy", "external"):
             raise ConfigError(f"sweep encoder must be 'toy' or 'external', got {self.encoder!r}")
         if self.encoder_grid < 1:
             raise ConfigError("encoder_grid must be a positive integer")
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         object.__setattr__(self, "severity_embeddings", tuple(self.severity_embeddings))
-        if self.encoder == "external":
-            if len(self.severity_embeddings) != len(self.severities()):
-                raise ConfigError(
-                    "external sweep needs one embedding file per severity "
-                    f"({len(self.severities())} severities, "
-                    f"{len(self.severity_embeddings)} files)"
-                )
-
-    def severities(self) -> tuple:
-        if self.preset is not None:
-            return SWEEP_PRESETS[self.preset][1]
-        return self.grid
+        try:
+            specs = _sweep_specs(self, seed=0)
+        except ValidationError as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
+        if self.encoder == "external" and len(self.severity_embeddings) != len(specs):
+            raise ConfigError(
+                "external sweep needs one embedding file per severity "
+                f"({len(specs)} severities, {len(self.severity_embeddings)} files)"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,45 +128,11 @@ class BenchConfig:
         object.__setattr__(self, "ood_sets", ood_sets)
 
 
-def _manifest_to_dict(m: DatasetManifest) -> dict:
-    return {"name": m.name, "role": m.role, "path": m.path}
-
-
 def config_to_dict(cfg: BenchConfig) -> dict:
-    out = {
-        "schema": SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "methods": list(cfg.methods),
-        "id_train": _manifest_to_dict(cfg.id_train),
-        "id_test": _manifest_to_dict(cfg.id_test),
-        "ood_sets": [_manifest_to_dict(m) for m in cfg.ood_sets],
-        "gmm_components": cfg.gmm_components,
-        "gmm_bic": cfg.gmm_bic,
-        "knn_k": cfg.knn_k,
-        "max_iters": cfg.max_iters,
-        "tol": cfg.tol,
-        "tpr_target": cfg.tpr_target,
-    }
-    if cfg.sweep is not None:
-        s = cfg.sweep
-        out["sweep"] = {
-            "kind": s.kind,
-            "preset": s.preset,
-            "grid": list(s.grid),
-            "encoder": s.encoder,
-            "encoder_grid": s.encoder_grid,
-            "images": s.images,
-            "depth": s.depth,
-            "atmospheric_light": s.atmospheric_light,
-            "severity_embeddings": list(s.severity_embeddings),
-        }
+    out = {"schema": SCHEMA_VERSION, **asdict(cfg)}
+    if cfg.sweep is None:
+        del out["sweep"]
     return out
-
-
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return d[key]
 
 
 def _integer(value, where: str) -> int:
@@ -185,21 +145,43 @@ def _integer(value, where: str) -> int:
     raise ConfigError(f"{where}: expected an integer, got {value!r}")
 
 
-def _manifest_from_dict(d: dict, base: Path, where: str) -> DatasetManifest:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: manifest must be an object")
-    name = _require(d, "name", where)
-    role = _require(d, "role", where)
-    path = _require(d, "path", where)
+def _number(value, where: str) -> float:
+    """An int or a float, as a float; bools and strings are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{where}: expected a number, got {value!r}")
+
+
+def _boolean(value, where: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: expected true or false, got {value!r}")
+
+
+def _from_keys(cls, data, where: str, readers: dict):
+    """cls built from the keys data holds, each passed through its reader
+    (if any); absent keys keep their dataclass defaults."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: must be an object")
+    names = [f.name for f in fields(cls)]
+    kwargs = {}
+    for key, value in data.items():
+        if key not in names:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        read = readers.get(key)
+        kwargs[key] = read(value, f"{where}.{key}") if read else value
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING:
+            raise ConfigError(f"{where}: missing required field {f.name!r}")
     try:
-        return DatasetManifest(name=name, role=role, path=str((base / path)))
+        return cls(**kwargs)
     except ValidationError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(data: dict, base_dir) -> BenchConfig:
     """Build a config from parsed JSON; relative paths resolve against
-    base_dir. Future schema versions are rejected."""
+    base_dir. Future schema versions and unknown keys are rejected."""
     base = Path(base_dir)
     if "schema" not in data:
         raise ConfigError("config is missing the schema field")
@@ -208,43 +190,39 @@ def config_from_dict(data: dict, base_dir) -> BenchConfig:
             f"config schema {data['schema']} is not supported "
             f"(this toolkit reads schema {SCHEMA_VERSION})"
         )
+
+    def optional_path(value, where):
+        return str(base / value) if value else None
+
+    def manifest(value, where):
+        return _from_keys(
+            DatasetManifest, value, where, {"path": lambda v, w: str(base / v)}
+        )
+
+    sweep_readers = {
+        "grid": lambda v, w: tuple(_number(x, f"{w}[{i}]") for i, x in enumerate(v or ())),
+        "encoder_grid": _integer,
+        "images": optional_path,
+        "depth": optional_path,
+        "atmospheric_light": _number,
+        "severity_embeddings": lambda v, w: tuple(str(base / p) for p in v or ()),
+    }
+    readers = {
+        "seed": _integer,
+        "id_train": manifest,
+        "id_test": manifest,
+        "ood_sets": lambda v, w: tuple(manifest(m, f"{w}[{i}]") for i, m in enumerate(v)),
+        "gmm_components": _integer,
+        "gmm_bic": _boolean,
+        "knn_k": _integer,
+        "max_iters": _integer,
+        "tol": _number,
+        "tpr_target": _number,
+        "sweep": lambda v, w: None if v is None else _from_keys(SweepSettings, v, w, sweep_readers),
+    }
     try:
-        sweep = None
-        if data.get("sweep") is not None:
-            s = data["sweep"]
-            if not isinstance(s, dict):
-                raise ConfigError("sweep: must be an object")
-            images = s.get("images")
-            depth = s.get("depth")
-            sweep = SweepSettings(
-                kind=_require(s, "kind", "sweep"),
-                preset=s.get("preset"),
-                grid=tuple(s.get("grid") or ()),
-                encoder=s.get("encoder", "toy"),
-                encoder_grid=_integer(s.get("encoder_grid", 4), "sweep.encoder_grid"),
-                images=str(base / images) if images else None,
-                depth=str(base / depth) if depth else None,
-                atmospheric_light=float(s.get("atmospheric_light", DEFAULT_ATMOSPHERIC_LIGHT)),
-                severity_embeddings=tuple(
-                    str(base / p) for p in s.get("severity_embeddings") or ()
-                ),
-            )
-        return BenchConfig(
-            seed=_integer(_require(data, "seed", "config"), "seed"),
-            methods=tuple(_require(data, "methods", "config")),
-            id_train=_manifest_from_dict(_require(data, "id_train", "config"), base, "id_train"),
-            id_test=_manifest_from_dict(_require(data, "id_test", "config"), base, "id_test"),
-            ood_sets=tuple(
-                _manifest_from_dict(m, base, f"ood_sets[{i}]")
-                for i, m in enumerate(_require(data, "ood_sets", "config"))
-            ),
-            gmm_components=_integer(data.get("gmm_components", 4), "gmm_components"),
-            gmm_bic=bool(data.get("gmm_bic", False)),
-            knn_k=_integer(data.get("knn_k", 50), "knn_k"),
-            max_iters=_integer(data.get("max_iters", 200), "max_iters"),
-            tol=float(data.get("tol", 1e-6)),
-            tpr_target=float(data.get("tpr_target", 0.95)),
-            sweep=sweep,
+        return _from_keys(
+            BenchConfig, {k: v for k, v in data.items() if k != "schema"}, "config", readers
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -282,9 +260,6 @@ class BenchReport:
     sweep_rows: tuple = ()
     correlations: tuple = ()
     provenance: tuple = ()
-
-    def provenance_dict(self) -> dict:
-        return dict(self.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -599,183 +574,137 @@ def generate_synthetic_benchmark(
 # ---------------------------------------------------------------------------
 
 
-def _fmt_metrics(rep: DetectionReport) -> list:
-    return [f"{getattr(rep, c):.2f}" for c in REPORT_COLUMNS]
+_ROW_COLUMNS = ("method", "dataset") + REPORT_COLUMNS
+_SWEEP_COLUMNS = ("severity",) + REPORT_COLUMNS
+_CORRELATION_COLUMNS = ("metric", "kind", "coefficient_pct", "p_value", "n")
+_SWEEP_TITLE = "Severity sweep"
+_SWEEP_META = ("sweep_kind", "sweep_method")
+
+# per table: the parse_report key its rows go to and how one row's cells read back
+_CELL_PARSERS = {
+    _ROW_COLUMNS: ("rows", lambda c: (c[0], c[1], [float(v) for v in c[2:]])),
+    _SWEEP_COLUMNS: ("sweep_rows", lambda c: (float(c[0]), [float(v) for v in c[1:]])),
+    _CORRELATION_COLUMNS: (
+        "correlations",
+        lambda c: (c[0], c[1], float(c[2]), float(c[3]), int(c[4])),
+    ),
+}
+
+
+def _tables(report: BenchReport) -> list:
+    """The report's tables in order, as (title, meta, columns, rows):
+    meta is (key, value) pairs naming the table's subject, and every
+    cell is already a string. Detection metrics use fixed two-decimal
+    rendering; correlation coefficients are scaled to percent."""
+
+    def metrics(rep: DetectionReport) -> list:
+        return [f"{getattr(rep, c):.2f}" for c in REPORT_COLUMNS]
+
+    tables = [(None, (), _ROW_COLUMNS, [[m, d, *metrics(rep)] for m, d, rep in report.rows])]
+    if report.sweep_rows:
+        meta = tuple(zip(_SWEEP_META, (f"{report.sweep_kind}", f"{report.sweep_method}")))
+        rows = [[severity_dirname(s), *metrics(rep)] for s, rep in report.sweep_rows]
+        tables.append((_SWEEP_TITLE, meta, _SWEEP_COLUMNS, rows))
+    if report.correlations:
+        rows = [
+            [metric, c.kind, f"{100.0 * c.coefficient:.2f}", f"{c.p_value:.3g}", f"{c.n}"]
+            for metric, c in report.correlations
+        ]
+        tables.append(("Correlations", (), _CORRELATION_COLUMNS, rows))
+    return tables
 
 
 def emit_report(report: BenchReport, fmt: str = "csv") -> str:
-    """Render a report as CSV (with # provenance header lines) or markdown.
-
-    Detection metrics use fixed two-decimal rendering; correlation
-    coefficients are scaled to percent.
-    """
+    """Render a report as CSV (with # provenance header lines) or markdown."""
     if fmt == "csv":
         lines = [f"# {k}={v}" for k, v in report.provenance]
-        lines.append("method,dataset," + ",".join(REPORT_COLUMNS))
-        for method, dataset, rep in report.rows:
-            lines.append(",".join([method, dataset] + _fmt_metrics(rep)))
-        if report.sweep_rows:
-            lines.append("")
-            lines.append(f"# sweep_kind={report.sweep_kind}")
-            lines.append(f"# sweep_method={report.sweep_method}")
-            lines.append("severity," + ",".join(REPORT_COLUMNS))
-            for severity, rep in report.sweep_rows:
-                lines.append(",".join([severity_dirname(severity)] + _fmt_metrics(rep)))
-        if report.correlations:
-            lines.append("")
-            lines.append("metric,kind,coefficient_pct,p_value,n")
-            for metric, corr in report.correlations:
-                lines.append(
-                    f"{metric},{corr.kind},{100.0 * corr.coefficient:.2f},"
-                    f"{corr.p_value:.3g},{corr.n}"
-                )
+        for i, (_, meta, columns, rows) in enumerate(_tables(report)):
+            if i > 0:
+                lines.append("")
+            lines += [f"# {k}={v}" for k, v in meta]
+            lines += [",".join(cells) for cells in [columns, *rows]]
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
-        lines = ["# Benchmark report", ""]
-        lines.extend(f"- {k}: {v}" for k, v in report.provenance)
-        lines.append("")
-        lines.append("| method | dataset | " + " | ".join(REPORT_COLUMNS) + " |")
-        lines.append("|" + "---|" * (2 + len(REPORT_COLUMNS)))
-        for method, dataset, rep in report.rows:
-            lines.append("| " + " | ".join([method, dataset] + _fmt_metrics(rep)) + " |")
-        if report.sweep_rows:
+        lines = ["# Benchmark report", "", *(f"- {k}: {v}" for k, v in report.provenance)]
+        for title, meta, columns, rows in _tables(report):
             lines.append("")
-            lines.append(f"## Severity sweep ({report.sweep_kind}, {report.sweep_method})")
-            lines.append("")
-            lines.append("| severity | " + " | ".join(REPORT_COLUMNS) + " |")
-            lines.append("|" + "---|" * (1 + len(REPORT_COLUMNS)))
-            for severity, rep in report.sweep_rows:
-                lines.append(
-                    "| " + " | ".join([severity_dirname(severity)] + _fmt_metrics(rep)) + " |"
-                )
-        if report.correlations:
-            lines.append("")
-            lines.append("## Correlations")
-            lines.append("")
-            lines.append("| metric | kind | coefficient_pct | p_value | n |")
-            lines.append("|" + "---|" * 5)
-            for metric, corr in report.correlations:
-                lines.append(
-                    f"| {metric} | {corr.kind} | {100.0 * corr.coefficient:.2f} "
-                    f"| {corr.p_value:.3g} | {corr.n} |"
-                )
+            if title is not None:
+                subject = f" ({', '.join(v for _, v in meta)})" if meta else ""
+                lines += [f"## {title}{subject}", ""]
+            lines.append("| " + " | ".join(columns) + " |")
+            lines.append("|" + "---|" * len(columns))
+            lines += ["| " + " | ".join(cells) + " |" for cells in rows]
         return "\n".join(lines) + "\n"
     raise ValidationError(f"unknown report format {fmt!r}")
 
 
+def _csv_line(line: str) -> tuple:
+    """(provenance pairs, cells or None) of one stripped CSV report line."""
+    if line.startswith("# "):
+        key, _, value = line[2:].partition("=")
+        return [(key, value)], None
+    return [], line.split(",") if line else None
+
+
+def _markdown_line(line: str) -> tuple:
+    """(provenance pairs, cells or None) of one stripped markdown report line."""
+    if line.startswith("- "):
+        key, _, value = line[2:].partition(": ")
+        return [(key, value)], None
+    sweep_heading = f"## {_SWEEP_TITLE} ("
+    if line.startswith(sweep_heading) and line.endswith(")"):
+        kind, _, method = line[len(sweep_heading) : -1].partition(", ")
+        return list(zip(_SWEEP_META, (kind, method))), None
+    if line.startswith("|") and not line.startswith("|-"):
+        return [], [c.strip() for c in line.strip("|").split("|")]
+    return [], None
+
+
 def parse_report(text: str, fmt: str = "csv") -> dict:
     """Parse emit_report output back into plain values (round-trip check)."""
-    rows = []
-    sweep_rows = []
-    correlations = []
-    provenance = {}
-
-    def add_row(cells: list):
-        if len(cells) == 2 + len(REPORT_COLUMNS):
-            rows.append(
-                (cells[0], cells[1], [float(v) for v in cells[2:]])
-            )
-        elif cells and cells[0] not in ("metric",):
-            sweep_rows.append((float(cells[0]), [float(v) for v in cells[1:]]))
-
-    if fmt == "csv":
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                provenance[key] = value
-                continue
-            cells = line.split(",")
-            if cells[0] in ("method", "severity"):
-                continue
-            if len(cells) == 5 and cells[1] in ("pearson", "spearman"):
-                correlations.append(
-                    (cells[0], cells[1], float(cells[2]), float(cells[3]), int(cells[4]))
-                )
-            else:
-                add_row(cells)
-    elif fmt == "markdown":
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("- "):
-                key, _, value = line[2:].partition(": ")
-                provenance[key] = value
-                continue
-            if line.startswith("## Severity sweep (") and line.endswith(")"):
-                kind, _, method = line[len("## Severity sweep (") : -1].partition(", ")
-                provenance["sweep_kind"] = kind
-                provenance["sweep_method"] = method
-                continue
-            if not line.startswith("|") or line.startswith("|-") or line.startswith("|---"):
-                continue
-            cells = [c.strip() for c in line.strip("|").split("|")]
-            if cells[0] in ("method", "severity", "metric"):
-                continue
-            if len(cells) == 5 and cells[1] in ("pearson", "spearman"):
-                correlations.append(
-                    (cells[0], cells[1], float(cells[2]), float(cells[3]), int(cells[4]))
-                )
-            else:
-                add_row(cells)
-    else:
+    split = {"csv": _csv_line, "markdown": _markdown_line}.get(fmt)
+    if split is None:
         raise ValidationError(f"unknown report format {fmt!r}")
-    return {
-        "provenance": provenance,
-        "rows": rows,
-        "sweep_rows": sweep_rows,
-        "correlations": correlations,
-    }
+    out = {"provenance": {}, "rows": [], "sweep_rows": [], "correlations": []}
+    table = None
+    for line in text.splitlines():
+        pairs, cells = split(line.strip())
+        out["provenance"].update(pairs)
+        if cells is None:
+            continue
+        if tuple(cells) in _CELL_PARSERS:
+            table = _CELL_PARSERS[tuple(cells)]
+            continue
+        key, read = table
+        out[key].append(read(cells))
+    return out
 
 
 def report_to_dict(report: BenchReport) -> dict:
     return {
-        "rows": [
-            {"method": m, "dataset": d, **{c: getattr(rep, c) for c in REPORT_COLUMNS}}
-            for m, d, rep in report.rows
-        ],
+        "rows": [{"method": m, "dataset": d, **asdict(rep)} for m, d, rep in report.rows],
         "sweep_kind": report.sweep_kind,
         "sweep_method": report.sweep_method,
-        "sweep_rows": [
-            {"severity": s, **{c: getattr(rep, c) for c in REPORT_COLUMNS}}
-            for s, rep in report.sweep_rows
-        ],
-        "correlations": [
-            {
-                "metric": metric,
-                "kind": corr.kind,
-                "coefficient": corr.coefficient,
-                "p_value": corr.p_value,
-                "n": corr.n,
-            }
-            for metric, corr in report.correlations
-        ],
+        "sweep_rows": [{"severity": s, **asdict(rep)} for s, rep in report.sweep_rows],
+        "correlations": [{"metric": m, **asdict(corr)} for m, corr in report.correlations],
         "provenance": dict(report.provenance),
     }
 
 
 def report_from_dict(data: dict) -> BenchReport:
-    def rep(d: dict) -> DetectionReport:
-        return DetectionReport(**{c: d[c] for c in REPORT_COLUMNS})
+    def keyed(records, cls, *keys) -> tuple:
+        """(record[key]..., cls built from the remaining fields) per record."""
+        return tuple(
+            (*(r[k] for k in keys), cls(**{k: v for k, v in r.items() if k not in keys}))
+            for r in records
+        )
 
     return BenchReport(
-        rows=tuple((r["method"], r["dataset"], rep(r)) for r in data["rows"]),
+        rows=keyed(data["rows"], DetectionReport, "method", "dataset"),
         sweep_kind=data.get("sweep_kind"),
         sweep_method=data.get("sweep_method"),
-        sweep_rows=tuple((r["severity"], rep(r)) for r in data.get("sweep_rows", ())),
-        correlations=tuple(
-            (
-                c["metric"],
-                CorrelationResult(
-                    coefficient=c["coefficient"],
-                    p_value=c["p_value"],
-                    n=c["n"],
-                    kind=c["kind"],
-                ),
-            )
-            for c in data.get("correlations", ())
-        ),
+        sweep_rows=keyed(data.get("sweep_rows", ()), DetectionReport, "severity"),
+        correlations=keyed(data.get("correlations", ()), CorrelationResult, "metric"),
         provenance=tuple(sorted(data.get("provenance", {}).items())),
     )
 
@@ -788,4 +717,9 @@ def save_report_json(report: BenchReport, path) -> None:
 
 
 def load_report_json(path) -> BenchReport:
-    return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a report written by save_report_json; a file that does not
+    hold one raises FormatError."""
+    try:
+        return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{path}: not a benchmark report ({exc!r})") from exc

@@ -57,6 +57,8 @@ class GmmModel:
         k = weights.size
         if means.ndim != 2 or means.shape[0] != k or variances.shape != means.shape:
             raise ValidationError("weights, means and variances shapes disagree")
+        if not all(np.isfinite(a).all() for a in (weights, means, variances)):
+            raise ValidationError("weights, means and variances must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValidationError("mixture weights must be non-negative and sum to 1")
         if np.any(variances < VARIANCE_FLOOR * (1 - 1e-12)):
@@ -86,6 +88,8 @@ class KnnIndex:
         points = np.asarray(self.points, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ValidationError("index points must form a non-empty (n, dim) array")
+        if not np.isfinite(points).all():
+            raise ValidationError("index points must be finite")
         if self.k < 1:
             raise ValidationError("k must be a positive integer")
         if self.k > points.shape[0]:

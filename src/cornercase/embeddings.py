@@ -96,11 +96,6 @@ class EmbeddingSet:
         self._ids = ids
         self._matrix = matrix
 
-    @classmethod
-    def from_matrix(cls, ids, matrix) -> "EmbeddingSet":
-        """Same as EmbeddingSet(ids, matrix)."""
-        return cls(ids, matrix)
-
     def __len__(self) -> int:
         return len(self._ids)
 

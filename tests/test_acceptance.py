@@ -154,7 +154,7 @@ def test_criterion_3_em_correctness():
             samples = np.vstack(
                 [rng.normal(loc=m, scale=1.0, size=(150, dim)) for m in true_means]
             )
-            es = EmbeddingSet.from_matrix(
+            es = EmbeddingSet(
                 [f"m{trial}-{i}" for i in range(len(samples))], samples
             )
             model = fit_gmm(es, components=k, seed=trial)
@@ -180,7 +180,7 @@ def test_criterion_4_knn_exactness():
             dim = int(rng.integers(2, 17))
             pts = rng.normal(size=(n, dim))
             index = build_knn_index(
-                EmbeddingSet.from_matrix([f"p{i}" for i in range(n)], pts), k=k
+                EmbeddingSet([f"p{i}" for i in range(n)], pts), k=k
             )
             queries = rng.normal(size=(5, dim))
             got = knn_kth_sqdist(index, queries)
@@ -232,7 +232,7 @@ def test_criterion_5_synthetic_shift_separation(tmp_path):
 
 
 def _toy_model(train_scenes, seed=0):
-    es = EmbeddingSet.from_matrix(
+    es = EmbeddingSet(
         [f"t{i}" for i in range(len(train_scenes))], [toy_encode(img, 4) for img in train_scenes]
     )
     return fit_gmm(es, components=4, seed=seed)
@@ -352,7 +352,7 @@ def test_criterion_9_statistics_oracles():
         assert p == pytest.approx(0.0248, abs=1e-3)
         # PCA against a dense eigendecomposition oracle, up to sign
         X = rng.normal(size=(100, 20)) @ rng.normal(size=(20, 20))
-        es = EmbeddingSet.from_matrix([f"r{i}" for i in range(100)], X)
+        es = EmbeddingSet([f"r{i}" for i in range(100)], X)
         model = pca_fit(es, 5)
         cov = np.cov(X, rowvar=False, ddof=1)
         vals, vecs = np.linalg.eigh(cov)

@@ -40,7 +40,7 @@ def _write_sets(tmp_path, dim=8, n=60, shift=8.0, seed=0):
     paths = {}
     for name, offset in (("id_train", 0.0), ("id_test", 0.0), ("ood", shift)):
         data = rng.normal(size=(n, dim)) + offset
-        es = EmbeddingSet.from_matrix([f"{name}-{i}" for i in range(n)], data)
+        es = EmbeddingSet([f"{name}-{i}" for i in range(n)], data)
         path = tmp_path / f"{name}.ccemb"
         save_embeddings(es, path, fmt="binary")
         paths[name] = str(path)
@@ -129,7 +129,7 @@ class TestRunBenchmark:
 
     def test_dim_mismatch_names_both_dims(self, tmp_path):
         paths = _write_sets(tmp_path)
-        other = EmbeddingSet.from_matrix(["x0", "x1"], np.zeros((2, 3)))
+        other = EmbeddingSet(["x0", "x1"], np.zeros((2, 3)))
         bad = tmp_path / "bad.ccemb"
         save_embeddings(other, bad, fmt="binary")
         paths["ood"] = str(bad)
@@ -222,6 +222,41 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=field):
             config_from_dict(data, ".")
 
+    # reports carry config_sha256 as provenance, so a change to the canonical
+    # serialization must fail here rather than silently re-key old reports
+    @pytest.mark.parametrize(
+        "sweep, digest",
+        [
+            (None, "f84e23851d1e2c28e1ccc1a32362edf2f43ae1ed348a0ed9f3249d0eb9bb6253"),
+            (
+                {"kind": "gaussian_noise", "preset": "noise-paper", "encoder": "toy"},
+                "459fd874c4020c1019f1f0bf30275a79dd3e1bf5e014815ad98610e692a687c9",
+            ),
+            (
+                {
+                    "kind": "fog",
+                    "grid": [0.005, 0.01, 0.02],
+                    "encoder": "external",
+                    "severity_embeddings": [
+                        "fog-0.005.ccemb", "fog-0.01.ccemb", "fog-0.02.ccemb"
+                    ],
+                },
+                "bfb8709e6bdbbd88db71c101827f10dee84d944af3c9f599dd41b538267adb74",
+            ),
+        ],
+    )
+    def test_digest_pinned(self, sweep, digest):
+        data = {
+            "schema": 1,
+            "seed": 0,
+            "methods": ["gmm", "knn"],
+            "id_train": {"name": "id_train", "role": "id_train", "path": "id_train.ccemb"},
+            "id_test": {"name": "id_test", "role": "id_test", "path": "id_test.ccemb"},
+            "ood_sets": [{"name": "shifted", "role": "ood", "path": "ood_shifted.ccemb"}],
+            "sweep": sweep,
+        }
+        assert config_digest(config_from_dict(data, ".")) == digest
+
     def test_digest_stable_under_formatting(self, tmp_path):
         paths = _write_sets(tmp_path)
         cfg = _basic_config(paths)
@@ -233,7 +268,7 @@ class TestSweepRoutes:
     def test_toy_sweep_on_scene_images(self, tmp_path):
         scenes = scene_set(NOISE_FAMILY, 40, seed=0)
         named = [(f"s{i}", img) for i, img in enumerate(scenes)]
-        train = EmbeddingSet.from_matrix(
+        train = EmbeddingSet(
             [sid for sid, _ in named], [toy_encode(img, 4) for img in scenes]
         )
         model = fit_gmm(train, components=2, seed=0)
@@ -250,7 +285,7 @@ class TestSweepRoutes:
 
         scenes = scene_set(NOISE_FAMILY, 3, seed=0)
         named = [(f"s{i}", img) for i, img in enumerate(scenes)]
-        train = EmbeddingSet.from_matrix(
+        train = EmbeddingSet(
             [sid for sid, _ in named], [toy_encode(img, 4) for img in scenes]
         )
         model = fit_gmm(train, components=1, seed=0)
@@ -290,7 +325,7 @@ class TestSweepRoutes:
         sev_paths = []
         for i, scale in enumerate((1.0, 3.0, 6.0)):
             data = rng.normal(size=(50, 6)) + scale
-            es = EmbeddingSet.from_matrix([f"c{i}-{j}" for j in range(50)], data)
+            es = EmbeddingSet([f"c{i}-{j}" for j in range(50)], data)
             p = tmp_path / f"sev{i}.ccemb"
             save_embeddings(es, p, fmt="binary")
             sev_paths.append(str(p))

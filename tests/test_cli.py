@@ -15,7 +15,7 @@ from cornercase.synthetic import WHITEBOX_FAMILY, write_scene_set
 
 def _write_embeddings(path, n=40, dim=6, offset=0.0, seed=0):
     rng = np.random.default_rng(seed)
-    es = EmbeddingSet.from_matrix(
+    es = EmbeddingSet(
         [f"e{i}" for i in range(n)], rng.normal(size=(n, dim)) + offset
     )
     save_embeddings(es, path, fmt="binary")
@@ -145,7 +145,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.ccmdl")]) == 4
 
     def test_fit_error_is_3(self, tmp_path):
-        es = EmbeddingSet.from_matrix(["a", "b"], np.ones((2, 2)))
+        es = EmbeddingSet(["a", "b"], np.ones((2, 2)))
         path = tmp_path / "const.ccemb"
         save_embeddings(es, path, fmt="binary")
         assert main(["fit-gmm", "--embeddings", str(path),
@@ -177,6 +177,11 @@ def _bench_argv(tmp_path, sweep, **fields):
     }
     (tmp_path / "c.json").write_text(json.dumps(config))
     return ["bench", "--config", str(tmp_path / "c.json")]
+
+
+def _report_argv(tmp_path, text):
+    (tmp_path / "report.json").write_text(text)
+    return ["report", "--report", str(tmp_path / "report.json")]
 
 
 def _png_chunk(ctype, payload):
@@ -239,6 +244,68 @@ MALFORMED_INPUTS = {
     "non-numeric sweep.grid value": (
         lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.01, "heavy"]}),
         2,
+    ),
+    "string gmm_bic": (
+        lambda t: _bench_argv(t, None, gmm_bic="false"),
+        2,
+    ),
+    "boolean tol": (
+        lambda t: _bench_argv(t, None, tol=True),
+        2,
+    ),
+    "string tpr_target": (
+        lambda t: _bench_argv(t, None, tpr_target="0.5"),
+        2,
+    ),
+    "string sweep.atmospheric_light": (
+        lambda t: _bench_argv(
+            t, {"kind": "fog", "preset": "fog-paper", "atmospheric_light": "0.9"}
+        ),
+        2,
+    ),
+    "boolean sweep.grid value": (
+        lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.01, True]}),
+        2,
+    ),
+    "unknown config key": (
+        lambda t: _bench_argv(t, None, **{"knn-k": 3}),
+        2,
+    ),
+    "unknown sweep key": (
+        lambda t: _bench_argv(t, {"kind": "fog", "preset": "fog-paper", "severity": 0.1}),
+        2,
+    ),
+    "unknown manifest key": (
+        lambda t: _bench_argv(
+            t, None, id_test={"name": "x", "role": "id_test", "path": "x.ccemb", "fmt": "binary"}
+        ),
+        2,
+    ),
+    "sweep preset for another kind": (
+        lambda t: _bench_argv(t, {"kind": "fog", "preset": "noise-paper"}),
+        2,
+    ),
+    "decreasing sweep.grid": (
+        lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.02, 0.01]}),
+        2,
+    ),
+    "report.json that is not JSON": (
+        lambda t: _report_argv(t, "rows: none"),
+        3,
+    ),
+    "report.json holding a list": (
+        lambda t: _report_argv(t, "[]"),
+        3,
+    ),
+    "report.json row without a dataset": (
+        lambda t: _report_argv(
+            t,
+            json.dumps({"rows": [
+                {"method": "gmm", "fpr_at_95": 1.0, "auroc": 99.0, "aupr_in": 98.0,
+                 "aupr_out": 97.0}
+            ]}),
+        ),
+        3,
     ),
     "non-numeric sweep --grid": (
         lambda t: ["sweep", "--images", str(t), "--kind", "fog", "--grid", "a,b",

@@ -1,6 +1,7 @@
 """GMM fitting, k-NN scoring and model persistence tests."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from cornercase.errors import FitError, FormatError, ValidationError
 
 def _set_from(matrix, prefix="s"):
     matrix = np.asarray(matrix, dtype=float)
-    return EmbeddingSet.from_matrix([f"{prefix}{i}" for i in range(len(matrix))], matrix)
+    return EmbeddingSet([f"{prefix}{i}" for i in range(len(matrix))], matrix)
 
 
 def _score_one(model, z):
@@ -366,6 +367,25 @@ class TestPersistence:
         blob[6] = 3  # u16 version low byte
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version 3.*version 1"):
+            restore_model(path)
+
+    # payload offsets: knn point 2 of a 5x2 index; gmm weight 0, mean 0
+    # and variance 0 of a 2-component dim-2 mixture
+    @pytest.mark.parametrize(
+        "kind, offset", [("knn", 25 + 8 * 4), ("gmm", 33), ("gmm", 49), ("gmm", 81)]
+    )
+    def test_non_finite_parameters_rejected(self, tmp_path, kind, offset):
+        if kind == "knn":
+            model = build_knn_index(_set_from([[i, 0.0] for i in range(5)]), k=2)
+        else:
+            rng = np.random.default_rng(18)
+            model = fit_gmm(_set_from(rng.normal(size=(40, 2))), components=2, seed=0)
+        path = tmp_path / "m.ccmdl"
+        persist_model(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 8] = struct.pack("<d", math.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match="finite"):
             restore_model(path)
 
 

@@ -82,7 +82,7 @@ class TestPoolSpatialMean:
 class TestEmbeddingFiles:
     def _random_set(self, n, dim, seed=0):
         rng = np.random.default_rng(seed)
-        return EmbeddingSet.from_matrix(
+        return EmbeddingSet(
             [f"rec-{i}" for i in range(n)], rng.normal(size=(n, dim))
         )
 
@@ -104,7 +104,7 @@ class TestEmbeddingFiles:
     def test_binary_round_trip_bit_exact(self, tmp_path):
         es = self._random_set(1000, 16, seed=3)
         # binary stores f32; round-trip the f32 values exactly
-        f32 = EmbeddingSet.from_matrix(es.ids(), es.matrix().astype(np.float32))
+        f32 = EmbeddingSet(es.ids(), es.matrix().astype(np.float32))
         path = tmp_path / "e.ccemb"
         save_embeddings(f32, path, fmt="binary")
         again = load_embeddings(path)
@@ -129,11 +129,11 @@ class TestEmbeddingFiles:
     def test_empty_set_round_trip(self, tmp_path):
         for fmt in ("text", "binary"):
             path = tmp_path / f"empty-{fmt}"
-            save_embeddings(EmbeddingSet.from_matrix([], np.zeros((0, 0))), path, fmt=fmt)
+            save_embeddings(EmbeddingSet([], np.zeros((0, 0))), path, fmt=fmt)
             assert len(load_embeddings(path)) == 0
 
     def test_single_record_text_is_one_line(self, tmp_path):
-        es = EmbeddingSet.from_matrix(["only"], np.array([[0.25]]))
+        es = EmbeddingSet(["only"], np.array([[0.25]]))
         path = tmp_path / "one.jsonl"
         save_embeddings(es, path, fmt="text")
         assert path.read_text().count("\n") == 1
@@ -290,11 +290,11 @@ class TestToyEncoder:
 class TestContainers:
     def test_set_rejects_mixed_dims(self):
         with pytest.raises(ValidationError):
-            EmbeddingSet.from_matrix(["a", "b"], [[1.0, 2.0], [1.0]])
+            EmbeddingSet(["a", "b"], [[1.0, 2.0], [1.0]])
 
     def test_set_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError):
-            EmbeddingSet.from_matrix(["a", "a"], [[1.0], [1.0]])
+            EmbeddingSet(["a", "a"], [[1.0], [1.0]])
 
     def test_manifest_role_enum(self):
         with pytest.raises(ValidationError):

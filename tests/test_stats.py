@@ -177,7 +177,7 @@ class TestIncompleteBeta:
 class TestPca:
     def _embedding_set(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
-        return EmbeddingSet.from_matrix(
+        return EmbeddingSet(
             [f"r{i}" for i in range(len(matrix))], matrix
         )
 
