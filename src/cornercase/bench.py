@@ -403,13 +403,10 @@ def run_corruption_sweep(
     return _score_sweep(model, id_set, severity_sets, specs, tpr_target)
 
 
-def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, model) -> tuple:
+def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_test, model) -> tuple:
     sweep = cfg.sweep
     specs = _sweep_specs(sweep, cfg.seed)
     if sweep.encoder == "external":
-        id_test = load_dataset_embeddings(cfg.id_test, sweep.encoder_grid)
-        _check_dim(train, id_test, "sweep id side")
-
         def severity_sets():
             for spec, emb_path in zip(specs, sweep.severity_embeddings):
                 es = load_embeddings(emb_path)
@@ -493,7 +490,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     if cfg.sweep is not None:
         sweep_method = cfg.methods[0]
         sweep_kind = cfg.sweep.kind
-        sweep_rows, correlations = _run_sweep_for_config(cfg, train, first_model)
+        sweep_rows, correlations = _run_sweep_for_config(cfg, train, id_test, first_model)
 
     provenance = (
         ("config_sha256", config_digest(cfg)),
@@ -691,9 +688,21 @@ def report_to_dict(report: BenchReport) -> dict:
     }
 
 
+# report.json fields that rendering uses as they are; a bool is not a number here
+_REPORT_FIELD_TYPES = {
+    "method": str, "dataset": str, "metric": str, "severity": (int, float), "n": int
+}
+
+
 def report_from_dict(data: dict) -> BenchReport:
+    """Rebuild a report_to_dict result; a mistyped field raises FormatError."""
+
     def keyed(records, cls, *keys) -> tuple:
         """(record[key]..., cls built from the remaining fields) per record."""
+        for r in records:
+            for k, types in _REPORT_FIELD_TYPES.items():
+                if k in r and (isinstance(r[k], bool) or not isinstance(r[k], types)):
+                    raise FormatError(f"report field {k!r} has the wrong type: {r[k]!r}")
         return tuple(
             (*(r[k] for k in keys), cls(**{k: v for k, v in r.items() if k not in keys}))
             for r in records

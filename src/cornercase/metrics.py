@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .images import _frozen_array, read_png
-from .stats import midranks
+from .stats import _tie_ends, midranks
 
 
 @dataclass(frozen=True)
@@ -131,29 +131,16 @@ def apply_threshold(score: float, lam: float) -> str:
 def _average_precision(scores: np.ndarray, positive: np.ndarray) -> float:
     """AP = sum over descending-threshold groups of (R_n - R_{n-1}) * P_n.
 
-    Tied scores are grouped at a single threshold.
+    Tied scores are grouped at a single threshold. The terms are added
+    one at a time in threshold order; np.sum would add them pairwise and
+    change the last bits.
     """
-    n_pos = int(positive.sum())
     order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = positive[order]
-    ap = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i : j + 1].sum())
-        fp += (j - i + 1) - int(sorted_pos[i : j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return ap
+    ends = _tie_ends(scores[order])
+    tp = np.searchsorted(np.flatnonzero(positive[order]), ends)
+    recall = tp / int(positive.sum())
+    precision = tp / ends
+    return float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def aupr(s: LabeledScores, positive: str = "in") -> float:

@@ -156,19 +156,21 @@ def corr_p_value(r: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _tie_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Exclusive end index of each run of equal values in a sorted array."""
+    changes = sorted_values[1:] != sorted_values[:-1]
+    return np.flatnonzero(np.append(changes, sorted_values.size > 0)) + 1
+
+
 def midranks(values) -> np.ndarray:
     """1-based ranks with ties averaged (midranks)."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
+    ends = _tie_ends(values[order])
+    counts = np.diff(ends, prepend=0)
+    starts = ends - counts
     ranks = np.empty(values.size, dtype=float)
-    i = 0
-    sorted_vals = values[order]
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, counts)
     return ranks
 
 

@@ -1,10 +1,12 @@
 """Benchmark runner, synthetic generation, report rendering tests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cornercase import bench as bench_module
 from cornercase.bench import (
     BenchConfig,
     BenchReport,
@@ -26,6 +28,7 @@ from cornercase.density import fit_gmm
 from cornercase.embeddings import (
     DatasetManifest,
     EmbeddingSet,
+    load_embeddings,
     save_embeddings,
     toy_encode,
 )
@@ -319,7 +322,8 @@ class TestSweepRoutes:
         # identical scenes corrupted at beta=0 would be the ID side itself
         assert report.sweep_rows[0][0] == 0.005
 
-    def test_external_embedding_sweep(self, tmp_path):
+    @staticmethod
+    def _external_sweep_config(tmp_path):
         rng = np.random.default_rng(3)
         paths = _write_sets(tmp_path, dim=6, n=80, shift=6.0)
         sev_paths = []
@@ -329,7 +333,7 @@ class TestSweepRoutes:
             p = tmp_path / f"sev{i}.ccemb"
             save_embeddings(es, p, fmt="binary")
             sev_paths.append(str(p))
-        cfg = _basic_config(
+        return _basic_config(
             paths,
             methods=("gmm",),
             sweep=SweepSettings(
@@ -339,11 +343,26 @@ class TestSweepRoutes:
                 severity_embeddings=tuple(sev_paths),
             ),
         )
+
+    def test_external_embedding_sweep(self, tmp_path):
+        cfg = self._external_sweep_config(tmp_path)
         report = run_benchmark(cfg)
         assert len(report.sweep_rows) == 3
         aurocs = [rep.auroc for _, rep in report.sweep_rows]
         assert aurocs[0] < aurocs[-1]
         assert report.sweep_method == "gmm"
+
+    def test_external_sweep_reads_each_file_once(self, tmp_path, monkeypatch):
+        cfg = self._external_sweep_config(tmp_path)
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(Path(path).stem)
+            return load_embeddings(path)
+
+        monkeypatch.setattr(bench_module, "load_embeddings", counting_load)
+        run_benchmark(cfg)
+        assert sorted(loaded) == ["id_test", "id_train", "ood", "sev0", "sev1", "sev2"]
 
     def test_external_sweep_length_mismatch(self):
         with pytest.raises(ConfigError, match="per severity"):

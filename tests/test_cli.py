@@ -179,9 +179,27 @@ def _bench_argv(tmp_path, sweep, **fields):
     return ["bench", "--config", str(tmp_path / "c.json")]
 
 
-def _report_argv(tmp_path, text):
+def _report_argv(tmp_path, text, fmt="markdown"):
     (tmp_path / "report.json").write_text(text)
-    return ["report", "--report", str(tmp_path / "report.json")]
+    return ["report", "--report", str(tmp_path / "report.json"), "--format", fmt]
+
+
+def _report_with(table, fmt="markdown", **fields):
+    """A stored report holding one row per table, with fields replaced in
+    the row of the given table."""
+    scores = {"fpr_at_95": 1.0, "auroc": 99.0, "aupr_in": 98.0, "aupr_out": 97.0}
+    report = {
+        "rows": [{"method": "gmm", "dataset": "fog", **scores}],
+        "sweep_kind": "fog",
+        "sweep_method": "gmm",
+        "sweep_rows": [{"severity": 0.01, **scores}],
+        "correlations": [
+            {"metric": "auroc", "kind": "spearman", "coefficient": 0.5, "p_value": 0.1, "n": 5}
+        ],
+        "provenance": {"seed": "0"},
+    }
+    report[table][0].update(fields)
+    return lambda t: _report_argv(t, json.dumps(report), fmt)
 
 
 def _png_chunk(ctype, payload):
@@ -305,6 +323,30 @@ MALFORMED_INPUTS = {
                  "aupr_out": 97.0}
             ]}),
         ),
+        3,
+    ),
+    "report.json sweep row with a string severity": (
+        _report_with("sweep_rows", severity="x"),
+        3,
+    ),
+    "report.json sweep row with a boolean severity": (
+        _report_with("sweep_rows", fmt="csv", severity=True),
+        3,
+    ),
+    "report.json row with a numeric method": (
+        _report_with("rows", method=5),
+        3,
+    ),
+    "report.json row with a list dataset": (
+        _report_with("rows", fmt="csv", dataset=[1]),
+        3,
+    ),
+    "report.json correlation with a numeric metric": (
+        _report_with("correlations", metric=3),
+        3,
+    ),
+    "report.json correlation with a string n": (
+        _report_with("correlations", fmt="csv", n="five"),
         3,
     ),
     "non-numeric sweep --grid": (

@@ -11,6 +11,7 @@ from cornercase.metrics import (
     DetectionReport,
     LabeledScores,
     PixelScoreMap,
+    _average_precision,
     apply_threshold,
     aupr,
     auroc,
@@ -89,6 +90,43 @@ def _random_split(rng, tie_heavy=False, max_n=200):
         id_s = rng.normal(loc=1.0, size=n_id)
         ood_s = rng.normal(loc=0.0, size=n_ood)
     return LabeledScores(id_scores=id_s, ood_scores=ood_s)
+
+
+def average_precision_loop_reference(scores, positive) -> float:
+    """Tie-walking loop that _average_precision must equal bit for bit."""
+    n_pos = int(positive.sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_pos = positive[order]
+    ap = 0.0
+    tp = fp = 0
+    prev_recall = 0.0
+    i = 0
+    n = scores.size
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_pos[i : j + 1].sum())
+        fp += (j - i + 1) - int(sorted_pos[i : j + 1].sum())
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return ap
+
+
+# seeded draws of n scores: no ties, five levels, signed zeros among
+# rounded values, all scores equal, and 16-bit map levels k/65535
+SCORE_DRAWS = {
+    "gaussian": lambda rng, n: rng.normal(size=n),
+    "five_levels": lambda rng, n: rng.integers(0, 5, size=n).astype(float),
+    "signed_zeros": lambda rng, n: np.round(rng.normal(size=n))
+    * rng.choice([-0.0, 0.0, 1.0], size=n),
+    "all_equal": lambda rng, n: np.full(n, 0.3),
+    "sixteen_bit": lambda rng, n: rng.integers(0, 65536, size=n) / 65535.0,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +361,37 @@ class TestPixelMetrics:
         valid = np.array([[True, False], [True, True]])  # high-score FP is invalid
         m = self._map_from(scores, gt, valid)
         assert pixel_average_precision(m) == 100.0
+
+
+class TestAveragePrecisionReference:
+    @pytest.mark.parametrize("kind", sorted(SCORE_DRAWS))
+    def test_equals_loop_reference(self, kind):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(1, 3000))
+            scores = SCORE_DRAWS[kind](rng, n)
+            positive = rng.uniform(size=n) < rng.uniform(0.01, 0.99)
+            positive[rng.integers(n)] = True
+            assert _average_precision(scores, positive) == (
+                average_precision_loop_reference(scores, positive)
+            )
+
+    def test_pooled_sixteen_bit_maps_with_invalid_band(self):
+        rng = np.random.default_rng(13)
+        maps = rng.integers(0, 65536, size=(4, 48, 64)) / 65535.0
+        gt = np.zeros(maps.shape, dtype=bool)
+        gt[:, 20:30, 10:40] = True
+        maps[gt] = np.minimum(maps[gt] + 0.3, 1.0)
+        valid = np.ones(maps.shape, dtype=bool)
+        valid[:, 40:, :] = False
+        pooled = PixelScoreMap(
+            scores=maps.reshape(-1, 64),
+            ground_truth=gt.reshape(-1, 64),
+            valid_mask=valid.reshape(-1, 64),
+        )
+        assert pixel_average_precision(pooled) == 100.0 * (
+            average_precision_loop_reference(maps[valid], gt[valid])
+        )
 
 
 class TestScoreFiles:

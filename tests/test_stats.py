@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cornercase.embeddings import EmbeddingSet
 from cornercase.errors import DegenerateInputError, ValidationError
 from cornercase.stats import (
+    _tie_ends,
     corr_p_value,
     export_pca_coords,
     midranks,
@@ -60,6 +61,34 @@ def _rank_oracle(values):
         equal = sum(1 for u in values if u == v)
         out.append(less + (equal + 1) / 2.0)
     return out
+
+
+def midranks_loop_reference(values) -> np.ndarray:
+    """Tie-walking loop that midranks must equal bit for bit."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    sorted_vals = values[order]
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+# seeded draws of n values: no ties, five levels, signed zeros among
+# rounded values, all values equal, and 16-bit map levels k/65535
+RANK_DRAWS = {
+    "gaussian": lambda rng, n: rng.normal(size=n),
+    "five_levels": lambda rng, n: rng.integers(0, 5, size=n).astype(float),
+    "signed_zeros": lambda rng, n: np.round(rng.normal(size=n))
+    * rng.choice([-0.0, 0.0, 1.0], size=n),
+    "all_equal": lambda rng, n: np.full(n, 0.3),
+    "sixteen_bit": lambda rng, n: rng.integers(0, 65536, size=n) / 65535.0,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +187,30 @@ class TestSpearman:
         rng = np.random.default_rng(2)
         values = rng.integers(0, 5, size=30).astype(float)
         np.testing.assert_array_equal(midranks(values), _rank_oracle(values))
+
+
+class TestMidranksReference:
+    @pytest.mark.parametrize("kind", sorted(RANK_DRAWS))
+    def test_equals_loop_reference(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            values = RANK_DRAWS[kind](rng, int(rng.integers(0, 3000)))
+            ranks = midranks(values)
+            assert ranks.shape == values.shape
+            assert np.array_equal(ranks, midranks_loop_reference(values))
+
+    @pytest.mark.parametrize(
+        "values, ends",
+        [([], []), ([2.5], [1]), ([1.0, 1.0, 2.0], [2, 3]), ([-0.0, 0.0, 0.0], [3])],
+    )
+    def test_tie_ends(self, values, ends):
+        assert _tie_ends(np.array(values)).tolist() == ends
+
+    @pytest.mark.parametrize("values", [[], [2.5]])
+    def test_empty_and_single(self, values):
+        ranks = midranks(values)
+        assert ranks.shape == (len(values),)
+        assert np.array_equal(ranks, midranks_loop_reference(values))
 
 
 class TestIncompleteBeta:
