@@ -397,8 +397,8 @@ def run_corruption_sweep(
     # the per-image temporaries made the allocator re-fault their pages
     feats = np.empty((len(specs), len(ids), id_set.dim))
     sources = zip((img for _, img in clean_images), depths)
-    for i, j, _, corrupted in sweep_images(sources, specs):
-        feats[j, i] = toy_encode(corrupted, grid=grid)
+    for i, j, _, block in sweep_images(sources, specs):
+        feats[j : j + len(block), i] = toy_encode(block, grid=grid)
     severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in feats)
     return _score_sweep(model, id_set, severity_sets, specs, tpr_target)
 
@@ -690,8 +690,17 @@ def report_to_dict(report: BenchReport) -> dict:
 
 # report.json fields that rendering uses as they are; a bool is not a number here
 _REPORT_FIELD_TYPES = {
-    "method": str, "dataset": str, "metric": str, "severity": (int, float), "n": int
+    "method": str, "dataset": str, "metric": str, "kind": str, "n": int
 }
+_REPORT_NUMBER_FIELDS = (
+    "severity", "fpr_at_95", "auroc", "aupr_in", "aupr_out", "coefficient", "p_value"
+)
+
+
+def _typed(key: str, value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise FormatError(f"report field {key!r} has the wrong type: {value!r}")
+    return value
 
 
 def report_from_dict(data: dict) -> BenchReport:
@@ -701,20 +710,28 @@ def report_from_dict(data: dict) -> BenchReport:
         """(record[key]..., cls built from the remaining fields) per record."""
         for r in records:
             for k, types in _REPORT_FIELD_TYPES.items():
-                if k in r and (isinstance(r[k], bool) or not isinstance(r[k], types)):
-                    raise FormatError(f"report field {k!r} has the wrong type: {r[k]!r}")
+                if k in r:
+                    _typed(k, r[k], types)
+            for k in _REPORT_NUMBER_FIELDS:
+                if k in r:
+                    _typed(k, r[k], (int, float))
         return tuple(
             (*(r[k] for k in keys), cls(**{k: v for k, v in r.items() if k not in keys}))
             for r in records
         )
 
+    sweep_meta = {k: _typed(k, data.get(k), (str, type(None))) for k in _SWEEP_META}
     return BenchReport(
         rows=keyed(data["rows"], DetectionReport, "method", "dataset"),
-        sweep_kind=data.get("sweep_kind"),
-        sweep_method=data.get("sweep_method"),
         sweep_rows=keyed(data.get("sweep_rows", ()), DetectionReport, "severity"),
         correlations=keyed(data.get("correlations", ()), CorrelationResult, "metric"),
-        provenance=tuple(sorted(data.get("provenance", {}).items())),
+        provenance=tuple(
+            sorted(
+                (k, _typed(f"provenance {k}", v, str))
+                for k, v in data.get("provenance", {}).items()
+            )
+        ),
+        **sweep_meta,
     )
 
 

@@ -14,7 +14,8 @@ seed, so sweeps replay bit-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,11 @@ from .images import DepthMap, ImageBuffer, load_depth, load_image, save_image
 CORRUPTION_KINDS = ("fog", "gaussian_noise", "white_box")
 
 DEFAULT_ATMOSPHERIC_LIGHT = 0.92
+
+# float64 values in one sweep block: b severities of an H x W image make
+# b*H*W*3 <= 2^16 (512 KiB). On 64x96 noise sweeps a 2^18 budget was
+# slower and raised peak memory, so this is a constant, not a setting.
+_SWEEP_BLOCK_ELEMENTS = 1 << 16
 
 # depth fallback when no map is supplied: vertical ramp approximating
 # road-scene geometry, far at the top of the frame, near at the bottom
@@ -101,20 +107,21 @@ def apply_fog(
     if beta == 0.0:
         return img
     d = _resolved_depth(img, depth)
-    t = np.exp(-beta * d)[:, :, None]
-    out = img.pixels * t + atmospheric_light * (1.0 - t)
-    return ImageBuffer(np.clip(out, 0.0, 1.0))
+    return ImageBuffer(_fog_stack(img.pixels, d, atmospheric_light, np.array([beta]))[0])
 
 
 def apply_gaussian_noise(img: ImageBuffer, sigma: float, seed: int = 0) -> ImageBuffer:
-    """Add i.i.d. zero-mean Gaussian noise per pixel-channel, clamped."""
+    """Add i.i.d. zero-mean Gaussian noise per pixel-channel, clamped.
+
+    The noise is sigma times the standard normal field drawn from
+    default_rng(seed), so one field serves every sigma of a sweep.
+    """
     if sigma < 0 or not np.isfinite(sigma):
         raise ValidationError("sigma must be a non-negative real")
     if sigma == 0.0:
         return img
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, img.pixels.shape)
-    return ImageBuffer(np.clip(img.pixels + noise, 0.0, 1.0))
+    field = np.random.default_rng(seed).standard_normal(img.pixels.shape)
+    return ImageBuffer(_noise_stack(img.pixels, field, np.array([sigma]))[0])
 
 
 def apply_white_box(img: ImageBuffer, area_fraction: float, seed: int = 0) -> ImageBuffer:
@@ -125,17 +132,38 @@ def apply_white_box(img: ImageBuffer, area_fraction: float, seed: int = 0) -> Im
     """
     if not np.isfinite(area_fraction) or not 0.0 <= area_fraction <= 1.0:
         raise ValidationError("area_fraction must lie in [0, 1]")
-    h, w = img.height, img.width
-    side = int(np.floor(np.sqrt(area_fraction * h * w) + 0.5))
-    side = min(side, h, w)
-    if side == 0:
-        return img
-    rng = np.random.default_rng(seed)
-    top = int(rng.integers(0, h - side + 1))
-    left = int(rng.integers(0, w - side + 1))
-    out = img.pixels.copy()
-    out[top : top + side, left : left + side, :] = 1.0
-    return ImageBuffer(out)
+    return ImageBuffer(_box_stack(img.pixels, seed, np.array([area_fraction]))[0])
+
+
+# Each function below corrupts one (H, W, 3) image at b severities and
+# returns the (b, H, W, 3) stack; the single-image functions above are
+# the b = 1 case, so a sweep and `corrupt` share every formula.
+
+
+def _fog_stack(pixels, depth, atmospheric_light, betas):
+    t = np.exp(-betas[:, None, None] * depth)[..., None]
+    out = pixels * t + atmospheric_light * (1.0 - t)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _noise_stack(pixels, field, sigmas):
+    # sigma * field equals Generator.normal(0, sigma, shape) bit for bit
+    out = sigmas[:, None, None, None] * field
+    out += pixels
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _box_stack(pixels, seed, fractions):
+    h, w = pixels.shape[:2]
+    out = np.repeat(pixels[None], len(fractions), axis=0)
+    for k, fraction in enumerate(fractions):
+        side = min(int(np.floor(np.sqrt(fraction * h * w) + 0.5)), h, w)
+        if side:
+            rng = np.random.default_rng(seed)
+            top = int(rng.integers(0, h - side + 1))
+            left = int(rng.integers(0, w - side + 1))
+            out[k, top : top + side, left : left + side, :] = 1.0
+    return out
 
 
 def apply_corruption(
@@ -159,7 +187,8 @@ def severity_sweep(
 
     Presets: fog-paper (3 fog levels), noise-paper (50 equally spaced
     sigmas in [0.001, 0.01]), whitebox-paper (20 area fractions equally
-    spaced in [0.007, 0.119]). Sweep seeds derive as base_seed + i.
+    spaced in [0.007, 0.119]). Every spec carries base_seed: a sweep
+    gives image i the seed base_seed + i at every severity.
     """
     if isinstance(grid, str):
         if grid not in SWEEP_PRESETS:
@@ -179,10 +208,10 @@ def severity_sweep(
         CorruptionSpec(
             kind=kind,
             severity=float(sev),
-            seed=base_seed + i,
+            seed=base_seed,
             atmospheric_light=atmospheric_light,
         )
-        for i, sev in enumerate(severities)
+        for sev in severities
     ]
 
 
@@ -198,15 +227,45 @@ def severity_dirname(severity: float) -> str:
 def sweep_images(sources, specs):
     """Corrupt every source image under every spec, images in the outer loop.
 
+    The specs share one kind, seed and atmospheric light and differ in
+    severity only; they are checked here, before any image is read.
     sources yields (ImageBuffer, DepthMap | None) pairs and is consumed
-    once, in order, so a lazy source reads each file once. The noise/box
-    seed of image i under a spec is spec.seed + i. Yields
-    (image index, spec index, seed, corrupted image).
+    once, in order, so a lazy source reads each file once. Image i gets
+    the noise/box seed spec.seed + i at every severity (common random
+    numbers: one noise field per image, scaled per sigma), so each
+    output equals apply_corruption with that seed.
+
+    Returns an iterator of (image index, first spec index j, seed,
+    block): block is the (b, H, W, 3) float64 stack of the image under
+    specs[j : j + b], with b * H * W * 3 <= _SWEEP_BLOCK_ELEMENTS, or b = 1
+    for larger images.
     """
+    specs = list(specs)
+    if not specs:
+        raise ValidationError("no corruption specs supplied")
+    shared = {(s.kind, s.seed, s.atmospheric_light) for s in specs}
+    if len(shared) > 1:
+        raise ValidationError(
+            "all specs in one sweep must share a corruption kind, seed and atmospheric light"
+        )
+    return _sweep_blocks(sources, specs[0], np.array([s.severity for s in specs]))
+
+
+def _sweep_blocks(sources, spec, severities):
     for idx, (img, depth) in enumerate(sources):
-        for j, spec in enumerate(specs):
-            per_image = replace(spec, seed=spec.seed + idx)
-            yield idx, j, per_image.seed, apply_corruption(img, per_image, depth)
+        seed = spec.seed + idx
+        px = img.pixels
+        if spec.kind == "fog":
+            d = _resolved_depth(img, depth)
+            corrupt = partial(_fog_stack, px, d, spec.atmospheric_light)
+        elif spec.kind == "gaussian_noise":
+            field = np.random.default_rng(seed).standard_normal(px.shape)
+            corrupt = partial(_noise_stack, px, field)
+        else:
+            corrupt = partial(_box_stack, px, seed)
+        step = max(1, _SWEEP_BLOCK_ELEMENTS // px.size)
+        for j in range(0, len(severities), step):
+            yield idx, j, seed, corrupt(severities[j : j + step])
 
 
 def run_sweep(
@@ -221,9 +280,9 @@ def run_sweep(
     a manifest.json listing (source, spec, output) triples, spec by
     spec, and the depth policy actually used. Depth maps, when given,
     are matched to images by filename in depth_dir. Each source image
-    and depth map is read once. Per-image noise/box seeds derive as
-    spec.seed + image index (sorted filename order) and are recorded in
-    the manifest.
+    and depth map is read once. Image i (sorted filename order) gets the
+    noise/box seed spec.seed + i at every severity, recorded in the
+    manifest.
     """
     images_dir = Path(images_dir)
     out_dir = Path(out_dir)
@@ -231,12 +290,6 @@ def run_sweep(
     if not sources:
         raise ValidationError(f"no PNG images found under {images_dir}")
     specs = list(specs)
-    if not specs:
-        raise ValidationError("no corruption specs supplied")
-    kind = specs[0].kind
-    if any(s.kind != kind for s in specs):
-        raise ValidationError("all specs in one sweep must share a corruption kind")
-
     depth_policy = "default_ramp"
     if depth_dir is not None:
         depth_policy = "provided"
@@ -252,21 +305,24 @@ def run_sweep(
                     depth_policy = "provided_with_median_fill"
             yield img, depth
 
+    blocks = sweep_images(read(), specs)
+    kind = specs[0].kind
     sev_dirs = [out_dir / kind / severity_dirname(spec.severity) for spec in specs]
     for sev_dir in sev_dirs:
         sev_dir.mkdir(parents=True, exist_ok=True)
     entries = [[] for _ in specs]
-    for idx, j, seed, corrupted in sweep_images(read(), specs):
-        dst = sev_dirs[j] / sources[idx].name
-        save_image(corrupted, dst)
-        entries[j].append(
-            {
-                "source": str(sources[idx]),
-                "output": str(dst),
-                "severity": specs[j].severity,
-                "seed": seed,
-            }
-        )
+    for idx, first, seed, block in blocks:
+        for j, pixels in enumerate(block, start=first):
+            dst = sev_dirs[j] / sources[idx].name
+            save_image(ImageBuffer(pixels), dst)
+            entries[j].append(
+                {
+                    "source": str(sources[idx]),
+                    "output": str(dst),
+                    "severity": specs[j].severity,
+                    "seed": seed,
+                }
+            )
     manifest = {
         "kind": kind,
         "atmospheric_light": specs[0].atmospheric_light,

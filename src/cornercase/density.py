@@ -38,9 +38,9 @@ _KNN_BLOCK_ELEMENTS = 1 << 18
 class GmmModel:
     """Diagonal-covariance Gaussian mixture over the fitting embeddings.
 
-    log_likelihoods records the EM trace (one entry per iteration,
-    evaluated before each M-step); it is fitting diagnostics and is not
-    persisted.
+    log_likelihoods records the EM trace (one entry per E-step, so the
+    last entry is the log-likelihood of the returned parameters); it is
+    fitting diagnostics and is not persisted.
     """
 
     weights: np.ndarray
@@ -157,7 +157,7 @@ def fit_gmm(
     `seed`, so the fit is deterministic given (ids, components, seed,
     max_iters, tol). The per-iteration log-likelihood is checked to be
     non-decreasing (tolerance 1e-9); EM stops once the relative
-    improvement drops below `tol` or after `max_iters` iterations.
+    improvement drops below `tol` or after `max_iters` M-steps.
     """
     if components < 1:
         raise FitError("components must be a positive integer")
@@ -180,7 +180,9 @@ def fit_gmm(
 
     ll_trace: list[float] = []
     prev_ll = None
-    for _ in range(max_iters):
+    # max_iters M-steps, and one E-step past the last of them, so the
+    # final trace entry scores the parameters returned
+    for m_steps in range(max_iters + 1):
         with np.errstate(divide="ignore"):
             log_joint = np.log(weights)[None, :] + _log_gaussian_matrix(X, means, variances)
         log_norm = _logsumexp_rows(log_joint)
@@ -190,7 +192,9 @@ def fit_gmm(
                 f"log-likelihood decreased during EM ({prev_ll} -> {ll})"
             )
         ll_trace.append(ll)
-        if prev_ll is not None and ll - prev_ll < tol * max(abs(prev_ll), 1e-12):
+        if m_steps == max_iters or (
+            prev_ll is not None and ll - prev_ll < tol * max(abs(prev_ll), 1e-12)
+        ):
             break
         prev_ll = ll
         resp = np.exp(log_joint - log_norm[:, None])

@@ -141,31 +141,42 @@ def pool_spatial_mean(fm: FeatureMap) -> np.ndarray:
     return fm.data.mean(axis=(1, 2))
 
 
-def toy_encode(img: ImageBuffer, grid: int = 4) -> np.ndarray:
-    """Deterministic 1-d image embedding of length 3*grid*grid + 3.
+def toy_encode(images, grid: int = 4) -> np.ndarray:
+    """Deterministic image embedding of length 3*grid*grid + 3.
 
-    Features are per-cell per-channel means over a grid x grid partition
-    (remainder rows/columns absorbed by the last cell), followed by the
-    three global per-channel standard deviations.
+    images is an ImageBuffer, which gives one embedding vector, or an
+    (n, H, W, 3) float stack, which gives an (n, dim) matrix whose row k
+    embeds images[k]. Features are per-cell per-channel means over a
+    grid x grid partition (remainder rows/columns absorbed by the last
+    cell), followed by the three global per-channel standard deviations.
     """
     if grid < 1:
         raise ValidationError("grid must be a positive integer")
-    h, w = img.height, img.width
+    single = isinstance(images, ImageBuffer)
+    stack = images.pixels[None] if single else np.asarray(images, dtype=float)
+    if stack.ndim != 4 or stack.shape[3] != 3:
+        raise ValidationError(
+            f"toy_encode needs an ImageBuffer or an (n, H, W, 3) stack, got {stack.shape}"
+        )
+    n, h, w, _ = stack.shape
     if h < grid or w < grid:
         raise ValidationError(
             f"image {h}x{w} too small for a {grid}x{grid} encoding grid"
         )
-    row_step, col_step = h // grid, w // grid
-    feats = []
-    for r in range(grid):
-        r0 = r * row_step
-        r1 = (r + 1) * row_step if r < grid - 1 else h
-        for c in range(grid):
-            c0 = c * col_step
-            c1 = (c + 1) * col_step if c < grid - 1 else w
-            feats.extend(img.pixels[r0:r1, c0:c1].mean(axis=(0, 1)))
-    feats.extend(img.pixels.std(axis=(0, 1)))
-    return np.array(feats)
+    row_starts = np.arange(grid) * (h // grid)
+    col_starts = np.arange(grid) * (w // grid)
+    sums = np.add.reduceat(np.add.reduceat(stack, row_starts, axis=1), col_starts, axis=2)
+    cell_sizes = np.outer(np.diff(row_starts, append=h), np.diff(col_starts, append=w))
+    means = sums / cell_sizes[:, :, None]
+    # centre each (H, W*3) image row on its per-channel mean, tiled along
+    # the row, so the elementwise work runs over contiguous rows
+    mean_row = np.tile(sums.sum(axis=(1, 2)) / (h * w), w)
+    centred = stack.reshape(n, h, w * 3) - mean_row[:, None, :]
+    sq = np.einsum("nij,nij->nj", centred, centred).reshape(n, w, 3).sum(axis=1)
+    feats = np.concatenate([means.reshape(n, -1), np.sqrt(sq / (h * w))], axis=1)
+    if not np.isfinite(feats).all():
+        raise ValidationError("toy_encode input contains non-finite values")
+    return feats[0] if single else feats
 
 
 # ---------------------------------------------------------------------------

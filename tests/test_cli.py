@@ -186,7 +186,7 @@ def _report_argv(tmp_path, text, fmt="markdown"):
 
 def _report_with(table, fmt="markdown", **fields):
     """A stored report holding one row per table, with fields replaced in
-    the row of the given table."""
+    the row of the given table, or at the top level when table is None."""
     scores = {"fpr_at_95": 1.0, "auroc": 99.0, "aupr_in": 98.0, "aupr_out": 97.0}
     report = {
         "rows": [{"method": "gmm", "dataset": "fog", **scores}],
@@ -198,7 +198,7 @@ def _report_with(table, fmt="markdown", **fields):
         ],
         "provenance": {"seed": "0"},
     }
-    report[table][0].update(fields)
+    (report if table is None else report[table][0]).update(fields)
     return lambda t: _report_argv(t, json.dumps(report), fmt)
 
 
@@ -347,6 +347,26 @@ MALFORMED_INPUTS = {
     ),
     "report.json correlation with a string n": (
         _report_with("correlations", fmt="csv", n="five"),
+        3,
+    ),
+    "report.json row with a boolean fpr_at_95": (
+        _report_with("rows", fmt="csv", fpr_at_95=True),
+        3,
+    ),
+    "report.json correlation with a boolean coefficient": (
+        _report_with("correlations", coefficient=False),
+        3,
+    ),
+    "report.json correlation with a boolean p_value": (
+        _report_with("correlations", fmt="csv", p_value=True),
+        3,
+    ),
+    "report.json with a numeric sweep_kind": (
+        _report_with(None, sweep_kind=5),
+        3,
+    ),
+    "report.json with a list provenance value": (
+        _report_with(None, fmt="csv", provenance={"seed": [1]}),
         3,
     ),
     "non-numeric sweep --grid": (

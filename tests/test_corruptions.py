@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornercase.cli import main
 from cornercase.corruptions import (
+    _SWEEP_BLOCK_ELEMENTS,
     CorruptionSpec,
     apply_corruption,
     apply_fog,
@@ -18,7 +21,9 @@ from cornercase.corruptions import (
     default_depth_ramp,
     run_sweep,
     severity_sweep,
+    sweep_images,
 )
+from cornercase.embeddings import toy_encode
 from cornercase.errors import ValidationError
 from cornercase.images import DepthMap, ImageBuffer, load_image, save_image
 
@@ -173,7 +178,7 @@ class TestSeveritySweep:
     def test_fog_preset(self):
         specs = severity_sweep("fog", "fog-paper", base_seed=100)
         assert [s.severity for s in specs] == [0.005, 0.01, 0.02]
-        assert [s.seed for s in specs] == [100, 101, 102]
+        assert [s.seed for s in specs] == [100, 100, 100]
 
     def test_noise_preset(self):
         specs = severity_sweep("gaussian_noise", "noise-paper")
@@ -266,7 +271,7 @@ class TestRunSweep:
         specs = severity_sweep("white_box", [0.05, 0.1, 0.2, 0.4], base_seed=10)
         manifest = run_sweep(src, specs, tmp_path / "o")
         assert len(reads) == 3
-        # manifest stays spec-major; image i under spec j has seed 10 + j + i
+        # manifest stays spec-major; image i has seed 10 + i under every spec
         assert [(e["severity"], e["seed"], Path(e["source"]).name) for e in manifest["entries"]] == [
             (spec.severity, spec.seed + i, f"img-{i}.png") for spec in specs for i in range(3)
         ]
@@ -297,6 +302,74 @@ class TestRunSweep:
         a = load_image(tmp_path / "o1" / "fog" / "0.02" / "a.png").pixels
         b = load_image(tmp_path / "o2" / "fog" / "0.02" / "a.png").pixels
         assert a.mean() < b.mean()
+
+
+# 64x96 images make blocks of 3 severities, so a 5-point grid spans a
+# full block and a partial one
+SWEEP_GRIDS = {
+    "fog": [0.0, 0.004, 0.01, 0.02, 0.05],
+    "gaussian_noise": [0.0, 0.01, 0.05, 0.1, 0.3],
+    "white_box": [0.0, 0.01, 0.05, 0.2, 0.5],
+}
+
+
+class TestSweepBlocks:
+    @pytest.mark.parametrize("kind", sorted(SWEEP_GRIDS))
+    def test_blocks_equal_single_image_corruption(self, kind):
+        images = [_random_image(60 + i, h=64, w=96) for i in range(3)]
+        specs = severity_sweep(kind, SWEEP_GRIDS[kind], base_seed=4)
+        seen = []
+        for i, j, seed, block in sweep_images([(img, None) for img in images], specs):
+            assert seed == 4 + i
+            assert block.shape[0] * block[0].size <= _SWEEP_BLOCK_ELEMENTS
+            for k, pixels in enumerate(block):
+                spec = CorruptionSpec(kind, specs[j + k].severity, seed=seed)
+                want = apply_corruption(images[i], spec).pixels
+                assert pixels.tobytes() == want.tobytes()
+                seen.append((i, j + k))
+        assert seen == [(i, j) for i in range(3) for j in range(5)]
+
+    @pytest.mark.parametrize("kind", sorted(SWEEP_GRIDS))
+    def test_sweep_outputs_equal_corrupt_at_each_severity(self, tmp_path, kind):
+        src = tmp_path / "clean"
+        src.mkdir()
+        for i in range(3):
+            save_image(_random_image(70 + i, h=64, w=96), src / f"img-{i}.png")
+        grid = SWEEP_GRIDS[kind]
+        sweep_out, corrupt_out = tmp_path / "sweep", tmp_path / "corrupt"
+        argv = ["--images", str(src), "--kind", kind, "--seed", "9"]
+        grid_arg = ",".join(repr(v) for v in grid)
+        assert main(["sweep", *argv, "--grid", grid_arg, "--out", str(sweep_out)]) == 0
+        for sev in grid:
+            assert main(["corrupt", *argv, "--severity", repr(sev), "--out", str(corrupt_out)]) == 0
+        for sev in grid:
+            for i in range(3):
+                rel = Path(kind, format(sev, ".6g"), f"img-{i}.png")
+                assert (sweep_out / rel).read_bytes() == (corrupt_out / rel).read_bytes(), rel
+
+    def test_noise_sweep_memory_bounded(self):
+        # numpy reports its buffers to tracemalloc; the 50 corrupted
+        # images at once would be 7.4 MB
+        img = _random_image(80, h=64, w=96)
+        specs = severity_sweep("gaussian_noise", "noise-paper", base_seed=0)
+        feats = np.empty((len(specs), 3 * 16 + 3))
+        tracemalloc.start()
+        try:
+            for _, j, _, block in sweep_images([(img, None)], specs):
+                feats[j : j + len(block)] = toy_encode(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * _SWEEP_BLOCK_ELEMENTS, f"peak {peak / 2**20:.2f} MB"
+        assert np.isfinite(feats).all()
+
+    def test_mixed_seeds_rejected(self):
+        specs = [
+            CorruptionSpec("gaussian_noise", 0.1, seed=0),
+            CorruptionSpec("gaussian_noise", 0.2, seed=1),
+        ]
+        with pytest.raises(ValidationError):
+            sweep_images([], specs)
 
 
 class TestSpecValidation:

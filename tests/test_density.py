@@ -60,6 +60,17 @@ class TestFitGmm:
         assert len(trace) >= 2
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
+    def test_final_loglikelihood_scores_returned_model_at_max_iters(self):
+        # EM runs out of iterations here; the last trace entry must be
+        # the returned parameters' log-likelihood, the value BIC ranks on
+        X = np.random.default_rng(0).standard_normal((2000, 16))
+        model = fit_gmm(_set_from(X), components=4, seed=0, max_iters=5)
+        assert len(model.log_likelihoods) == 6
+        assert model.log_likelihoods[-1] == pytest.approx(
+            gmm_log_density(model, X).sum(), rel=1e-12
+        )
+        assert model.log_likelihoods[-1] > model.log_likelihoods[-2]
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         es = _set_from(rng.normal(size=(80, 5)))

@@ -204,6 +204,51 @@ class TestFeatureMapContainer:
             load_feature_map(path)
 
 
+def toy_encode_loop_reference(pixels, grid):
+    """The per-cell loop toy_encode replaced, kept as its reference."""
+    h, w = pixels.shape[:2]
+    row_step, col_step = h // grid, w // grid
+    feats = []
+    for r in range(grid):
+        r0 = r * row_step
+        r1 = (r + 1) * row_step if r < grid - 1 else h
+        for c in range(grid):
+            c0 = c * col_step
+            c1 = (c + 1) * col_step if c < grid - 1 else w
+            feats.extend(pixels[r0:r1, c0:c1].mean(axis=(0, 1)))
+    feats.extend(pixels.std(axis=(0, 1)))
+    return np.array(feats)
+
+
+class TestToyEncoderStack:
+    # (n, H, W, grid): remainder rows, remainder columns, both, none,
+    # a cell per pixel, and the 64x96 sweep block of 3
+    @pytest.mark.parametrize(
+        "n,h,w,grid",
+        [(1, 7, 8, 2), (2, 8, 11, 3), (3, 13, 10, 4), (2, 16, 16, 4), (1, 5, 5, 5), (3, 64, 96, 4)],
+    )
+    def test_equals_loop_reference(self, n, h, w, grid):
+        stack = np.random.default_rng(h * w + grid).uniform(size=(n, h, w, 3))
+        got = toy_encode(stack, grid=grid)
+        assert got.shape == (n, 3 * grid * grid + 3)
+        for k in range(n):
+            np.testing.assert_allclose(
+                got[k], toy_encode_loop_reference(stack[k], grid), rtol=0, atol=1e-12
+            )
+            np.testing.assert_array_equal(toy_encode(ImageBuffer(stack[k]), grid=grid), got[k])
+
+    @pytest.mark.parametrize("shape", [(8, 8, 3), (2, 8, 8, 4), (2, 8, 8)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValidationError):
+            toy_encode(np.zeros(shape), grid=2)
+
+    def test_non_finite_stack_rejected(self):
+        stack = np.zeros((2, 8, 8, 3))
+        stack[1, 5, 6, 2] = np.nan
+        with pytest.raises(ValidationError):
+            toy_encode(stack, grid=2)
+
+
 class TestToyEncoder:
     def test_uniform_gray_g1(self):
         img = ImageBuffer(np.full((8, 8, 3), 0.5))
