@@ -133,7 +133,11 @@ def _cmd_fit_gmm(args) -> int:
             tol=args.tol,
         )
     density.persist_model(model, args.out)
-    print(f"fitted gmm ({model.components} components, dim {model.dim}) -> {args.out}")
+    print(
+        f"fitted gmm ({model.components} components, dim {model.dim}; "
+        f"{len(model.log_likelihoods) - 1} EM iterations, converged {model.converged}) "
+        f"-> {args.out}"
+    )
     return EXIT_OK
 
 

@@ -9,6 +9,16 @@ score means more in-distribution.
 Log density rather than raw density is used for the GMM score because
 raw densities underflow in high dimension; the monotone transform
 leaves every rank-based detection metric unchanged.
+
+EM runs on the fitting rows centred on their column mean (Xc), and the
+scorer centres queries on the model mean. The E-step's quadratic term
+is Xc2 @ (1/var).T - 2 Xc @ (mu/var).T + sum(mu^2/var) and the M-step
+variance (R.T @ Xc2) / mass - mu^2: a few matrix products in place of
+a loop over components. Both expanded forms can cancel (tight clusters
+far from the centre), so every entry carries a proven rounding bound
+(Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and one
+whose bound exceeds 1e-9 * max(1, |value|) is recomputed by explicit
+differences; see _log_gaussian_matrix and _m_step.
 """
 
 from __future__ import annotations
@@ -30,17 +40,24 @@ _KIND_KNN = 1
 
 VARIANCE_FLOOR = 1e-6
 
-# Largest temporary a kNN query block may allocate, in float64 values
-# (2 MiB), apart from one row of distances per query.
-_KNN_BLOCK_ELEMENTS = 1 << 18
+# Largest temporary a kNN query block, or a block of GMM entries
+# recomputed by explicit differences, may allocate, in float64 values
+# (2 MiB), apart from one row of distances per kNN query.
+_BLOCK_ELEMENTS = 1 << 18
+
+# Largest rounding bound, relative to max(1, |value|), that an expanded
+# (GEMM) GMM entry may carry before it is recomputed explicitly.
+_GEMM_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GmmModel:
     """Diagonal-covariance Gaussian mixture over the fitting embeddings.
 
     log_likelihoods records the EM trace (one entry per E-step, so the
-    last entry is the log-likelihood of the returned parameters); it is
-    fitting diagnostics and is not persisted.
+    last entry is the log-likelihood of the returned parameters), and
+    converged whether EM stopped on its tolerance test rather than at
+    max_iters. Both are fitting diagnostics and are not persisted: a
+    restored or hand-built model has an empty trace and converged False.
     """
 
     weights: np.ndarray
@@ -49,6 +66,7 @@ class GmmModel:
     trained_on: int
     seed: int
     log_likelihoods: tuple = field(default_factory=tuple)
+    converged: bool = False
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -67,6 +85,7 @@ class GmmModel:
         object.__setattr__(self, "means", _frozen_array(means))
         object.__setattr__(self, "variances", _frozen_array(variances))
         object.__setattr__(self, "log_likelihoods", tuple(self.log_likelihoods))
+        object.__setattr__(self, "converged", bool(self.converged))
 
     @property
     def components(self) -> int:
@@ -112,14 +131,99 @@ class KnnIndex:
 # ---------------------------------------------------------------------------
 
 
-def _log_gaussian_matrix(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Per-sample per-component diagonal-Gaussian log densities, (n, K)."""
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u) for float64 (u = eps / 2): m
+    roundings in a row move a value by at most this relative amount."""
+    unit = np.finfo(float).eps / 2
+    return m * unit / (1 - m * unit)
+
+
+def _log_gaussian_matrix(
+    Xc: np.ndarray, Xc2: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """Per-sample per-component diagonal-Gaussian log densities, (n, K).
+
+    Xc holds the rows about some centre, Xc2 = Xc ** 2, and means lie
+    about the same centre. The quadratic term sum((x - mu)^2 / var)
+    comes from three products,
+
+        quad = Xc2 @ (1/var).T - 2 Xc @ (mu/var).T + sum(mu^2/var),
+
+    and entries whose rounding bound exceeds _GEMM_REL_TOL * max(1, quad)
+    are recomputed by explicit differences.
+    """
+    # Let a = sum(x^2/var), b = sum(x mu/var) and c = sum(mu^2/var) be
+    # exact over the stored x, mu and var, so quad = a - 2b + c exactly.
+    # Higham (Accuracy and Stability of Numerical Algorithms, 3.1): the
+    # square, the reciprocal and the product round each term 3 times and
+    # d - 1 additions follow, in any order, so each computed product is
+    # within gamma_(d+2) times its sum of absolute terms: gamma_(d+2) a,
+    # gamma_(d+2) c, and gamma_(d+2) sum|x mu|/var <= gamma_(d+2) (a + c)/2
+    # for b (2|x mu| <= x^2 + mu^2). The sum s = a + c adds a rounding,
+    # s - 2b one more (2b is exact). So the computed quad is within
+    #     2 gamma_(d+4) (a + c)
+    # of the exact one. The factor 2 in `bound` also covers computing it
+    # from the rounded s. Underflow adds under 1e-300 per entry (var is
+    # at least VARIANCE_FLOOR), far below the threshold's floor of 1e-9.
+    d = Xc.shape[1]
+    inv = 1.0 / variances
+    scaled = means * inv
+    quad = Xc2 @ inv.T
+    quad += (means * scaled).sum(axis=1)
+    bound = (4.0 * _gamma(d + 4)) * quad
+    quad -= 2.0 * (Xc @ scaled.T)
+    # NaN and overflow compare False, so such entries are recomputed too
+    row, comp = np.nonzero(~(bound <= _GEMM_REL_TOL * np.maximum(quad, 1.0)))
+    step = max(1, _BLOCK_ELEMENTS // max(d, 1))
+    for s in range(0, row.size, step):
+        r, j = row[s : s + step], comp[s : s + step]
+        quad[r, j] = ((Xc[r] - means[j]) ** 2 / variances[j]).sum(axis=1)
     const = -0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)  # (K,)
-    # (n, K) quadratic terms
-    quad = np.empty((X.shape[0], means.shape[0]))
-    for j in range(means.shape[0]):
-        quad[:, j] = ((X - means[j]) ** 2 / variances[j]).sum(axis=1)
     return const[None, :] - 0.5 * quad
+
+
+def _m_step(Xc: np.ndarray, Xc2: np.ndarray, resp: np.ndarray):
+    """Weights, means (about Xc's centre) and floored variances from the
+    responsibilities resp, (n, K).
+
+    A variance is the second moment less the squared mean,
+    (resp.T @ Xc2) / mass - mu^2; entries whose rounding bound exceeds
+    _GEMM_REL_TOL * max(1, var) are recomputed two-pass, as
+    resp[:, j] @ (x - mu_j)^2 / mass_j.
+    """
+    # Per (component j, dim): with mass m = sum(r) and mean mu as
+    # computed, the two-pass value is v = sum(r (x - mu)^2) / m, and
+    #     v = s2/m - mu^2 + mu (mu (M/m + 1) - 2 s1/m)
+    # holds exactly, with s1 = sum(r x), s2 = sum(r x^2) and M = sum(r)
+    # exact. m is within gamma_(n-1) of M, the computed s1 within
+    # gamma_n sum(r |x|) of s1, and mu takes one more rounding, so the
+    # bracket is at most 3 gamma_(n+1) sum(r |x|) / m to first order;
+    # with 2|mu x| <= mu^2 + x^2 the last term is at most
+    # 1.5 gamma_(n+1) (s2/m + mu^2). The computed s2/m takes n + 2
+    # roundings of non-negative terms, mu^2 one and the difference one,
+    # so the computed variance is within
+    #     2.5 gamma_(n+3) (s2/m + mu^2)
+    # of v to first order. `bound` uses 4 in place of 2.5 to cover the
+    # second-order terms and its own rounding while n u is far below 1.
+    n, d = Xc.shape
+    mass = resp.sum(axis=0)
+    for j in range(mass.size):
+        if mass[j] <= 0.0:
+            raise FitError(f"component {j} collapsed: zero responsibility mass")
+    means = (resp.T @ Xc) / mass[:, None]
+    second = (resp.T @ Xc2) / mass[:, None]
+    mean_sq = means * means
+    variances = second - mean_sq
+    bound = (4.0 * _gamma(n + 3)) * (second + mean_sq)
+    redo = ~(bound <= _GEMM_REL_TOL * np.maximum(variances, 1.0))
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for j in np.flatnonzero(redo.any(axis=1)):
+        cols = np.flatnonzero(redo[j])
+        for s in range(0, cols.size, step):
+            c = cols[s : s + step]
+            diff2 = (Xc[:, c] - means[j, c]) ** 2
+            variances[j, c] = (resp[:, j] @ diff2) / mass[j]
+    return mass / n, means, np.maximum(variances, VARIANCE_FLOOR)
 
 
 def _logsumexp_rows(logp: np.ndarray) -> np.ndarray:
@@ -155,9 +259,12 @@ def fit_gmm(
 
     Initialization is k-means++ style from a generator seeded with
     `seed`, so the fit is deterministic given (ids, components, seed,
-    max_iters, tol). The per-iteration log-likelihood is checked to be
-    non-decreasing (tolerance 1e-9); EM stops once the relative
-    improvement drops below `tol` or after `max_iters` M-steps.
+    max_iters, tol). EM runs on the rows centred on their column mean,
+    with the E-step and M-step as matrix products (see
+    _log_gaussian_matrix and _m_step). The per-iteration log-likelihood
+    is checked to be non-decreasing (tolerance 1e-9 relative to its
+    size); EM stops once the relative improvement drops below `tol`
+    (converged) or after `max_iters` M-steps (not converged).
     """
     if components < 1:
         raise FitError("components must be a positive integer")
@@ -174,47 +281,47 @@ def fit_gmm(
             "component 0 collapsed: all fitting records are identical"
         )
     rng = np.random.default_rng(seed)
-    means = _kmeanspp_centers(X, components, rng)
+    centre = X.mean(axis=0)
+    means = _kmeanspp_centers(X, components, rng) - centre
     variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (components, 1))
     weights = np.full(components, 1.0 / components)
+    Xc = X - centre
+    Xc2 = Xc * Xc
 
     ll_trace: list[float] = []
     prev_ll = None
+    converged = False
     # max_iters M-steps, and one E-step past the last of them, so the
     # final trace entry scores the parameters returned
     for m_steps in range(max_iters + 1):
         with np.errstate(divide="ignore"):
-            log_joint = np.log(weights)[None, :] + _log_gaussian_matrix(X, means, variances)
+            log_joint = np.log(weights)[None, :] + _log_gaussian_matrix(
+                Xc, Xc2, means, variances
+            )
         log_norm = _logsumexp_rows(log_joint)
         ll = float(log_norm.sum())
-        if prev_ll is not None and ll < prev_ll - 1e-9:
-            raise FitError(
-                f"log-likelihood decreased during EM ({prev_ll} -> {ll})"
-            )
+        if prev_ll is not None:
+            if ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll)):
+                raise FitError(
+                    f"log-likelihood decreased during EM ({prev_ll} -> {ll})"
+                )
+            converged = ll - prev_ll < tol * max(abs(prev_ll), 1e-12)
         ll_trace.append(ll)
-        if m_steps == max_iters or (
-            prev_ll is not None and ll - prev_ll < tol * max(abs(prev_ll), 1e-12)
-        ):
+        if converged or m_steps == max_iters:
             break
         prev_ll = ll
-        resp = np.exp(log_joint - log_norm[:, None])
-        mass = resp.sum(axis=0)
-        for j in range(components):
-            if mass[j] <= 0.0:
-                raise FitError(f"component {j} collapsed: zero responsibility mass")
-        weights = mass / n
-        means = (resp.T @ X) / mass[:, None]
-        for j in range(components):
-            diff2 = (X - means[j]) ** 2
-            variances[j] = np.maximum((resp[:, j] @ diff2) / mass[j], VARIANCE_FLOOR)
+        weights, means, variances = _m_step(
+            Xc, Xc2, np.exp(log_joint - log_norm[:, None])
+        )
 
     return GmmModel(
         weights=weights,
-        means=means,
+        means=means + centre,
         variances=variances,
         trained_on=n,
         seed=seed,
         log_likelihoods=tuple(ll_trace),
+        converged=converged,
     )
 
 
@@ -227,13 +334,18 @@ def fit_gmm_bic(
 ) -> GmmModel:
     """Fit over candidate component counts and keep the lowest-BIC model.
 
-    Candidates exceeding the record count are skipped; at least one
-    candidate must be viable.
+    Candidates exceeding the number of distinct records are skipped, as
+    k-means++ cannot place more centres than there are distinct points;
+    at least one candidate must be viable.
     """
     n = len(ids)
-    viable = [k for k in candidates if 1 <= k <= n]
+    distinct = len(np.unique(ids.matrix(), axis=0))
+    viable = [k for k in candidates if 1 <= k <= distinct]
     if not viable:
-        raise FitError(f"no viable component count in {tuple(candidates)} for {n} records")
+        raise FitError(
+            f"no viable component count in {tuple(candidates)} for {n} records "
+            f"({distinct} distinct)"
+        )
     best = None
     best_bic = np.inf
     for k in viable:
@@ -251,15 +363,21 @@ def fit_gmm_bic(
 
 
 def gmm_log_density(model: GmmModel, X: np.ndarray) -> np.ndarray:
-    """Log mixture density for each row of X, via log-sum-exp."""
+    """Log mixture density for each row of X, via log-sum-exp.
+
+    Rows are centred on the model mean, weights @ means (for a fitted
+    model, the fitting data's mean), as in fit_gmm.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValidationError(
             f"query dim {X.shape[-1] if X.ndim else '?'} does not match model dim {model.dim}"
         )
+    centre = model.weights @ model.means
+    Xc = X - centre
     with np.errstate(divide="ignore"):
         log_joint = np.log(model.weights)[None, :] + _log_gaussian_matrix(
-            X, model.means, model.variances
+            Xc, Xc * Xc, model.means - centre, model.variances
         )
     return _logsumexp_rows(log_joint)
 
@@ -288,7 +406,7 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     2. Re-rank. Explicit differences are recomputed for the candidates
        only, and the k-th smallest of those is the result.
 
-    Both stages work in blocks of at most _KNN_BLOCK_ELEMENTS values
+    Both stages work in blocks of at most _BLOCK_ELEMENTS values
     (beyond one row of distances per query), so memory stays bounded
     whatever the index size or the number of ties. Non-finite query
     rows raise ValidationError.
@@ -318,12 +436,11 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     # smallest f over the candidates is F itself. When 4 (|x| + max|p|)^2
     # is not finite, the bound can overflow, and the row keeps all points.
     roundings = 2 * dim + 4
-    unit = np.finfo(float).eps / 2
-    gamma = roundings * unit / (1 - roundings * unit)
+    gamma = _gamma(roundings)
     floor = roundings * np.finfo(float).tiny
     out = np.empty(X.shape[0])
-    rows = max(1, _KNN_BLOCK_ELEMENTS // count)
-    pair_step = max(1, _KNN_BLOCK_ELEMENTS // max(dim, 1))
+    rows = max(1, _BLOCK_ELEMENTS // count)
+    pair_step = max(1, _BLOCK_ELEMENTS // max(dim, 1))
     # overflow in the expanded form is expected: such rows keep all points
     with np.errstate(over="ignore", invalid="ignore"):
         p_sq = np.einsum("ij,ij->i", points, points)

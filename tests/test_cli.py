@@ -1,6 +1,7 @@
 """End-to-end command-line tests, including exit-code mapping."""
 
 import json
+import re
 import struct
 import zlib
 
@@ -38,6 +39,7 @@ class TestFitScoreEval:
                      "--label", "ood", "--out", str(ood_scores)]) == 0
         assert main(["eval", "--scores", str(id_scores), "--scores", str(ood_scores)]) == 0
         out = capsys.readouterr().out
+        assert re.search(r"fitted gmm \(2 components, dim 6; \d+ EM iterations, converged True\)", out)
         row = [l for l in out.splitlines() if l.startswith("scores,")][0]
         auroc = float(row.split(",")[3])
         assert auroc > 95.0

@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from cornercase.density import (
-    _KNN_BLOCK_ELEMENTS,
+    _BLOCK_ELEMENTS,
+    VARIANCE_FLOOR,
     GmmModel,
     KnnIndex,
+    _kmeanspp_centers,
+    _log_gaussian_matrix,
+    _logsumexp_rows,
+    _m_step,
     build_knn_index,
     fit_gmm,
     fit_gmm_bic,
@@ -71,6 +76,11 @@ class TestFitGmm:
         )
         assert model.log_likelihoods[-1] > model.log_likelihoods[-2]
 
+    def test_converged_flag(self):
+        X = np.random.default_rng(0).standard_normal((2000, 16))
+        assert not fit_gmm(_set_from(X), components=4, seed=0, max_iters=5).converged
+        assert fit_gmm(_set_from(X), components=4, seed=0).converged
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         es = _set_from(rng.normal(size=(80, 5)))
@@ -104,6 +114,16 @@ class TestFitGmm:
         data[:150] += 12.0
         model = fit_gmm_bic(_set_from(data), candidates=(1, 2, 4, 8), seed=0)
         assert model.components == 2
+
+    def test_bic_skips_candidates_above_distinct_points(self):
+        # 300 rows on 3 points: k-means++ cannot place 4 or 8 centres
+        data = np.repeat([[0.0, 0.0], [5.0, 5.0], [10.0, 0.0]], 100, axis=0)
+        model = fit_gmm_bic(_set_from(data), candidates=(1, 2, 4, 8), seed=0)
+        assert model.components <= 2
+        with pytest.raises(FitError, match="no viable component count"):
+            fit_gmm_bic(_set_from(data), candidates=(4, 8), seed=0)
+        with pytest.raises(FitError, match="identical"):
+            fit_gmm_bic(_set_from(np.ones((10, 2))), seed=0)
 
 
 class TestScoreGmm:
@@ -148,6 +168,147 @@ class TestScoreGmm:
         )
         with pytest.raises(ValidationError):
             _score_one(model, [0.0])
+
+
+def log_gaussian_matrix_loop_reference(X, means, variances):
+    """The per-component loop the GEMM E-step replaced, kept as its reference."""
+    const = -0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)  # (K,)
+    # (n, K) quadratic terms
+    quad = np.empty((X.shape[0], means.shape[0]))
+    for j in range(means.shape[0]):
+        quad[:, j] = ((X - means[j]) ** 2 / variances[j]).sum(axis=1)
+    return const[None, :] - 0.5 * quad
+
+
+def variances_two_pass_reference(X, resp, means, mass):
+    """The two-pass M-step variance loop the GEMM form replaced."""
+    variances = np.empty_like(means)
+    for j in range(means.shape[0]):
+        diff2 = (X - means[j]) ** 2
+        variances[j] = np.maximum((resp[:, j] @ diff2) / mass[j], VARIANCE_FLOOR)
+    return variances
+
+
+def fit_gmm_loop_reference(X, components, seed, max_iters=200, tol=1e-6):
+    """EM with the per-component loops, as fit_gmm ran it before the GEMM
+    rewrite, but on rows centred on their mean: uncentred, the loops' own
+    rounding at a 1e6 offset moves the fitted weights by 1e-9 (against
+    8.6e-13 for the centred loops and for fit_gmm, both measured against
+    the uncentred loops in extended precision)."""
+    n = X.shape[0]
+    centre = X.mean(axis=0)
+    means = _kmeanspp_centers(X, components, np.random.default_rng(seed)) - centre
+    variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (components, 1))
+    X = X - centre
+    weights = np.full(components, 1.0 / components)
+    trace = []
+    for m_steps in range(max_iters + 1):
+        log_joint = np.log(weights)[None, :] + log_gaussian_matrix_loop_reference(
+            X, means, variances
+        )
+        log_norm = _logsumexp_rows(log_joint)
+        trace.append(float(log_norm.sum()))
+        if m_steps == max_iters or (
+            len(trace) > 1 and trace[-1] - trace[-2] < tol * max(abs(trace[-2]), 1e-12)
+        ):
+            break
+        resp = np.exp(log_joint - log_norm[:, None])
+        mass = resp.sum(axis=0)
+        weights = mass / n
+        means = (resp.T @ X) / mass[:, None]
+        variances = variances_two_pass_reference(X, resp, means, mass)
+    return weights, means + centre, variances, trace
+
+
+def _gmm_draw(kind):
+    """Data, a mixture state and responsibilities for one draw."""
+    rng = np.random.default_rng(16)
+    if kind == "perfbench":
+        X = rng.standard_normal((8000, 128))
+        means = rng.normal(scale=0.1, size=(4, 128))
+        variances = rng.uniform(0.8, 1.2, size=(4, 128))
+    elif kind == "offset":
+        X = rng.standard_normal((2000, 16)) + 1e6
+        means = 1e6 + rng.normal(scale=0.5, size=(3, 16))
+        variances = rng.uniform(0.5, 2.0, size=(3, 16))
+    elif kind == "criterion3":
+        # means 12, 24, 36 and 48 units out, as in criterion 3
+        centres = rng.normal(size=(4, 16))
+        centres *= 12.0 * np.arange(1, 5)[:, None] / np.linalg.norm(centres, axis=1)[:, None]
+        X = np.vstack([rng.normal(loc=c, size=(150, 16)) for c in centres])
+        means = centres + rng.normal(scale=0.2, size=centres.shape)
+        variances = rng.uniform(0.7, 1.4, size=(4, 16))
+    elif kind == "tight":
+        # two clusters at +-1000 with sd 0.01: the expanded forms cancel
+        signs = np.where(np.arange(2000) < 1000, 1.0, -1.0)[:, None]
+        X = 1000.0 * signs + 0.01 * rng.standard_normal((2000, 4))
+        means = np.array([[1000.0] * 4, [-1000.0] * 4]) + 1e-3 * rng.standard_normal((2, 4))
+        variances = np.full((2, 4), 1e-4)
+    else:  # a constant column whose variance sits at the floor
+        X = rng.standard_normal((1000, 6))
+        X[:, 2] = 7.3
+        means = rng.normal(scale=0.3, size=(2, 6))
+        means[:, 2] = 7.3
+        variances = rng.uniform(0.8, 1.2, size=(2, 6))
+        variances[:, 2] = VARIANCE_FLOOR
+    k = means.shape[0]
+    weights = np.full(k, 1.0 / k)
+    log_joint = np.log(weights) + log_gaussian_matrix_loop_reference(X, means, variances)
+    resp = np.exp(log_joint - _logsumexp_rows(log_joint)[:, None])
+    return X, GmmModel(weights, means, variances, trained_on=len(X), seed=0), resp
+
+
+GMM_DRAWS = ("perfbench", "offset", "criterion3", "tight", "floor")
+
+
+def _assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err.max() <= 1e-9, f"largest relative difference {err.max():.3g}"
+
+
+class TestGmmGemmReference:
+    """The GEMM E-step, M-step and scorer against the loops they replaced,
+    to 1e-9 * max(1, |value|) (the rounding bound each path enforces)."""
+
+    @pytest.mark.parametrize("kind", GMM_DRAWS)
+    def test_e_step_and_scores(self, kind):
+        X, model, _ = _gmm_draw(kind)
+        want = log_gaussian_matrix_loop_reference(X, model.means, model.variances)
+        centre = model.weights @ model.means
+        Xc = X - centre
+        _assert_close(
+            _log_gaussian_matrix(Xc, Xc * Xc, model.means - centre, model.variances), want
+        )
+        _assert_close(
+            gmm_log_density(model, X), _logsumexp_rows(np.log(model.weights) + want)
+        )
+
+    @pytest.mark.parametrize("kind", GMM_DRAWS)
+    def test_m_step(self, kind):
+        X, _, resp = _gmm_draw(kind)
+        mass = resp.sum(axis=0)
+        means = (resp.T @ X) / mass[:, None]
+        centre = X.mean(axis=0)
+        Xc = X - centre
+        weights, got_means, variances = _m_step(Xc, Xc * Xc, resp)
+        _assert_close(weights, mass / len(X))
+        _assert_close(got_means + centre, means)
+        _assert_close(variances, variances_two_pass_reference(X, resp, means, mass))
+
+    @pytest.mark.parametrize("kind", GMM_DRAWS)
+    def test_fit(self, kind):
+        X, model, _ = _gmm_draw(kind)
+        if kind == "perfbench":
+            X = X[:2000, :32]
+        weights, means, variances, trace = fit_gmm_loop_reference(X, model.components, seed=1)
+        got = fit_gmm(_set_from(X), components=model.components, seed=1)
+        assert len(got.log_likelihoods) == len(trace)
+        _assert_close(got.log_likelihoods, trace)
+        _assert_close(got.weights, weights)
+        _assert_close(got.means, means)
+        _assert_close(got.variances, variances)
 
 
 class TestKnn:
@@ -239,7 +400,7 @@ class TestKnnTwoStage:
     def test_query_count_straddles_block(self):
         rng = np.random.default_rng(25)
         pts = rng.normal(size=(3000, 6))
-        rows = _KNN_BLOCK_ELEMENTS // len(pts)
+        rows = _BLOCK_ELEMENTS // len(pts)
         self._check(pts, rng.normal(size=(2 * rows + 1, 6)), k=7)
 
     def test_overflowing_norms_fall_back_to_all_points(self):
