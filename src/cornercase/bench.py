@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .corruptions import (
-    CORRUPTION_KINDS,
     DEFAULT_ATMOSPHERIC_LIGHT,
     severity_dirname,
     severity_sweep,
@@ -66,8 +65,6 @@ class SweepSettings:
     severity_embeddings: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in CORRUPTION_KINDS:
-            raise ConfigError(f"unknown sweep kind {self.kind!r}")
         if (self.preset is None) == (len(self.grid) == 0):
             raise ConfigError("sweep needs exactly one of preset or grid")
         if self.encoder not in ("toy", "external"):
@@ -116,6 +113,13 @@ class BenchConfig:
         ood_sets = tuple(self.ood_sets)
         if not ood_sets:
             raise ConfigError("config needs at least one ood_set")
+        names = [m.name for m in ood_sets]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"ood_sets names must be unique, got {names}")
+        slots = [("id_train", self.id_train), ("id_test", self.id_test)]
+        for slot, m in slots + [("ood", m) for m in ood_sets]:
+            if m.role != slot:
+                raise ConfigError(f"manifest {m.name!r} has role {m.role!r} in the {slot} slot")
         if self.gmm_components < 1 or self.knn_k < 1:
             raise ConfigError("gmm_components and knn_k must be positive")
         if not 0.0 < self.tpr_target <= 1.0:
@@ -354,6 +358,11 @@ def _sweep_correlations(severities, sweep_reports) -> tuple:
     return tuple(out)
 
 
+def _reports(id_scores, ood_scores, tpr_target) -> list:
+    """One detection report per OOD score array, each against the ID scores."""
+    return [detection_report(LabeledScores(id_scores, s), tpr_target) for s in ood_scores]
+
+
 def _score_sweep(model, id_set: EmbeddingSet, severity_sets, specs, tpr_target) -> tuple:
     """Score the ID side once and each spec's severity set against it.
 
@@ -361,11 +370,8 @@ def _score_sweep(model, id_set: EmbeddingSet, severity_sets, specs, tpr_target) 
     time. Returns (sweep_rows, correlations).
     """
     severities = [spec.severity for spec in specs]
-    id_scores = score_set(model, id_set)
-    reports = [
-        detection_report(LabeledScores(id_scores, score_set(model, es)), tpr_target)
-        for es in severity_sets
-    ]
+    ood_scores = (score_set(model, es) for es in severity_sets)
+    reports = _reports(score_set(model, id_set), ood_scores, tpr_target)
     return tuple(zip(severities, reports)), _sweep_correlations(severities, reports)
 
 
@@ -446,61 +452,42 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     Deterministic given the config plus referenced file contents.
     """
     grid = cfg.sweep.encoder_grid if cfg.sweep is not None else 4
-    needs_embeddings = any(m in ("gmm", "knn") for m in cfg.methods)
+    test_sets = (cfg.id_test, *cfg.ood_sets)
     train = None
-    id_test = None
-    ood_embeddings = {}
-    if needs_embeddings:
+    embeddings = []
+    if any(m != "mean_uncertainty" for m in cfg.methods):
         train = load_dataset_embeddings(cfg.id_train, grid)
         if len(train) == 0:
             raise ValidationError("id_train embedding set is empty; cannot fit")
-        id_test = load_dataset_embeddings(cfg.id_test, grid)
-        _check_dim(train, id_test, cfg.id_test.name)
-        for m in cfg.ood_sets:
-            es = load_dataset_embeddings(m, grid)
-            _check_dim(train, es, m.name)
-            ood_embeddings[m.name] = es
+        for m in test_sets:
+            embeddings.append(load_dataset_embeddings(m, grid))
+            _check_dim(train, embeddings[-1], m.name)
 
+    # every method scores (id_test, *ood_sets), one array per dataset
     rows = []
-    first_model = None
+    models = {}
     for method in cfg.methods:
         if method == "mean_uncertainty":
-            id_maps = load_dataset_maps(cfg.id_test)
-            id_scores = [mean_uncertainty(um) for _, um in id_maps]
-            for m in cfg.ood_sets:
-                ood_scores = [mean_uncertainty(um) for _, um in load_dataset_maps(m)]
-                rep = detection_report(LabeledScores(id_scores, ood_scores), cfg.tpr_target)
-                rows.append((method, m.name, rep))
-            continue
-        model = _fit_method(method, train, cfg)
-        if first_model is None and method == cfg.methods[0]:
-            first_model = model
-        id_scores = score_set(model, id_test)
-        for m in cfg.ood_sets:
-            rep = detection_report(
-                LabeledScores(id_scores, score_set(model, ood_embeddings[m.name])),
-                cfg.tpr_target,
-            )
-            rows.append((method, m.name, rep))
-
-    sweep_kind = None
-    sweep_method = None
-    sweep_rows: tuple = ()
-    correlations: tuple = ()
-    if cfg.sweep is not None:
-        sweep_method = cfg.methods[0]
-        sweep_kind = cfg.sweep.kind
-        sweep_rows, correlations = _run_sweep_for_config(cfg, train, id_test, first_model)
+            scores = [[mean_uncertainty(um) for _, um in load_dataset_maps(m)] for m in test_sets]
+        else:
+            models[method] = _fit_method(method, train, cfg)
+            scores = [score_set(models[method], es) for es in embeddings]
+        reports = _reports(scores[0], scores[1:], cfg.tpr_target)
+        rows += [(method, m.name, rep) for m, rep in zip(cfg.ood_sets, reports)]
 
     provenance = (
         ("config_sha256", config_digest(cfg)),
         ("seed", str(cfg.seed)),
         ("toolkit_version", TOOLKIT_VERSION),
     )
+    if cfg.sweep is None:
+        return BenchReport(rows=tuple(rows), provenance=provenance)
+    method = cfg.methods[0]
+    sweep_rows, correlations = _run_sweep_for_config(cfg, train, embeddings[0], models[method])
     return BenchReport(
         rows=tuple(rows),
-        sweep_kind=sweep_kind,
-        sweep_method=sweep_method,
+        sweep_kind=cfg.sweep.kind,
+        sweep_method=method,
         sweep_rows=sweep_rows,
         correlations=correlations,
         provenance=provenance,

@@ -100,14 +100,8 @@ def apply_fog(
     Invalid-depth pixels use the median of the valid depths; a missing
     depth map falls back to the default vertical ramp.
     """
-    if beta < 0 or not np.isfinite(beta):
-        raise ValidationError("beta must be a non-negative real")
-    if not 0.0 <= atmospheric_light <= 1.0:
-        raise ValidationError("atmospheric_light must lie in [0, 1]")
-    if beta == 0.0:
-        return img
-    d = _resolved_depth(img, depth)
-    return ImageBuffer(_fog_stack(img.pixels, d, atmospheric_light, np.array([beta]))[0])
+    spec = CorruptionSpec("fog", beta, atmospheric_light=atmospheric_light)
+    return apply_corruption(img, spec, depth)
 
 
 def apply_gaussian_noise(img: ImageBuffer, sigma: float, seed: int = 0) -> ImageBuffer:
@@ -116,12 +110,7 @@ def apply_gaussian_noise(img: ImageBuffer, sigma: float, seed: int = 0) -> Image
     The noise is sigma times the standard normal field drawn from
     default_rng(seed), so one field serves every sigma of a sweep.
     """
-    if sigma < 0 or not np.isfinite(sigma):
-        raise ValidationError("sigma must be a non-negative real")
-    if sigma == 0.0:
-        return img
-    field = np.random.default_rng(seed).standard_normal(img.pixels.shape)
-    return ImageBuffer(_noise_stack(img.pixels, field, np.array([sigma]))[0])
+    return apply_corruption(img, CorruptionSpec("gaussian_noise", sigma, seed=seed))
 
 
 def apply_white_box(img: ImageBuffer, area_fraction: float, seed: int = 0) -> ImageBuffer:
@@ -130,14 +119,20 @@ def apply_white_box(img: ImageBuffer, area_fraction: float, seed: int = 0) -> Im
     The side is round(sqrt(f * H * W)) clamped to the image bounds; the
     box position is drawn uniformly from the seeded generator.
     """
-    if not np.isfinite(area_fraction) or not 0.0 <= area_fraction <= 1.0:
-        raise ValidationError("area_fraction must lie in [0, 1]")
-    return ImageBuffer(_box_stack(img.pixels, seed, np.array([area_fraction]))[0])
+    return apply_corruption(img, CorruptionSpec("white_box", area_fraction, seed=seed))
+
+
+def apply_corruption(
+    img: ImageBuffer, spec: CorruptionSpec, depth: DepthMap | None = None
+) -> ImageBuffer:
+    """Corrupt one image under one spec: a sweep of one image at one
+    severity, so `corrupt`, `sweep` and this function share every formula."""
+    ((_, _, _, block),) = sweep_images([(img, depth)], [spec])
+    return ImageBuffer(block[0])
 
 
 # Each function below corrupts one (H, W, 3) image at b severities and
-# returns the (b, H, W, 3) stack; the single-image functions above are
-# the b = 1 case, so a sweep and `corrupt` share every formula.
+# returns the (b, H, W, 3) stack; _sweep_blocks picks one per kind.
 
 
 def _fog_stack(pixels, depth, atmospheric_light, betas):
@@ -166,17 +161,6 @@ def _box_stack(pixels, seed, fractions):
     return out
 
 
-def apply_corruption(
-    img: ImageBuffer, spec: CorruptionSpec, depth: DepthMap | None = None
-) -> ImageBuffer:
-    """Dispatch a corruption spec onto one image."""
-    if spec.kind == "fog":
-        return apply_fog(img, depth, spec.severity, spec.atmospheric_light)
-    if spec.kind == "gaussian_noise":
-        return apply_gaussian_noise(img, spec.severity, spec.seed)
-    return apply_white_box(img, spec.severity, spec.seed)
-
-
 def severity_sweep(
     kind: str,
     grid,
@@ -202,8 +186,16 @@ def severity_sweep(
         severities = tuple(float(v) for v in grid)
         if not severities:
             raise ValidationError("severity grid must be non-empty")
-        if any(b <= a for a, b in zip(severities, severities[1:])):
+    # severity_dirname rounds monotonically, so in an increasing grid the
+    # severities that would share an output directory are neighbours
+    for a, b in zip(severities, severities[1:]):
+        if b <= a:
             raise ValidationError("severity grid must be strictly increasing")
+        if severity_dirname(a) == severity_dirname(b):
+            raise ValidationError(
+                f"severities {a!r} and {b!r} share the output directory "
+                f"{severity_dirname(a)!r}"
+            )
     return [
         CorruptionSpec(
             kind=kind,

@@ -233,23 +233,33 @@ def save_scores(path, ids, scores, label: str) -> None:
 
 
 def load_score_lines(path) -> list[tuple[str, float, str]]:
-    """Read (id, score, label) triples from a JSON-lines score file."""
+    """Read (id, score, label) triples from a JSON-lines score file: id a
+    string, score a finite JSON number (not a bool), label 'id' or 'ood'."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: score file is not UTF-8 ({exc})") from exc
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ident, score, label = obj["id"], float(obj["score"]), obj["label"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad score record ({exc})") from exc
-            if label not in ("id", "ood"):
-                raise FormatError(f"{path}:{lineno}: label must be 'id' or 'ood'")
-            if not np.isfinite(score):
-                raise FormatError(f"{path}:{lineno}: non-finite score")
-            out.append((ident, score, label))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            # every JSON number becomes a float (an integer too large is
+            # inf); true and false stay bools, so they fail the check below
+            obj = json.loads(line, parse_int=float)
+            ident, score, label = obj["id"], obj["score"], obj["label"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}:{lineno}: bad score record ({exc})") from exc
+        if not isinstance(ident, str):
+            raise FormatError(f"{path}:{lineno}: id must be a string, got {ident!r}")
+        if not isinstance(score, float):
+            raise FormatError(f"{path}:{lineno}: score must be a number, got {score!r}")
+        if label not in ("id", "ood"):
+            raise FormatError(f"{path}:{lineno}: label must be 'id' or 'ood'")
+        if not np.isfinite(score):
+            raise FormatError(f"{path}:{lineno}: non-finite score")
+        out.append((ident, score, label))
     return out
 
 

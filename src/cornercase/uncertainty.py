@@ -65,19 +65,6 @@ class UncertaintyMap:
         return self.values.shape[1]
 
 
-def _validate_simplex(params: DirichletParams, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if p.size != params.num_classes:
-        raise ValidationError(
-            f"probability vector has {p.size} entries, expected {params.num_classes}"
-        )
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-        raise ValidationError("probability vector must be non-negative and finite")
-    if abs(p.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValidationError(f"probability vector sums to {p.sum()!r}, not 1")
-    return p
-
-
 def dirichlet_pdf(params: DirichletParams, p) -> float:
     """Dirichlet density at a point of the probability simplex.
 
@@ -86,15 +73,25 @@ def dirichlet_pdf(params: DirichletParams, p) -> float:
     when kappa_k = 1, and the result is +inf when kappa_k < 1 (the
     distinguished overflow value).
     """
-    p = _validate_simplex(params, p)
-    return float(dirichlet_pdf_batch(params, p[None, :])[0])
+    return float(dirichlet_pdf_batch(params, np.asarray(p, dtype=float).reshape(1, -1))[0])
 
 
 def dirichlet_pdf_batch(params: DirichletParams, P: np.ndarray) -> np.ndarray:
-    """Vectorized dirichlet_pdf over rows of P (same boundary rules)."""
+    """Vectorized dirichlet_pdf over rows of P (same boundary rules).
+
+    Every row must be finite, non-negative and sum to 1 within SIMPLEX_TOL.
+    """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[1] != params.num_classes:
-        raise ValidationError("P must be (n, K) with K matching the parameters")
+        raise ValidationError(
+            f"probability rows must be (n, {params.num_classes}), got shape {P.shape}"
+        )
+    if not np.all(np.isfinite(P)) or np.any(P < 0.0):
+        raise ValidationError("probability vectors must be non-negative and finite")
+    sums = P.sum(axis=1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_TOL)
+    if off.size:
+        raise ValidationError(f"probability row {off[0]} sums to {float(sums[off[0]])!r}, not 1")
     kappa = params.kappa
     log_norm = math.lgamma(kappa.sum()) - sum(math.lgamma(k) for k in kappa)
     # boundary rows may sum +inf and -inf terms; the masks below decide them

@@ -181,6 +181,20 @@ def _bench_argv(tmp_path, sweep, **fields):
     return ["bench", "--config", str(tmp_path / "c.json")]
 
 
+def _sweep_grid_argv(tmp_path, grid):
+    write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 1, seed=0)
+    return ["sweep", "--images", str(tmp_path / "imgs"), "--kind", "gaussian_noise",
+            "--grid", grid, "--out", str(tmp_path / "o")]
+
+
+def _eval_argv(tmp_path, *lines):
+    (tmp_path / "s.jsonl").write_bytes(b"".join(line + b"\n" for line in lines))
+    return ["eval", "--scores", str(tmp_path / "s.jsonl")]
+
+
+_ID_SCORE = b'{"id": "a", "score": 1.0, "label": "id"}'
+
+
 def _report_argv(tmp_path, text, fmt="markdown"):
     (tmp_path / "report.json").write_text(text)
     return ["report", "--report", str(tmp_path / "report.json"), "--format", fmt]
@@ -308,6 +322,49 @@ MALFORMED_INPUTS = {
     "decreasing sweep.grid": (
         lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.02, 0.01]}),
         2,
+    ),
+    "unknown sweep.kind": (
+        lambda t: _bench_argv(t, {"kind": "rain", "grid": [0.1]}),
+        2,
+    ),
+    "sweep.grid severities sharing an output directory": (
+        lambda t: _bench_argv(t, {"kind": "gaussian_noise", "grid": [0.1234561, 0.1234562]}),
+        2,
+    ),
+    "sweep --grid severities sharing an output directory": (
+        lambda t: _sweep_grid_argv(t, "0.1234561,0.1234562"),
+        3,
+    ),
+    "duplicate ood_sets names": (
+        lambda t: _bench_argv(
+            t, None, ood_sets=[{"name": "x", "role": "ood", "path": p} for p in ("a", "b")]
+        ),
+        2,
+    ),
+    "manifest role that differs from its slot": (
+        lambda t: _bench_argv(t, None, id_train={"name": "x", "role": "ood", "path": "x.ccemb"}),
+        2,
+    ),
+    "score file with a numeric id": (
+        lambda t: _eval_argv(t, _ID_SCORE, b'{"id": 7, "score": 2.0, "label": "ood"}'),
+        3,
+    ),
+    "score file with a boolean score": (
+        lambda t: _eval_argv(t, _ID_SCORE, b'{"id": "b", "score": true, "label": "ood"}'),
+        3,
+    ),
+    "score file with a string score": (
+        lambda t: _eval_argv(t, _ID_SCORE, b'{"id": "b", "score": "2.5", "label": "ood"}'),
+        3,
+    ),
+    "score file with an integer score too large for a float": (
+        lambda t: _eval_argv(t, _ID_SCORE, b'{"id": "b", "score": 1' + b"0" * 400
+                             + b', "label": "ood"}'),
+        3,
+    ),
+    "score file that is not UTF-8": (
+        lambda t: _eval_argv(t, _ID_SCORE, b'{"id": "\xff", "score": 2.0, "label": "ood"}'),
+        3,
     ),
     "report.json that is not JSON": (
         lambda t: _report_argv(t, "rows: none"),

@@ -13,13 +13,20 @@ from hypothesis import strategies as st
 from cornercase.cli import main
 from cornercase.corruptions import (
     _SWEEP_BLOCK_ELEMENTS,
+    DEFAULT_ATMOSPHERIC_LIGHT,
+    SWEEP_PRESETS,
     CorruptionSpec,
+    _box_stack,
+    _fog_stack,
+    _noise_stack,
+    _resolved_depth,
     apply_corruption,
     apply_fog,
     apply_gaussian_noise,
     apply_white_box,
     default_depth_ramp,
     run_sweep,
+    severity_dirname,
     severity_sweep,
     sweep_images,
 )
@@ -31,6 +38,49 @@ from cornercase.images import DepthMap, ImageBuffer, load_image, save_image
 def _random_image(seed=0, h=12, w=16):
     rng = np.random.default_rng(seed)
     return ImageBuffer(rng.uniform(size=(h, w, 3)))
+
+
+# The single-image functions as they stood before each became a one-image
+# sweep, kept verbatim as the reference for the sweep engine.
+
+
+def _reference_fog(
+    img: ImageBuffer,
+    depth: DepthMap | None,
+    beta: float,
+    atmospheric_light: float = DEFAULT_ATMOSPHERIC_LIGHT,
+) -> ImageBuffer:
+    if beta < 0 or not np.isfinite(beta):
+        raise ValidationError("beta must be a non-negative real")
+    if not 0.0 <= atmospheric_light <= 1.0:
+        raise ValidationError("atmospheric_light must lie in [0, 1]")
+    if beta == 0.0:
+        return img
+    d = _resolved_depth(img, depth)
+    return ImageBuffer(_fog_stack(img.pixels, d, atmospheric_light, np.array([beta]))[0])
+
+
+def _reference_gaussian_noise(img: ImageBuffer, sigma: float, seed: int = 0) -> ImageBuffer:
+    if sigma < 0 or not np.isfinite(sigma):
+        raise ValidationError("sigma must be a non-negative real")
+    if sigma == 0.0:
+        return img
+    field = np.random.default_rng(seed).standard_normal(img.pixels.shape)
+    return ImageBuffer(_noise_stack(img.pixels, field, np.array([sigma]))[0])
+
+
+def _reference_white_box(img: ImageBuffer, area_fraction: float, seed: int = 0) -> ImageBuffer:
+    if not np.isfinite(area_fraction) or not 0.0 <= area_fraction <= 1.0:
+        raise ValidationError("area_fraction must lie in [0, 1]")
+    return ImageBuffer(_box_stack(img.pixels, seed, np.array([area_fraction]))[0])
+
+
+def _reference_corruption(img, spec, depth=None):
+    if spec.kind == "fog":
+        return _reference_fog(img, depth, spec.severity, spec.atmospheric_light)
+    if spec.kind == "gaussian_noise":
+        return _reference_gaussian_noise(img, spec.severity, spec.seed)
+    return _reference_white_box(img, spec.severity, spec.seed)
 
 
 class TestFog:
@@ -59,6 +109,12 @@ class TestFog:
         depth = DepthMap(depth=np.ones((3, 3)), valid=np.ones((3, 3), dtype=bool))
         with pytest.raises(ValidationError):
             apply_fog(img, depth, beta=0.01)
+
+    def test_dimension_mismatch_at_zero_beta(self):
+        img = _random_image(2)
+        depth = DepthMap(depth=np.ones((3, 3)), valid=np.ones((3, 3), dtype=bool))
+        with pytest.raises(ValidationError):
+            apply_fog(img, depth, beta=0.0)
 
     def test_invalid_pixels_use_median_fill(self):
         img = ImageBuffer(np.zeros((1, 3, 3)))
@@ -206,6 +262,17 @@ class TestSeveritySweep:
         with pytest.raises(ValidationError):
             severity_sweep("fog", "noise-paper")
 
+    def test_shared_output_directory_rejected(self):
+        # both round to 0.123456 at 6 significant digits
+        with pytest.raises(ValidationError, match="0.123456"):
+            severity_sweep("gaussian_noise", [0.1, 0.1234561, 0.1234562])
+
+    @pytest.mark.parametrize("preset", sorted(SWEEP_PRESETS))
+    def test_preset_output_directories_distinct(self, preset):
+        kind, severities = SWEEP_PRESETS[preset]
+        specs = severity_sweep(kind, preset)
+        assert len({severity_dirname(s.severity) for s in specs}) == len(severities)
+
     def test_composition_order_matters(self):
         img = _random_image(11)
         fog_spec = CorruptionSpec(kind="fog", severity=0.02)
@@ -324,7 +391,7 @@ class TestSweepBlocks:
             assert block.shape[0] * block[0].size <= _SWEEP_BLOCK_ELEMENTS
             for k, pixels in enumerate(block):
                 spec = CorruptionSpec(kind, specs[j + k].severity, seed=seed)
-                want = apply_corruption(images[i], spec).pixels
+                want = _reference_corruption(images[i], spec).pixels
                 assert pixels.tobytes() == want.tobytes()
                 seen.append((i, j + k))
         assert seen == [(i, j) for i in range(3) for j in range(5)]
@@ -376,6 +443,26 @@ class TestSpecValidation:
     def test_negative_severity(self):
         with pytest.raises(ValidationError):
             CorruptionSpec(kind="fog", severity=-0.1)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda img: apply_fog(img, None, -0.01),
+            lambda img: apply_fog(img, None, math.nan),
+            lambda img: apply_fog(img, None, 0.01, atmospheric_light=1.5),
+            lambda img: apply_gaussian_noise(img, math.inf),
+            lambda img: apply_white_box(img, 1.5),
+        ],
+    )
+    def test_single_image_functions_share_spec_checks(self, corrupt):
+        with pytest.raises(ValidationError, match="severity|white_box|atmospheric_light"):
+            corrupt(_random_image(12))
+
+    @pytest.mark.parametrize("kind", sorted(SWEEP_GRIDS))
+    def test_zero_severity_returns_equal_copy(self, kind):
+        img = _random_image(13)
+        out = apply_corruption(img, CorruptionSpec(kind, 0.0, seed=3))
+        assert out is not img and out.pixels.tobytes() == img.pixels.tobytes()
 
     def test_whitebox_fraction_cap(self):
         with pytest.raises(ValidationError):

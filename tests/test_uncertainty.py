@@ -59,6 +59,14 @@ class TestDirichletPdf:
         with pytest.raises(ValidationError):
             dirichlet_pdf(params, [-0.1, 1.1])
 
+    @pytest.mark.parametrize(
+        "row", [[0.9, 0.9], [-0.1, 1.1], [math.nan, 1.0], [0.0, math.inf], [0.5, 0.5 + 1e-8]]
+    )
+    def test_batch_rejects_rows_off_simplex(self, row):
+        params = DirichletParams(kappa=[2.0, 3.0])
+        with pytest.raises(ValidationError, match="row 1|finite"):
+            dirichlet_pdf_batch(params, np.array([[0.25, 0.75], row]))
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         params = DirichletParams(kappa=[1.5, 0.8, 3.0])
