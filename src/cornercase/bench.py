@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -146,41 +147,59 @@ def _integer(value, where: str) -> int:
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    raise ValidationError(f"{where}: expected an integer, got {value!r}")
 
 
 def _number(value, where: str) -> float:
-    """An int or a float, as a float; bools and strings are rejected."""
+    """An int or a float within the finite float range, as a float; bools,
+    strings, NaN and infinities are rejected. The range test is exact for
+    an int of any size, where float() or math.isfinite would overflow."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ValidationError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _boolean(value, where: str) -> bool:
     if isinstance(value, bool):
         return value
-    raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    raise ValidationError(f"{where}: expected true or false, got {value!r}")
+
+
+def _string(value, where: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValidationError(f"{where}: expected a string, got {value!r}")
+
+
+# how _from_keys reads a field it has no reader for, by the field's
+# annotation; annotations are postponed, so each is its source string
+_ANNOTATION_READERS = {
+    "int": _integer, "float": _number, "bool": _boolean, "str": _string,
+    "str | None": lambda v, w: None if v is None else _string(v, w),
+}
 
 
 def _from_keys(cls, data, where: str, readers: dict):
-    """cls built from the keys data holds, each passed through its reader
-    (if any); absent keys keep their dataclass defaults."""
+    """cls built from the keys data holds, each read by readers[key] or by
+    its field's annotation (other fields pass as they are); absent keys
+    keep their defaults. A fault raises ValidationError naming where."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: must be an object")
-    names = [f.name for f in fields(cls)]
+        raise ValidationError(f"{where}: must be an object")
+    types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in names:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        read = readers.get(key)
+        if key not in types:
+            raise ValidationError(f"{where}: unknown key {key!r}")
+        read = readers.get(key) or _ANNOTATION_READERS.get(types[key])
         kwargs[key] = read(value, f"{where}.{key}") if read else value
     for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING:
-            raise ConfigError(f"{where}: missing required field {f.name!r}")
+            raise ValidationError(f"{where}: missing required field {f.name!r}")
     try:
         return cls(**kwargs)
     except ValidationError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(data: dict, base_dir) -> BenchConfig:
@@ -195,39 +214,35 @@ def config_from_dict(data: dict, base_dir) -> BenchConfig:
             f"(this toolkit reads schema {SCHEMA_VERSION})"
         )
 
+    def path(value, where):
+        return str(base / _string(value, where))
+
     def optional_path(value, where):
-        return str(base / value) if value else None
+        return None if value in (None, "") else path(value, where)
 
     def manifest(value, where):
-        return _from_keys(
-            DatasetManifest, value, where, {"path": lambda v, w: str(base / v)}
-        )
+        return _from_keys(DatasetManifest, value, where, {"path": path})
 
     sweep_readers = {
         "grid": lambda v, w: tuple(_number(x, f"{w}[{i}]") for i, x in enumerate(v or ())),
-        "encoder_grid": _integer,
         "images": optional_path,
         "depth": optional_path,
-        "atmospheric_light": _number,
-        "severity_embeddings": lambda v, w: tuple(str(base / p) for p in v or ()),
+        "severity_embeddings": lambda v, w: tuple(
+            path(p, f"{w}[{i}]") for i, p in enumerate(v or ())
+        ),
     }
     readers = {
-        "seed": _integer,
         "id_train": manifest,
         "id_test": manifest,
         "ood_sets": lambda v, w: tuple(manifest(m, f"{w}[{i}]") for i, m in enumerate(v)),
-        "gmm_components": _integer,
-        "gmm_bic": _boolean,
-        "knn_k": _integer,
-        "max_iters": _integer,
-        "tol": _number,
-        "tpr_target": _number,
         "sweep": lambda v, w: None if v is None else _from_keys(SweepSettings, v, w, sweep_readers),
     }
     try:
         return _from_keys(
             BenchConfig, {k: v for k, v in data.items() if k != "schema"}, "config", readers
         )
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -236,7 +251,7 @@ def load_config(path) -> BenchConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -675,51 +690,31 @@ def report_to_dict(report: BenchReport) -> dict:
     }
 
 
-# report.json fields that rendering uses as they are; a bool is not a number here
-_REPORT_FIELD_TYPES = {
-    "method": str, "dataset": str, "metric": str, "kind": str, "n": int
-}
-_REPORT_NUMBER_FIELDS = (
-    "severity", "fpr_at_95", "auroc", "aupr_in", "aupr_out", "coefficient", "p_value"
-)
-
-
-def _typed(key: str, value, types):
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise FormatError(f"report field {key!r} has the wrong type: {value!r}")
-    return value
-
-
 def report_from_dict(data: dict) -> BenchReport:
-    """Rebuild a report_to_dict result; a mistyped field raises FormatError."""
+    """Rebuild a report_to_dict result; a mistyped field or an unknown key
+    raises FormatError. A record of rows, sweep_rows or correlations is
+    its key columns, each read by its reader, and the fields of a cls."""
 
-    def keyed(records, cls, *keys) -> tuple:
-        """(record[key]..., cls built from the remaining fields) per record."""
-        for r in records:
-            for k, types in _REPORT_FIELD_TYPES.items():
-                if k in r:
-                    _typed(k, r[k], types)
-            for k in _REPORT_NUMBER_FIELDS:
-                if k in r:
-                    _typed(k, r[k], (int, float))
-        return tuple(
-            (*(r[k] for k in keys), cls(**{k: v for k, v in r.items() if k not in keys}))
-            for r in records
-        )
+    def records(cls, **key_readers):
+        def read_one(r, at):
+            keys = [read(r[k], f"{at}.{k}") for k, read in key_readers.items()]
+            rest = {k: v for k, v in r.items() if k not in key_readers}
+            return (*keys, _from_keys(cls, rest, at, {}))
 
-    sweep_meta = {k: _typed(k, data.get(k), (str, type(None))) for k in _SWEEP_META}
-    return BenchReport(
-        rows=keyed(data["rows"], DetectionReport, "method", "dataset"),
-        sweep_rows=keyed(data.get("sweep_rows", ()), DetectionReport, "severity"),
-        correlations=keyed(data.get("correlations", ()), CorrelationResult, "metric"),
-        provenance=tuple(
-            sorted(
-                (k, _typed(f"provenance {k}", v, str))
-                for k, v in data.get("provenance", {}).items()
-            )
+        return lambda v, w: tuple(read_one(r, f"{w}[{i}]") for i, r in enumerate(v))
+
+    readers = {
+        "rows": records(DetectionReport, method=_string, dataset=_string),
+        "sweep_rows": records(DetectionReport, severity=_number),
+        "correlations": records(CorrelationResult, metric=_string),
+        "provenance": lambda v, w: tuple(
+            sorted((k, _string(s, f"{w}.{k}")) for k, s in v.items())
         ),
-        **sweep_meta,
-    )
+    }
+    try:
+        return _from_keys(BenchReport, data, "report", readers)
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def save_report_json(report: BenchReport, path) -> None:

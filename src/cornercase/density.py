@@ -23,20 +23,25 @@ differences; see _log_gaussian_matrix and _m_step.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSet
+from .embeddings import EmbeddingSet, read_container, write_container
 from .errors import FitError, FormatError, ValidationError
 from .images import _frozen_array
 
 MODEL_MAGIC = b"CCMDL1"
-MODEL_VERSION = 1
 _KIND_GMM = 0
 _KIND_KNN = 1
+# per model kind, the container header (the kind byte, then components,
+# dim, trained_on, seed for a gmm and dim, k, count for a knn index) and
+# the f64 payload size it implies
+_MODEL_LAYOUTS = {
+    _KIND_GMM: ("BIIQq", lambda _, k, dim, *__: 8 * (k + 2 * k * dim)),
+    _KIND_KNN: ("BIIQ", lambda _, dim, k, count: 8 * dim * count),
+}
 
 VARIANCE_FLOOR = 1e-6
 
@@ -75,6 +80,8 @@ class GmmModel:
         k = weights.size
         if means.ndim != 2 or means.shape[0] != k or variances.shape != means.shape:
             raise ValidationError("weights, means and variances shapes disagree")
+        if means.shape[1] < 1:
+            raise ValidationError("mixture dimension must be positive")
         if not all(np.isfinite(a).all() for a in (weights, means, variances)):
             raise ValidationError("weights, means and variances must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
@@ -105,8 +112,8 @@ class KnnIndex:
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
-        if points.ndim != 2 or points.shape[0] < 1:
-            raise ValidationError("index points must form a non-empty (n, dim) array")
+        if points.ndim != 2 or min(points.shape) < 1:
+            raise ValidationError("index points must form an (n, dim) array with n, dim >= 1")
         if not np.isfinite(points).all():
             raise ValidationError("index points must be finite")
         if self.k < 1:
@@ -494,62 +501,32 @@ def score_set(model, es: EmbeddingSet) -> np.ndarray:
 
 def persist_model(model, path) -> None:
     """Write a fitted model as a self-describing little-endian file."""
-    parts = [MODEL_MAGIC, struct.pack("<H", MODEL_VERSION)]
     if isinstance(model, GmmModel):
-        parts.append(struct.pack("<B", _KIND_GMM))
-        parts.append(
-            struct.pack("<IIQq", model.components, model.dim, model.trained_on, model.seed)
-        )
-        parts.append(model.weights.astype("<f8").tobytes())
-        parts.append(model.means.astype("<f8").tobytes())
-        parts.append(model.variances.astype("<f8").tobytes())
+        header = (_KIND_GMM, model.components, model.dim, model.trained_on, model.seed)
+        arrays = (model.weights, model.means, model.variances)
     elif isinstance(model, KnnIndex):
-        parts.append(struct.pack("<B", _KIND_KNN))
-        parts.append(struct.pack("<IIQ", model.dim, model.k, model.count))
-        parts.append(model.points.astype("<f8").tobytes())
+        header = (_KIND_KNN, model.dim, model.k, model.count)
+        arrays = (model.points,)
     else:
         raise ValidationError(f"cannot persist model of type {type(model).__name__}")
-    Path(path).write_bytes(b"".join(parts))
+    payload = [a.astype("<f8").tobytes() for a in arrays]
+    write_container(path, MODEL_MAGIC, _MODEL_LAYOUTS[header[0]][0], header, payload)
 
 
 def restore_model(path):
     """Reconstruct a model written by persist_model."""
     data = Path(path).read_bytes()
-    if data[:6] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic bytes, not a model file")
-    if len(data) < 9:
-        raise FormatError(f"{path}: truncated model header")
-    (version,) = struct.unpack_from("<H", data, 6)
-    if version != MODEL_VERSION:
-        raise FormatError(
-            f"{path}: file version {version}, supported version {MODEL_VERSION}"
-        )
-    kind = data[8]
-    pos = 9
-    if kind == _KIND_GMM:
-        if len(data) < pos + 24:
-            raise FormatError(f"{path}: truncated model payload")
-        k, dim, trained_on, seed = struct.unpack_from("<IIQq", data, pos)
-        pos += 24
-        expect = pos + 8 * (k + 2 * k * dim)
-        if len(data) < expect:
-            raise FormatError(f"{path}: truncated model payload")
-        weights = np.frombuffer(data, dtype="<f8", count=k, offset=pos)
-        pos += 8 * k
-        means = np.frombuffer(data, dtype="<f8", count=k * dim, offset=pos).reshape(k, dim)
-        pos += 8 * k * dim
-        variances = np.frombuffer(data, dtype="<f8", count=k * dim, offset=pos).reshape(k, dim)
-        return GmmModel(
-            weights=weights, means=means, variances=variances,
-            trained_on=trained_on, seed=seed,
-        )
+    (kind,), _ = read_container(path, data, MODEL_MAGIC, "model", "B")
+    if kind not in _MODEL_LAYOUTS:
+        raise FormatError(f"{path}: unknown model kind {kind}")
+    (_, *header), pos = read_container(path, data, MODEL_MAGIC, "model", *_MODEL_LAYOUTS[kind])
+    values = np.frombuffer(data, dtype="<f8", offset=pos)
     if kind == _KIND_KNN:
-        if len(data) < pos + 16:
-            raise FormatError(f"{path}: truncated model payload")
-        dim, k, count = struct.unpack_from("<IIQ", data, pos)
-        pos += 16
-        if len(data) < pos + 8 * count * dim:
-            raise FormatError(f"{path}: truncated model payload")
-        points = np.frombuffer(data, dtype="<f8", count=count * dim, offset=pos)
-        return KnnIndex(k=k, points=points.reshape(count, dim))
-    raise FormatError(f"{path}: unknown model kind {kind}")
+        dim, k, count = header
+        return KnnIndex(k=k, points=values.reshape(count, dim))
+    k, dim, trained_on, seed = header
+    weights, means, variances = np.split(values, [k, k + k * dim])
+    return GmmModel(
+        weights=weights, means=means.reshape(k, dim), variances=variances.reshape(k, dim),
+        trained_on=trained_on, seed=seed,
+    )

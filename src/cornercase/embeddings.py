@@ -20,9 +20,9 @@ from .errors import FormatError, ValidationError
 from .images import ImageBuffer, _frozen_array
 
 EMBED_MAGIC = b"CCEMB1"
-EMBED_VERSION = 1
 FMAP_MAGIC = b"CCFMP1"
-FMAP_VERSION = 1
+# the one version of every binary container (CCEMB1, CCFMP1, CCMDL1)
+CONTAINER_VERSION = 1
 
 MANIFEST_ROLES = ("id_train", "id_test", "ood")
 
@@ -180,8 +180,58 @@ def toy_encode(images, grid: int = 4) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# embedding file formats
+# file encodings (JSON lines, binary containers) and the embedding formats
 # ---------------------------------------------------------------------------
+
+
+def json_lines(path, what: str):
+    """(line number, object) per non-blank line of a UTF-8 JSON-lines file
+    of `what` records; a non-UTF-8 file or a line that is not a JSON object
+    raises FormatError. Every JSON number parses as a float, so an integer
+    too large for one is inf and fails the caller's finiteness check."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line, parse_int=float)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{path}:{lineno}: bad {what} record ({exc})") from exc
+                if not isinstance(obj, dict):
+                    raise FormatError(f"{path}:{lineno}: {what} record is not a JSON object")
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {what} file is not UTF-8 ({exc})") from exc
+
+
+def write_container(path, magic: bytes, header: str, values, payload) -> None:
+    """Write a binary container: the 6 magic bytes, a u16 version, the
+    header values packed by the little-endian struct format `header`,
+    then the payload parts."""
+    head = magic + struct.pack("<H" + header, CONTAINER_VERSION, *values)
+    Path(path).write_bytes(b"".join([head, *payload]))
+
+
+def read_container(path, data: bytes, magic: bytes, what: str, header: str, payload_size=None):
+    """(header values, payload offset) of `data`, the bytes of the container
+    file at path. A bad magic, version or header raises FormatError, as
+    does a payload of other than payload_size(*values) bytes; a caller
+    that finds the payload's end by parsing it passes None and checks it."""
+    if data[:6] != magic:
+        raise FormatError(f"{path}: bad magic bytes, not a {what} file")
+    end = 8 + struct.calcsize("<" + header)
+    if len(data) < end:
+        raise FormatError(f"{path}: truncated {what} header")
+    version, *values = struct.unpack_from("<H" + header, data, 6)
+    if version != CONTAINER_VERSION:
+        raise FormatError(f"{path}: file version {version}, supported version {CONTAINER_VERSION}")
+    if payload_size is not None and len(data) - end != payload_size(*values):
+        raise FormatError(
+            f"{path}: {what} payload has {len(data) - end} bytes, "
+            f"expected {payload_size(*values)}"
+        )
+    return values, end
 
 
 def _format_real(v: float) -> str:
@@ -199,7 +249,7 @@ def save_embeddings(es: EmbeddingSet, path, fmt: str = "binary") -> None:
             lines.append(f'{{"id": {json.dumps(ident)}, "vec": [{vec}]}}\n')
         path.write_text("".join(lines), encoding="utf-8")
     elif fmt == "binary":
-        parts = [EMBED_MAGIC, struct.pack("<HIQ", EMBED_VERSION, es.dim, len(es))]
+        parts = []
         for ident, row in rows:
             encoded = ident.encode("utf-8")
             if len(encoded) > 0xFFFF:
@@ -207,7 +257,7 @@ def save_embeddings(es: EmbeddingSet, path, fmt: str = "binary") -> None:
             parts.append(struct.pack("<H", len(encoded)))
             parts.append(encoded)
             parts.append(row.astype("<f4").tobytes())
-        path.write_bytes(b"".join(parts))
+        write_container(path, EMBED_MAGIC, "IQ", (es.dim, len(es)), parts)
     else:
         raise ValidationError(f"unknown embedding format {fmt!r}")
 
@@ -222,41 +272,34 @@ def _checked_set(path: Path, ids, rows) -> EmbeddingSet:
 
 def _load_embeddings_text(path: Path) -> EmbeddingSet:
     ids, rows = [], []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ident, values = obj["id"], np.array(obj["vec"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad embedding record ({exc})") from exc
-            if not isinstance(ident, str) or values.ndim != 1 or not values.size:
-                raise FormatError(f"{path}:{lineno}: bad embedding record")
-            if rows and values.size != rows[0].size:
-                raise FormatError(
-                    f"{path}:{lineno}: record {ident!r} has dim {values.size}, "
-                    f"expected {rows[0].size}"
-                )
-            ids.append(ident)
-            rows.append(values)
+    for lineno, obj in json_lines(path, "embedding"):
+        try:
+            ident, values = obj["id"], np.array(obj["vec"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: bad embedding record ({exc})") from exc
+        if not isinstance(ident, str) or values.ndim != 1 or not values.size:
+            raise FormatError(f"{path}:{lineno}: bad embedding record")
+        if rows and values.size != rows[0].size:
+            raise FormatError(
+                f"{path}:{lineno}: record {ident!r} has dim {values.size}, "
+                f"expected {rows[0].size}"
+            )
+        ids.append(ident)
+        rows.append(values)
     return _checked_set(path, ids, rows)
 
 
-def _load_embeddings_binary(path: Path) -> EmbeddingSet:
+def load_embeddings(path) -> EmbeddingSet:
+    """Load an embedding set: the binary container if the file starts with
+    EMBED_MAGIC, JSON-lines text otherwise."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        binary = fh.read(6) == EMBED_MAGIC
+    if not binary:
+        return _load_embeddings_text(path)
     data = path.read_bytes()
-    if data[:6] != EMBED_MAGIC:
-        raise FormatError(f"{path}: bad magic bytes, not an embedding file")
-    if len(data) < 6 + 14:
-        raise FormatError(f"{path}: truncated embedding header")
-    version, dim, count = struct.unpack_from("<HIQ", data, 6)
-    if version != EMBED_VERSION:
-        raise FormatError(
-            f"{path}: file version {version}, supported version {EMBED_VERSION}"
-        )
-    pos = 6 + 14
-    ids, payloads = [], []
+    (dim, count), pos = read_container(path, data, EMBED_MAGIC, "embedding", "IQ")
+    ids, starts = [], []
     for _ in range(count):
         if pos + 2 > len(data):
             raise FormatError(f"{path}: truncated record header")
@@ -269,23 +312,15 @@ def _load_embeddings_binary(path: Path) -> EmbeddingSet:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: record {len(ids)} id is not UTF-8 ({exc})") from exc
         pos += id_len
-        payloads.append(data[pos : pos + 4 * dim])
+        starts.append(pos)
         pos += 4 * dim
-    rows = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(len(ids), dim)
-    return _checked_set(path, ids, rows)
-
-
-def load_embeddings(path, fmt: str | None = None) -> EmbeddingSet:
-    """Load an embedding set; fmt None sniffs binary magic vs text."""
-    path = Path(path)
-    if fmt is None:
-        with path.open("rb") as fh:
-            fmt = "binary" if fh.read(6) == EMBED_MAGIC else "text"
-    if fmt == "text":
-        return _load_embeddings_text(path)
-    if fmt == "binary":
-        return _load_embeddings_binary(path)
-    raise ValidationError(f"unknown embedding format {fmt!r}")
+    if pos != len(data):
+        raise FormatError(f"{path}: {len(data) - pos} bytes after the last record")
+    if not ids:
+        return _checked_set(path, ids, ())
+    # each record's row, gathered in one copy from the 4 * dim byte windows of data
+    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)
+    return _checked_set(path, ids, windows[starts].view("<f4"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +330,13 @@ def load_embeddings(path, fmt: str | None = None) -> EmbeddingSet:
 
 def save_feature_map(fm: FeatureMap, path) -> None:
     """Write a feature map as a little-endian f32 tensor container."""
-    header = FMAP_MAGIC + struct.pack(
-        "<HIII", FMAP_VERSION, fm.channels, fm.height, fm.width
-    )
-    Path(path).write_bytes(header + fm.data.astype("<f4").tobytes())
+    write_container(path, FMAP_MAGIC, "III", fm.data.shape, [fm.data.astype("<f4").tobytes()])
 
 
 def load_feature_map(path) -> FeatureMap:
     data = Path(path).read_bytes()
-    if data[:6] != FMAP_MAGIC:
-        raise FormatError(f"{path}: bad magic bytes, not a feature-map file")
-    if len(data) < 6 + 14:
-        raise FormatError(f"{path}: truncated feature-map header")
-    version, channels, height, width = struct.unpack_from("<HIII", data, 6)
-    if version != FMAP_VERSION:
-        raise FormatError(
-            f"{path}: file version {version}, supported version {FMAP_VERSION}"
-        )
-    expect = channels * height * width
-    if len(data) - 20 != 4 * expect:
-        raise FormatError(f"{path}: payload has {len(data) - 20} bytes, expected {4 * expect}")
-    values = np.frombuffer(data, dtype="<f4", offset=20)
-    return FeatureMap(data=values.astype(float).reshape(channels, height, width))
+    shape, pos = read_container(
+        path, data, FMAP_MAGIC, "feature-map", "III", lambda c, h, w: 4 * c * h * w
+    )
+    values = np.frombuffer(data, dtype="<f4", offset=pos)
+    return FeatureMap(data=values.astype(float).reshape(shape))

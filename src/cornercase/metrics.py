@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .embeddings import json_lines
 from .errors import FormatError, ValidationError
 from .images import _frozen_array, read_png
 from .stats import _tie_ends, midranks
@@ -235,22 +236,13 @@ def save_scores(path, ids, scores, label: str) -> None:
 def load_score_lines(path) -> list[tuple[str, float, str]]:
     """Read (id, score, label) triples from a JSON-lines score file: id a
     string, score a finite JSON number (not a bool), label 'id' or 'ood'."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: score file is not UTF-8 ({exc})") from exc
     out = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, obj in json_lines(path, "score"):
         try:
-            # every JSON number becomes a float (an integer too large is
-            # inf); true and false stay bools, so they fail the check below
-            obj = json.loads(line, parse_int=float)
             ident, score, label = obj["id"], obj["score"], obj["label"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise FormatError(f"{path}:{lineno}: bad score record ({exc})") from exc
+        # every JSON number reads as a float; true and false stay bools
         if not isinstance(ident, str):
             raise FormatError(f"{path}:{lineno}: id must be a string, got {ident!r}")
         if not isinstance(score, float):

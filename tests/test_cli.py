@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cornercase.cli import main
+from cornercase.density import MODEL_MAGIC
 from cornercase.embeddings import EMBED_MAGIC, FMAP_MAGIC, EmbeddingSet, save_embeddings
 from cornercase.images import write_png
 from cornercase.synthetic import WHITEBOX_FAMILY, write_scene_set
@@ -163,6 +164,28 @@ def _score_maps_argv(tmp_path, name, blob):
     (tmp_path / "maps").mkdir()
     (tmp_path / "maps" / name).write_bytes(blob)
     return ["score", "--maps", str(tmp_path / "maps"), "--out", str(tmp_path / "s.jsonl")]
+
+
+def _fit_knn_argv(tmp_path, name, blob):
+    return ["fit-knn", *_fit_gmm_argv(tmp_path, name, blob)[1:], "--k", "1"]
+
+
+def _score_model_argv(tmp_path, blob, n=3):
+    (tmp_path / "m.ccmdl").write_bytes(blob)
+    _write_embeddings(tmp_path / "e.ccemb", n=n, dim=1 if n else 0)
+    return ["score", "--model", str(tmp_path / "m.ccmdl"), "--embeddings",
+            str(tmp_path / "e.ccemb"), "--out", str(tmp_path / "s.jsonl")]
+
+
+def _config_bytes_argv(tmp_path, blob):
+    (tmp_path / "c.json").write_bytes(blob)
+    return ["bench", "--config", str(tmp_path / "c.json")]
+
+
+# what follows the magic in a one-record CCEMB1 file (dim 1, id "a"), and a
+# one-point CCMDL1 knn index (dim 1, k 1)
+_CCEMB1_BODY = struct.pack("<HIQ", 1, 1, 1) + struct.pack("<H", 1) + b"a" + struct.pack("<f", 1.0)
+_CCMDL1_KNN = MODEL_MAGIC + struct.pack("<HBIIQ", 1, 1, 1, 1, 1) + struct.pack("<d", 0.0)
 
 
 def _bench_argv(tmp_path, sweep, **fields):
@@ -426,6 +449,54 @@ MALFORMED_INPUTS = {
     ),
     "report.json with a list provenance value": (
         _report_with(None, fmt="csv", provenance={"seed": [1]}),
+        3,
+    ),
+    "config with a numeric manifest name": (
+        lambda t: _bench_argv(t, None, ood_sets=[{"name": 5, "role": "ood", "path": "x.ccemb"}]),
+        2,
+    ),
+    "config tol as an integer too large for a float": (
+        lambda t: _bench_argv(t, None, tol=10**400),
+        2,
+    ),
+    "config tol NaN": (
+        lambda t: _bench_argv(t, None, tol=float("nan")),
+        2,
+    ),
+    "config tol Infinity": (
+        lambda t: _bench_argv(t, None, tol=float("inf")),
+        2,
+    ),
+    "config that is not UTF-8": (
+        lambda t: _config_bytes_argv(t, b'{"schema": 1, "seed": 0, "methods": ["\xff"]}'),
+        2,
+    ),
+    "text embedding id that is not UTF-8": (
+        lambda t: _fit_gmm_argv(t, "e.jsonl", b'{"id": "\xff", "vec": [1.0]}\n'),
+        3,
+    ),
+    "binary embedding with a damaged magic": (
+        lambda t: _fit_gmm_argv(t, "e.ccemb", b"CCEMBX" + _CCEMB1_BODY),
+        3,
+    ),
+    "text embedding with an integer too large for a float": (
+        lambda t: _fit_gmm_argv(t, "e.jsonl", b'{"id": "a", "vec": [1' + b"0" * 400 + b"]}\n"),
+        3,
+    ),
+    "report.json with an unknown top-level key": (
+        _report_with(None, notes="x"),
+        3,
+    ),
+    "binary embedding with trailing bytes": (
+        lambda t: _fit_knn_argv(t, "e.ccemb", EMBED_MAGIC + _CCEMB1_BODY + b"\x00"),
+        3,
+    ),
+    "model file with trailing bytes": (
+        lambda t: _score_model_argv(t, _CCMDL1_KNN + b"\x00"),
+        3,
+    ),
+    "knn model of dimension 0, scoring an empty embedding set": (
+        lambda t: _score_model_argv(t, MODEL_MAGIC + struct.pack("<HBIIQ", 1, 1, 0, 1, 5), n=0),
         3,
     ),
     "non-numeric sweep --grid": (

@@ -9,6 +9,7 @@ import pytest
 
 from cornercase.density import (
     _BLOCK_ELEMENTS,
+    MODEL_MAGIC,
     VARIANCE_FLOOR,
     GmmModel,
     KnnIndex,
@@ -558,6 +559,19 @@ class TestPersistence:
         blob[offset : offset + 8] = struct.pack("<d", math.nan)
         path.write_bytes(bytes(blob))
         with pytest.raises(ValidationError, match="finite"):
+            restore_model(path)
+
+
+    def test_dimension_zero_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="dimension"):
+            GmmModel(weights=[1.0], means=np.zeros((1, 0)), variances=np.ones((1, 0)),
+                     trained_on=5, seed=0)
+        with pytest.raises(ValidationError):
+            KnnIndex(k=1, points=np.zeros((5, 0)))
+        # a knn header of dim 0 and count 5 implies an empty payload
+        path = tmp_path / "k.ccmdl"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<HBIIQ", 1, 1, 0, 1, 5))
+        with pytest.raises(ValidationError):
             restore_model(path)
 
 

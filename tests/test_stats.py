@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cornercase.embeddings import EmbeddingSet
 from cornercase.errors import DegenerateInputError, ValidationError
 from cornercase.stats import (
+    _betacf,
     _tie_ends,
     corr_p_value,
     export_pca_coords,
@@ -77,6 +78,43 @@ def midranks_loop_reference(values) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def betacf_reference(a: float, b: float, x: float) -> float:
+    """The Lentz loop with its two half-steps written out, which _betacf
+    must equal bit for bit."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-14:
+            return h
+    return h
 
 
 # seeded draws of n values: no ties, five levels, signed zeros among
@@ -220,6 +258,14 @@ class TestIncompleteBeta:
             lhs = regularized_incomplete_beta(a, b, x)
             rhs = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    # a and b as corr_p_value passes them (df/2, 1/2) and others, x over
+    # (0, 1) including values past the series' switch-over point
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 11.5, 100.0, 4000.0])
+    @pytest.mark.parametrize("b", [0.5, 1.0, 3.0, 60.0])
+    def test_betacf_equals_reference(self, a, b):
+        for x in np.linspace(0.0, 1.0, 41)[1:-1].tolist() + [1e-12, 1 - 1e-12]:
+            assert _betacf(a, b, x) == betacf_reference(a, b, x)
 
     def test_uniform_special_case(self):
         # I_x(1, 1) = x
