@@ -30,7 +30,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, read_container, write_container
 from .errors import FitError, FormatError, ValidationError
-from .images import _frozen_array
+from .images import MAX_MAGNITUDE, _frozen_array, _in_envelope
 
 MODEL_MAGIC = b"CCMDL1"
 _KIND_GMM = 0
@@ -84,8 +84,11 @@ class GmmModel:
             raise ValidationError("mixture dimension must be positive")
         if not all(np.isfinite(a).all() for a in (weights, means, variances)):
             raise ValidationError("weights, means and variances must be finite")
+        if not _in_envelope(means):
+            raise ValidationError(f"mixture means must lie below {MAX_MAGNITUDE:g} in magnitude")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValidationError("mixture weights must be non-negative and sum to 1")
+        # the floor also keeps every 1/variance at most 1e6, so no reciprocal overflows
         if np.any(variances < VARIANCE_FLOOR * (1 - 1e-12)):
             raise ValidationError(f"variances must respect the {VARIANCE_FLOOR} floor")
         object.__setattr__(self, "weights", _frozen_array(weights))
@@ -114,6 +117,9 @@ class KnnIndex:
         points = np.asarray(self.points, dtype=float)
         if points.ndim != 2 or min(points.shape) < 1:
             raise ValidationError("index points must form an (n, dim) array with n, dim >= 1")
+        # any finite point is admitted, beyond MAX_MAGNITUDE too: where
+        # squared norms overflow, the query falls back to explicit
+        # differences (knn_kth_sqdist), and overflowing distances read inf
         if not np.isfinite(points).all():
             raise ValidationError("index points must be finite")
         if self.k < 1:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .images import ImageBuffer, _frozen_array
+from .images import MAX_MAGNITUDE, ImageBuffer, _frozen_array, _in_envelope
 
 EMBED_MAGIC = b"CCEMB1"
 FMAP_MAGIC = b"CCFMP1"
@@ -88,10 +88,11 @@ class EmbeddingSet:
             if ident in seen:
                 raise ValidationError(f"duplicate embedding id {ident!r}")
             seen.add(ident)
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            bad = ids[int(np.argmin(finite))]
-            raise ValidationError(f"embedding {bad!r} contains non-finite values")
+        if not _in_envelope(matrix):
+            bad = ids[int(np.argmin(np.abs(matrix).max(axis=1) < MAX_MAGNITUDE))]
+            raise ValidationError(
+                f"embedding {bad!r} is not finite or reaches {MAX_MAGNITUDE:g} in magnitude"
+            )
         matrix.flags.writeable = False
         self._ids = ids
         self._matrix = matrix

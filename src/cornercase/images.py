@@ -40,6 +40,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+# Largest magnitude an embedding value or a mixture mean may take. Its
+# square times any dimension below 1e8 stays under the float64 maximum
+# (1.8e308), so the squared distances, variances and Gram products that
+# the fits, scorers and PCA form from such values stay finite.
+MAX_MAGNITUDE = 1e150
+
+
+def _in_envelope(arr: np.ndarray) -> bool:
+    """True when every value is finite and below MAX_MAGNITUDE in
+    magnitude: two reductions, no temporaries (NaN fails both tests)."""
+    return arr.size == 0 or bool(-MAX_MAGNITUDE < arr.min() and arr.max() < MAX_MAGNITUDE)
+
+
 @dataclass(frozen=True)
 class ImageBuffer:
     """Normalized RGB image: pixels is (H, W, 3) float64 in [0, 1]."""

@@ -6,6 +6,14 @@ threshold retaining 95% ID TPR; AUPR-IN treats ID as positive and
 AUPR-OUT treats OOD as positive with negated scores. AUROC gives half
 credit to ties and PR curves group tied scores at a single threshold,
 so no metric depends on input order. All results are percentages.
+
+Pixel AP over 16-bit uncertainty maps (every valid score k/65535 for
+an integer k in 0..65535) is computed from value counts: an exact grid
+test and np.bincount over 65536 values, block by block, replace the sort
+over pooled pixels, so no temporary grows with the pixel count. Any
+other float map (CCFMP1 feature-map scores, negated or rescaled scores)
+takes the sort path. Both paths feed one counting kernel the same
+integers, so they give identical results.
 """
 
 from __future__ import annotations
@@ -21,6 +29,10 @@ from .embeddings import json_lines
 from .errors import FormatError, ValidationError
 from .images import _frozen_array, read_png
 from .stats import _tie_ends, midranks
+from .uncertainty import _SIXTEEN_BIT_MAX
+
+# pixels per block of the 16-bit count path (1 MiB of float64)
+_COUNT_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -111,8 +123,8 @@ def calibrate_threshold(id_scores, tpr_target: float = 0.95) -> float:
         raise ValidationError("scores must be finite")
     if not 0.0 < tpr_target <= 1.0:
         raise ValidationError(f"tpr_target must lie in (0, 1], got {tpr_target}")
-    keep = math.ceil(tpr_target * scores.size)
-    return float(np.sort(scores)[scores.size - keep])
+    kth = scores.size - math.ceil(tpr_target * scores.size)
+    return float(np.partition(scores, kth)[kth])
 
 
 def fpr_at_tpr(s: LabeledScores, tpr_target: float = 0.95) -> float:
@@ -129,19 +141,27 @@ def apply_threshold(score: float, lam: float) -> str:
     return "ID" if score >= lam else "OOD"
 
 
-def _average_precision(scores: np.ndarray, positive: np.ndarray) -> float:
+def _ap_from_counts(pos: np.ndarray, total: np.ndarray) -> float:
     """AP = sum over descending-threshold groups of (R_n - R_{n-1}) * P_n.
 
-    Tied scores are grouped at a single threshold. The terms are added
+    pos and total count the positives and all scores of each group of
+    tied scores, groups in descending score order. The terms are added
     one at a time in threshold order; np.sum would add them pairwise and
     change the last bits.
     """
+    tp = np.cumsum(pos)
+    recall = tp / tp[-1]
+    precision = tp / np.cumsum(total)
+    return float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
+
+
+def _average_precision(scores: np.ndarray, positive: np.ndarray) -> float:
+    """AP with tied scores grouped at a single threshold, group counts
+    taken from a sort of all scores."""
     order = np.argsort(-scores, kind="stable")
     ends = _tie_ends(scores[order])
     tp = np.searchsorted(np.flatnonzero(positive[order]), ends)
-    recall = tp / int(positive.sum())
-    precision = tp / ends
-    return float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
+    return _ap_from_counts(np.diff(tp, prepend=0), np.diff(ends, prepend=0))
 
 
 def aupr(s: LabeledScores, positive: str = "in") -> float:
@@ -183,12 +203,55 @@ def _pixel_arrays(m: PixelScoreMap) -> tuple[np.ndarray, np.ndarray]:
     return m.scores.ravel()[valid], m.ground_truth.ravel()[valid]
 
 
+def _grid_counts(m: PixelScoreMap):
+    """(positive, total) counts per distinct valid score, highest first,
+    when every valid score is k/65535 for an integer k in 0..65535; else
+    None.
+
+    k -> k/65535 is strictly increasing, so nonzero bins in descending k
+    are the tie groups in descending score order. The map is read in
+    blocks of _COUNT_BLOCK pixels, so no temporary grows with the map.
+    """
+    scores, truth, valid = m.scores.ravel(), m.ground_truth.ravel(), m.valid_mask.ravel()
+    counts = np.zeros(2 * (_SIXTEEN_BIT_MAX + 1), dtype=np.intp)
+    for start in range(0, scores.size, _COUNT_BLOCK):
+        ok = valid[start : start + _COUNT_BLOCK]
+        s = scores[start : start + _COUNT_BLOCK][ok]
+        if not s.size:
+            continue
+        k = s * _SIXTEEN_BIT_MAX
+        np.rint(k, out=k)
+        if not (k.min() >= 0 and k.max() <= _SIXTEEN_BIT_MAX):
+            return None
+        index = k.astype(np.intp)
+        k /= _SIXTEEN_BIT_MAX
+        if not np.array_equal(k, s):
+            return None
+        # bin 2k counts the negatives at k, bin 2k + 1 the positives
+        index <<= 1
+        index += truth[start : start + _COUNT_BLOCK][ok]
+        counts += np.bincount(index, minlength=counts.size)
+    counts = counts.reshape(-1, 2)
+    total = counts.sum(axis=1)
+    groups = np.flatnonzero(total)[::-1]
+    return counts[groups, 1], total[groups]
+
+
 def pixel_average_precision(m: PixelScoreMap) -> float:
-    """AP (%) over valid pixels with anomaly pixels as positives."""
-    scores, positives = _pixel_arrays(m)
-    if not positives.any():
-        raise ValidationError("pixel map has no valid positive pixel")
-    return 100.0 * _average_precision(scores, positives)
+    """AP (%) over valid pixels with anomaly pixels as positives.
+
+    Scores on the 16-bit grid are counted per value; others are sorted.
+    """
+    counts = _grid_counts(m)
+    if counts is not None:
+        pos, total = counts
+        if pos.any():
+            return 100.0 * _ap_from_counts(pos, total)
+    else:
+        scores, positives = _pixel_arrays(m)
+        if positives.any():
+            return 100.0 * _average_precision(scores, positives)
+    raise ValidationError("pixel map has no valid positive pixel")
 
 
 def pixel_fpr_at_tpr(m: PixelScoreMap, tpr_target: float = 0.95) -> float:

@@ -19,6 +19,8 @@ from .errors import FormatError, ValidationError
 from .images import _frozen_array, read_png
 
 SIMPLEX_TOL = 1e-9
+# a 16-bit uncertainty map holds value / _SIXTEEN_BIT_MAX
+_SIXTEEN_BIT_MAX = 65535
 
 
 @dataclass(frozen=True)
@@ -140,4 +142,4 @@ def load_uncertainty_map(path) -> UncertaintyMap:
     arr = read_png(path)
     if arr.ndim != 2 or arr.dtype != np.uint16:
         raise FormatError(f"{path}: expected a 16-bit single-channel PNG")
-    return UncertaintyMap(values=arr.astype(float) / 65535.0)
+    return UncertaintyMap(values=arr.astype(float) / _SIXTEEN_BIT_MAX)

@@ -177,6 +177,20 @@ def _score_model_argv(tmp_path, blob, n=3):
             str(tmp_path / "e.ccemb"), "--out", str(tmp_path / "s.jsonl")]
 
 
+# 60 rows of 4-column text embeddings scaled to about 1e200: finite, but
+# their squares overflow
+_HUGE_TEXT_EMBEDDINGS = b"".join(
+    json.dumps({"id": f"r{i}", "vec": row}).encode() + b"\n"
+    for i, row in enumerate((1e200 * np.random.default_rng(0).normal(size=(60, 4))).tolist())
+)
+
+
+def _pca_argv(tmp_path, name, blob):
+    (tmp_path / name).write_bytes(blob)
+    return ["pca", "--embeddings", f"a={tmp_path / name}", "--k", "2",
+            "--out", str(tmp_path / "p.jsonl")]
+
+
 def _config_bytes_argv(tmp_path, blob):
     (tmp_path / "c.json").write_bytes(blob)
     return ["bench", "--config", str(tmp_path / "c.json")]
@@ -497,6 +511,22 @@ MALFORMED_INPUTS = {
     ),
     "knn model of dimension 0, scoring an empty embedding set": (
         lambda t: _score_model_argv(t, MODEL_MAGIC + struct.pack("<HBIIQ", 1, 1, 0, 1, 5), n=0),
+        3,
+    ),
+    "text embeddings near 1e200 fitted by a gmm": (
+        lambda t: [*_fit_gmm_argv(t, "e.jsonl", _HUGE_TEXT_EMBEDDINGS), "--components", "2"],
+        3,
+    ),
+    "text embeddings near 1e200 projected by pca": (
+        lambda t: _pca_argv(t, "e.jsonl", _HUGE_TEXT_EMBEDDINGS),
+        3,
+    ),
+    "gmm model with a mean of 1e300, scoring": (
+        lambda t: _score_model_argv(
+            t,
+            MODEL_MAGIC + struct.pack("<HBIIQq", 1, 0, 2, 1, 2, 0)
+            + struct.pack("<6d", 0.5, 0.5, 0.0, 1e300, 1.0, 1.0),
+        ),
         3,
     ),
     "non-numeric sweep --grid": (

@@ -1,13 +1,18 @@
 """Detection-metric tests against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornercase import metrics
+from cornercase.embeddings import FeatureMap, save_feature_map
 from cornercase.errors import FormatError, ValidationError
 from cornercase.images import write_png
 from cornercase.metrics import (
+    _COUNT_BLOCK,
     DetectionReport,
     LabeledScores,
     PixelScoreMap,
@@ -24,6 +29,7 @@ from cornercase.metrics import (
     pixel_fpr_at_tpr,
     save_scores,
 )
+from cornercase.uncertainty import load_uncertainty_map
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -230,6 +236,18 @@ class TestCalibrateThreshold:
         with pytest.raises(ValidationError):
             calibrate_threshold([], 0.95)
 
+    @pytest.mark.parametrize("target", [0.01, 0.5, 0.95, 0.999, 1.0])
+    def test_equals_full_sort(self, target):
+        # the selection must return the order statistic a full sort gives,
+        # on draws from 1 distinct value (all tied) up to about n of them
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            n = int(rng.integers(1, 2000))
+            levels = int(np.exp(rng.uniform(0.0, np.log(2 * n))))
+            scores = rng.integers(0, levels, size=n) * rng.choice([-0.25, 0.25])
+            keep = math.ceil(target * n)
+            assert calibrate_threshold(scores, target) == float(np.sort(scores)[n - keep])
+
 
 class TestApplyThreshold:
     def test_above(self):
@@ -392,6 +410,107 @@ class TestAveragePrecisionReference:
         assert pixel_average_precision(pooled) == 100.0 * (
             average_precision_loop_reference(maps[valid], gt[valid])
         )
+
+
+def _sixteen_bit_draw(rng, shape, levels):
+    """A map of k/65535 scores over a few distinct k, so ties are heavy."""
+    return rng.choice(rng.integers(0, 65536, size=levels), size=shape) / 65535.0
+
+
+class TestPixelApPaths:
+    """16-bit maps are scored from per-value counts and any other map by a
+    sort; both must equal the sort path and the loop reference under ==."""
+
+    @pytest.fixture
+    def sorted_sizes(self, monkeypatch):
+        # records each call of the sort path, so a test can tell which ran
+        sizes = []
+
+        def spy(scores, positive):
+            sizes.append(scores.size)
+            return _average_precision(scores, positive)
+
+        monkeypatch.setattr(metrics, "_average_precision", spy)
+        return sizes
+
+    def _check(self, scores, gt, valid, sorted_sizes, sort_path):
+        m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
+        got = pixel_average_precision(m)
+        assert sorted_sizes == ([int(valid.sum())] if sort_path else [])
+        flat, positive = m.scores[m.valid_mask], m.ground_truth[m.valid_mask]
+        assert got == 100.0 * _average_precision(flat, positive)
+        assert got == 100.0 * average_precision_loop_reference(flat, positive)
+        return got
+
+    @pytest.mark.parametrize("levels", [1, 3, 40, 65536])
+    def test_heavy_ties_with_invalid_band(self, sorted_sizes, levels):
+        # 600 x 512 spans three count blocks; rows 256-511 fill the second
+        # block with invalid pixels only
+        assert 256 * 512 == _COUNT_BLOCK
+        rng = np.random.default_rng(16)
+        scores = _sixteen_bit_draw(rng, (600, 512), levels)
+        gt = rng.uniform(size=scores.shape) < 0.07
+        valid = np.ones(scores.shape, dtype=bool)
+        valid[256:512] = False
+        self._check(scores, gt, valid, sorted_sizes, sort_path=False)
+
+    def test_no_invalid_band(self, sorted_sizes):
+        rng = np.random.default_rng(17)
+        scores = _sixteen_bit_draw(rng, (64, 96), 9)
+        gt = rng.uniform(size=scores.shape) < 0.3
+        self._check(scores, gt, np.ones(scores.shape, dtype=bool), sorted_sizes, sort_path=False)
+
+    def test_all_valid_pixels_positive(self, sorted_sizes):
+        rng = np.random.default_rng(18)
+        scores = _sixteen_bit_draw(rng, (40, 60), 5)
+        valid = rng.uniform(size=scores.shape) < 0.5
+        got = self._check(scores, valid.copy(), valid, sorted_sizes, sort_path=False)
+        assert got == 100.0
+
+    def test_single_valid_pixel(self, sorted_sizes):
+        scores = _sixteen_bit_draw(np.random.default_rng(19), (8, 8), 4)
+        valid = np.zeros(scores.shape, dtype=bool)
+        valid[5, 2] = True
+        self._check(scores, valid.copy(), valid, sorted_sizes, sort_path=False)
+
+    def test_sixteen_bit_png_maps(self, tmp_path, sorted_sizes):
+        rng = np.random.default_rng(20)
+        write_png(tmp_path / "u.png", rng.integers(0, 65536, size=(48, 64), dtype=np.uint16))
+        scores = load_uncertainty_map(tmp_path / "u.png").values
+        gt = rng.uniform(size=scores.shape) < 0.1
+        valid = np.ones(scores.shape, dtype=bool)
+        valid[30:] = False
+        self._check(scores, gt, valid, sorted_sizes, sort_path=False)
+
+    def test_one_pixel_off_the_grid_is_sorted(self, sorted_sizes):
+        rng = np.random.default_rng(21)
+        scores = _sixteen_bit_draw(rng, (300, 512), 30)
+        scores[200, 7] = np.nextafter(scores[200, 7], 2.0)
+        gt = rng.uniform(size=scores.shape) < 0.1
+        self._check(scores, gt, np.ones(scores.shape, dtype=bool), sorted_sizes, sort_path=True)
+
+    def test_negated_scores_are_sorted(self, sorted_sizes):
+        rng = np.random.default_rng(22)
+        scores = -(rng.integers(1, 65536, size=(40, 50)) / 65535.0)
+        gt = rng.uniform(size=scores.shape) < 0.2
+        self._check(scores, gt, rng.uniform(size=scores.shape) < 0.9, sorted_sizes, sort_path=True)
+
+    def test_float_feature_maps_are_sorted(self, tmp_path, sorted_sizes):
+        rng = np.random.default_rng(23)
+        save_feature_map(FeatureMap(rng.uniform(size=(1, 40, 50))), tmp_path / "u.ccfm")
+        scores = load_uncertainty_map(tmp_path / "u.ccfm").values
+        gt = rng.uniform(size=scores.shape) < 0.2
+        self._check(scores, gt, np.ones(scores.shape, dtype=bool), sorted_sizes, sort_path=True)
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0])
+    def test_no_valid_positive_rejected(self, sorted_sizes, scale):
+        scores = scale * _sixteen_bit_draw(np.random.default_rng(24), (8, 8), 4)
+        gt = np.zeros(scores.shape, dtype=bool)
+        gt[0, 0] = True
+        valid = ~gt
+        m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
+        with pytest.raises(ValidationError, match="no valid positive"):
+            pixel_average_precision(m)
 
 
 class TestScoreFiles:
