@@ -181,16 +181,22 @@ def _log_gaussian_matrix(
     d = Xc.shape[1]
     inv = 1.0 / variances
     scaled = means * inv
-    quad = Xc2 @ inv.T
-    quad += (means * scaled).sum(axis=1)
-    bound = (4.0 * _gamma(d + 4)) * quad
-    quad -= 2.0 * (Xc @ scaled.T)
-    # NaN and overflow compare False, so such entries are recomputed too
-    row, comp = np.nonzero(~(bound <= _GEMM_REL_TOL * np.maximum(quad, 1.0)))
+    # The expanded terms overflow for a query far from a tight component,
+    # even where the explicit sum does not. Their inf or NaN entries fail
+    # the finite threshold below, so they are recomputed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = Xc2 @ inv.T
+        quad += (means * scaled).sum(axis=1)
+        bound = (4.0 * _gamma(d + 4)) * quad
+        quad -= 2.0 * (Xc @ scaled.T)
+    limit = _GEMM_REL_TOL * np.clip(quad, 1.0, np.finfo(float).max)
+    row, comp = np.nonzero(~(bound <= limit))
     step = max(1, _BLOCK_ELEMENTS // max(d, 1))
     for s in range(0, row.size, step):
         r, j = row[s : s + step], comp[s : s + step]
-        quad[r, j] = ((Xc[r] - means[j]) ** 2 / variances[j]).sum(axis=1)
+        # an explicit sum past the float64 range is inf: density 0
+        with np.errstate(over="ignore"):
+            quad[r, j] = ((Xc[r] - means[j]) ** 2 / variances[j]).sum(axis=1)
     const = -0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)  # (K,)
     return const[None, :] - 0.5 * quad
 
@@ -246,9 +252,13 @@ def _logsumexp_rows(logp: np.ndarray) -> np.ndarray:
 
 def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
+    # Differences are scaled by 2^-e, 2^e above X's largest magnitude,
+    # before they are squared. That is exact, so the draw probabilities
+    # d2 / total are X's, but squares of tiny rows (1e-200) stay above 0.
+    e = np.frexp(max(X.max(), -X.min()))[1]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    d2 = (np.ldexp(X - centers[0], -e) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -257,7 +267,7 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
                 f"fewer than {k} distinct fitting points"
             )
         centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, (np.ldexp(X - centers[j], -e) ** 2).sum(axis=1))
     return centers
 
 
@@ -392,6 +402,9 @@ def gmm_log_density(model: GmmModel, X: np.ndarray) -> np.ndarray:
         log_joint = np.log(model.weights)[None, :] + _log_gaussian_matrix(
             Xc, Xc * Xc, model.means - centre, model.variances
         )
+    bad = np.flatnonzero(~np.isfinite(log_joint.max(axis=1)))
+    if bad.size:
+        raise ValidationError(f"query row {bad[0]}: log density is not finite in float64")
     return _logsumexp_rows(log_joint)
 
 

@@ -3,8 +3,11 @@
 Only the PNG subset the toolkit needs is implemented: 8-bit RGB
 (corruption inputs and outputs), 8-bit grayscale (pixel ground truth)
 and 16-bit grayscale (depth and uncertainty maps), non-interlaced.
-Files written here always use filter type 0; all five filter types are
-decoded on read so images from other encoders load fine.
+Files written here use filter type 0 on every row, and a file read
+with filter 0 throughout is sliced from its inflated bytes with no work.
+Any other file, which may mix all five filter types, decodes as one
+anti-diagonal wavefront of H + W - 1 vector steps, holding one int16
+buffer of about 2 (H + W)(H + 1) bpp bytes (bpp bytes per pixel).
 
 Pixel values travel through the toolkit as float64 in [0, 1]; 8-bit
 quantization uses round-half-up so file output is bit-reproducible.
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError, ValidationError
 
@@ -126,48 +130,39 @@ class DepthMap:
 # ---------------------------------------------------------------------------
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
-
-
-def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
-    """Reverse PNG scanline filtering. stride excludes the filter byte."""
-    out = bytearray(height * stride)
-    prior = bytearray(stride)
-    pos = 0
-    for row in range(height):
-        ftype = raw[pos]
-        pos += 1
-        line = bytearray(raw[pos : pos + stride])
-        pos += stride
-        if ftype == 0:
-            pass
-        elif ftype == 1:  # Sub
-            for i in range(bpp, stride):
-                line[i] = (line[i] + line[i - bpp]) & 0xFF
-        elif ftype == 2:  # Up
-            for i in range(stride):
-                line[i] = (line[i] + prior[i]) & 0xFF
-        elif ftype == 3:  # Average
-            for i in range(stride):
-                left = line[i - bpp] if i >= bpp else 0
-                line[i] = (line[i] + ((left + prior[i]) >> 1)) & 0xFF
-        elif ftype == 4:  # Paeth
-            for i in range(stride):
-                left = line[i - bpp] if i >= bpp else 0
-                upleft = prior[i - bpp] if i >= bpp else 0
-                line[i] = (line[i] + _paeth(left, prior[i], upleft)) & 0xFF
-        else:
-            raise FormatError(f"unsupported PNG filter type {ftype}")
-        out[row * stride : (row + 1) * stride] = line
-        prior = line
-    return out
+def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
+    """Reverse PNG scanline filtering into a (height, stride) uint8 array
+    (stride excludes the filter byte): a view of raw when every row has
+    filter 0, else one vector step per anti-diagonal d = r + c, as pixel
+    (r, c), bpp bytes, depends only on (r, c-1), (r-1, c) and (r-1, c-1)."""
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    filters = rows[:, :1]
+    if np.any(filters > 4):
+        raise FormatError(f"unsupported PNG filter type {filters[filters > 4][0]}")
+    if not filters.any():
+        return rows[:, 1:]
+    width = stride // bpp
+    # Pixel (r, c) sits at T[r + c + 1, r + 1], so a diagonal is a run of
+    # one row of T. Row 0 and column 0 stay zero: the pixels above and
+    # left of the image (c at d = 0 reads T[-1, 0], in column 0 too).
+    # An entry holds its filtered byte until its step adds the predictor.
+    T = np.zeros((height + width, height + 1, bpp), dtype=np.int16)
+    s0, s1, s2 = T.strides
+    skewed = as_strided(T[1:, 1:], (height, width, bpp), (s0 + s1, s0, s2))
+    skewed[...] = rows[:, 1:].reshape(height, width, bpp)
+    # None, Sub, Up and Average rows predict (wa a + wb b) >> avg
+    avg = (filters == 3).astype(np.int16)
+    wa, wb, paeth_row = (filters == 1) + avg, (filters == 2) + avg, filters == 4
+    for d in range(height + width - 1):
+        lo, hi = max(0, d - width + 1), min(d, height - 1) + 1
+        a, b, c = T[d, lo + 1 : hi + 1], T[d, lo:hi], T[d - 1, lo:hi]
+        pa, pb, pc = np.abs(b - c), np.abs(a - c), np.abs(a + b - 2 * c)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        linear = (wa[lo:hi] * a + wb[lo:hi] * b) >> avg[lo:hi]
+        current = T[d + 1, lo + 1 : hi + 1]
+        current += np.where(paeth_row[lo:hi], paeth, linear)
+        current &= 0xFF
+    return skewed.astype(np.uint8).reshape(height, stride)
 
 
 def read_png(path) -> np.ndarray:
@@ -216,9 +211,8 @@ def read_png(path) -> np.ndarray:
         )
     if color_type == 2 and bit_depth != 8:
         raise FormatError(f"{path}: only 8-bit RGB is supported")
-    channels = 3 if color_type == 2 else 1
-    sample_bytes = bit_depth // 8
-    stride = width * channels * sample_bytes
+    bpp = (3 if color_type == 2 else 1) * bit_depth // 8  # bytes per pixel
+    stride = width * bpp
     # Inflate at most one byte past the size the header implies, so a
     # small IDAT that inflates to gigabytes cannot exhaust memory.
     expected = height * (stride + 1)
@@ -233,14 +227,11 @@ def read_png(path) -> np.ndarray:
         )
     if len(raw) != expected or not inflater.eof:
         raise FormatError(f"{path}: PNG pixel payload has wrong size")
-    flat = _unfilter(raw, height, stride, channels * sample_bytes)
-    if bit_depth == 8:
-        arr = np.frombuffer(bytes(flat), dtype=np.uint8)
-    else:
-        arr = np.frombuffer(bytes(flat), dtype=">u2").astype(np.uint16)
-    if channels == 3:
-        return arr.reshape(height, width, 3)
-    return arr.reshape(height, width)
+    del data, idat  # only the inflated rows are needed from here on
+    pixels = _unfilter(raw, height, stride, bpp)
+    if bit_depth == 16:
+        return pixels.view(">u2").astype(np.uint16)
+    return pixels.reshape(height, width, 3) if color_type == 2 else pixels
 
 
 # ---------------------------------------------------------------------------
@@ -266,28 +257,23 @@ def write_png(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     if arr.ndim == 3 and arr.shape[2] == 3 and arr.dtype == np.uint8:
         color_type, bit_depth = 2, 8
-        payload = arr.tobytes()
     elif arr.ndim == 2 and arr.dtype == np.uint8:
         color_type, bit_depth = 0, 8
-        payload = arr.tobytes()
     elif arr.ndim == 2 and arr.dtype == np.uint16:
         color_type, bit_depth = 0, 16
-        payload = arr.astype(">u2").tobytes()
     else:
         raise ValidationError(
             f"cannot encode array with shape {arr.shape} and dtype {arr.dtype}"
         )
     height, width = arr.shape[0], arr.shape[1]
-    stride = len(payload) // height
-    scanlines = bytearray()
-    for row in range(height):
-        scanlines.append(0)
-        scanlines.extend(payload[row * stride : (row + 1) * stride])
+    samples = arr.astype(">u2" if bit_depth == 16 else np.uint8, copy=False).view(np.uint8)
+    rows = samples.reshape(height, arr.nbytes // height)
+    scanlines = np.hstack([np.zeros((height, 1), np.uint8), rows])
     ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
     blob = (
         _PNG_SIGNATURE
         + _chunk(b"IHDR", ihdr)
-        + _chunk(b"IDAT", zlib.compress(bytes(scanlines), 6))
+        + _chunk(b"IDAT", zlib.compress(scanlines, 6))
         + _chunk(b"IEND", b"")
     )
     Path(path).write_bytes(blob)

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -183,6 +184,21 @@ _HUGE_TEXT_EMBEDDINGS = b"".join(
     json.dumps({"id": f"r{i}", "vec": row}).encode() + b"\n"
     for i, row in enumerate((1e200 * np.random.default_rng(0).normal(size=(60, 4))).tolist())
 )
+
+
+def _far_gmm_score_argv(tmp_path):
+    # two dim-128 components at 0.99e150 and 0.98e150 with variances at the
+    # floor: the quadratic term of a row at -0.99e150 overflows for both
+    dim = 128
+    values = np.concatenate(
+        [[0.5, 0.5], np.full(dim, 0.99e150), np.full(dim, 0.98e150), np.full(2 * dim, 1e-6)]
+    )
+    header = struct.pack("<HBIIQq", 1, 0, 2, dim, 2, 0)
+    (tmp_path / "m.ccmdl").write_bytes(MODEL_MAGIC + header + values.astype("<f8").tobytes())
+    es = EmbeddingSet(["near", "far"], np.vstack([np.zeros(dim), np.full(dim, -0.99e150)]))
+    save_embeddings(es, tmp_path / "e.jsonl", fmt="text")
+    return ["score", "--model", str(tmp_path / "m.ccmdl"), "--embeddings",
+            str(tmp_path / "e.jsonl"), "--out", str(tmp_path / "s.jsonl")]
 
 
 def _pca_argv(tmp_path, name, blob):
@@ -529,6 +545,7 @@ MALFORMED_INPUTS = {
         ),
         3,
     ),
+    "gmm scoring a row too far from every component for float64": (_far_gmm_score_argv, 3),
     "non-numeric sweep --grid": (
         lambda t: ["sweep", "--images", str(t), "--kind", "fog", "--grid", "a,b",
                    "--out", str(t / "o")],
@@ -541,3 +558,31 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_with_typed_error(tmp_path, case):
     make_argv, expected = MALFORMED_INPUTS[case]
     assert main(make_argv(tmp_path)) == expected
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e149])
+def test_fits_and_scores_across_scales(tmp_path, scale):
+    # 60 distinct 4-column rows: every fit and every score of a written
+    # model ends in exit 0 or a typed error (3), with no warning
+    rows = scale * np.random.default_rng(0).normal(size=(60, 4))
+    path = tmp_path / "e.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": f"r{i}", "vec": row}) + "\n" for i, row in enumerate(rows.tolist())
+    ))
+    embeddings = ["--embeddings", str(path)]
+    codes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes["fit-gmm"] = main(["fit-gmm", *embeddings, "--out", str(tmp_path / "gmm"),
+                                 "--components", "2"])
+        codes["fit-knn"] = main(["fit-knn", *embeddings, "--out", str(tmp_path / "knn"),
+                                 "--k", "5"])
+        codes["pca"] = main(["pca", "--embeddings", f"a={path}", "--k", "2",
+                             "--out", str(tmp_path / "p.jsonl")])
+        for model in ("gmm", "knn"):
+            if codes[f"fit-{model}"] == 0:
+                codes[f"score {model}"] = main(["score", "--model", str(tmp_path / model),
+                                                *embeddings, "--out", str(tmp_path / "s.jsonl")])
+    assert set(codes.values()) <= {0, 3}, codes
+    # the rows are distinct, so two components can always be placed
+    assert codes["fit-gmm"] == 0, codes

@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,44 @@ class TestScoreGmm:
         )
         with pytest.raises(ValidationError):
             _score_one(model, [0.0])
+
+    @staticmethod
+    def _tight_pair(first, second, dim=128):
+        """Two components at the variance floor, means inside the envelope."""
+        return GmmModel(
+            weights=[0.5, 0.5],
+            means=np.vstack([np.full(dim, first), np.full(dim, second)]),
+            variances=np.full((2, dim), VARIANCE_FLOOR),
+            trained_on=2,
+            seed=0,
+        )
+
+    # (first mean, second mean, query, the mean whose component scores it):
+    # the expanded quadratic terms overflow for each query, while the
+    # explicit one is finite for one component and overflows (density 0)
+    # for the other. In the second case the scored component's own
+    # expanded term reads inf with an inf rounding bound.
+    @pytest.mark.parametrize(
+        "first, second, query, scored",
+        [(0.99e150, 0.0, -0.99e150, 0.0), (0.245e150, -0.845e150, 0.918e150, 0.245e150)],
+        ids=["other-overflows", "own-expanded-overflows"],
+    )
+    def test_far_query_scores_explicit_differences(self, first, second, query, scored):
+        quad = 128 * (query - scored) ** 2 / VARIANCE_FLOOR
+        expected = math.log(0.5) - 64 * math.log(2 * math.pi * VARIANCE_FLOOR) - 0.5 * quad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gmm_log_density(self._tight_pair(first, second), np.full((1, 128), query))
+        assert got[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bad_row", [-0.99e150, np.nan], ids=["too-far", "nan"])
+    def test_unscorable_row_named(self, bad_row):
+        model = self._tight_pair(0.99e150, 0.98e150)
+        queries = np.vstack([np.zeros(128), np.full(128, bad_row), np.zeros(128)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="query row 1: log density is not finite"):
+                gmm_log_density(model, queries)
 
 
 def log_gaussian_matrix_loop_reference(X, means, variances):

@@ -52,32 +52,92 @@ class TestPngRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _encode_with_filters(arr: np.ndarray, filters: list) -> bytes:
-    """Independent minimal PNG encoder applying a chosen filter per row.
+def _paeth(a: int, b: int, c: int) -> int:
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    if pb <= pc:
+        return b
+    return c
+
+
+def unfilter_loop_reference(raw: bytes, height: int, stride: int, bpp: int) -> bytearray:
+    """The per-byte decoder the wavefront replaced, kept as its reference."""
+    out = bytearray(height * stride)
+    prior = bytearray(stride)
+    pos = 0
+    for row in range(height):
+        ftype = raw[pos]
+        pos += 1
+        line = bytearray(raw[pos : pos + stride])
+        pos += stride
+        if ftype == 0:
+            pass
+        elif ftype == 1:  # Sub
+            for i in range(bpp, stride):
+                line[i] = (line[i] + line[i - bpp]) & 0xFF
+        elif ftype == 2:  # Up
+            for i in range(stride):
+                line[i] = (line[i] + prior[i]) & 0xFF
+        elif ftype == 3:  # Average
+            for i in range(stride):
+                left = line[i - bpp] if i >= bpp else 0
+                line[i] = (line[i] + ((left + prior[i]) >> 1)) & 0xFF
+        elif ftype == 4:  # Paeth
+            for i in range(stride):
+                left = line[i - bpp] if i >= bpp else 0
+                upleft = prior[i - bpp] if i >= bpp else 0
+                line[i] = (line[i] + _paeth(left, prior[i], upleft)) & 0xFF
+        else:
+            raise FormatError(f"unsupported PNG filter type {ftype}")
+        out[row * stride : (row + 1) * stride] = line
+        prior = line
+    return out
+
+
+def scanlines_loop_reference(payload: bytes, height: int) -> bytes:
+    """The per-row scanline build write_png replaced, kept as its reference."""
+    stride = len(payload) // height
+    scanlines = bytearray()
+    for row in range(height):
+        scanlines.append(0)
+        scanlines.extend(payload[row * stride : (row + 1) * stride])
+    return bytes(scanlines)
+
+
+def _layout(arr: np.ndarray):
+    """PNG color type, bit depth and bytes per pixel of an array, and its
+    samples as big-endian bytes, one row of the image per row."""
+    if arr.dtype == np.uint16:
+        return 0, 16, 2, arr.astype(">u2").view(np.uint8)
+    if arr.ndim == 3:
+        return 2, 8, 3, arr.reshape(arr.shape[0], -1)
+    return 0, 8, 1, arr
+
+
+def _random_image(layout: str, shape, rng) -> np.ndarray:
+    if layout == "rgb8":
+        return rng.integers(0, 256, size=(*shape, 3), dtype=np.uint8)
+    if layout == "gray8":
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+    return rng.integers(0, 65536, size=shape, dtype=np.uint16)
+
+
+def _filtered_scanlines(arr: np.ndarray, filters) -> bytes:
+    """Independent minimal PNG filter step, applying a chosen filter per row.
 
     Exercises the decoder against scanline filters our own writer never
     emits (Sub, Up, Average, Paeth).
     """
-
-    def paeth(a, b, c):
-        p = a + b - c
-        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-        if pa <= pb and pa <= pc:
-            return a
-        if pb <= pc:
-            return b
-        return c
-
-    h, w, _ = arr.shape
-    bpp = 3
-    stride = w * bpp
-    flat = arr.reshape(h, stride).astype(int)
+    _, _, bpp, rows = _layout(arr)
+    stride = rows.shape[1]
     out = bytearray()
     prior = [0] * stride
-    for r in range(h):
+    for r in range(rows.shape[0]):
         ftype = filters[r % len(filters)]
         out.append(ftype)
-        line = flat[r].tolist()
+        line = rows[r].tolist()
         for i in range(stride):
             left = line[i - bpp] if i >= bpp else 0
             upleft = prior[i - bpp] if i >= bpp else 0
@@ -90,15 +150,20 @@ def _encode_with_filters(arr: np.ndarray, filters: list) -> bytes:
             elif ftype == 3:
                 enc = line[i] - ((left + prior[i]) >> 1)
             else:
-                enc = line[i] - paeth(left, prior[i], upleft)
+                enc = line[i] - _paeth(left, prior[i], upleft)
             out.append(enc & 0xFF)
         prior = line
+    return bytes(out)
 
-    return _png_file(w, h, 2, zlib.compress(bytes(out)))
+
+def _encode_with_filters(arr: np.ndarray, filters) -> bytes:
+    color_type, bit_depth, _, _ = _layout(arr)
+    idat = zlib.compress(_filtered_scanlines(arr, filters))
+    return _png_file(arr.shape[1], arr.shape[0], color_type, idat, bit_depth)
 
 
-def _png_file(width, height, color_type, idat):
-    """PNG bytes for an 8-bit image with the given raw IDAT payload."""
+def _png_file(width, height, color_type, idat, bit_depth=8):
+    """PNG bytes for an image with the given raw IDAT payload."""
 
     def chunk(ctype, payload):
         return (
@@ -108,13 +173,16 @@ def _png_file(width, height, color_type, idat):
             + struct.pack(">I", zlib.crc32(ctype + payload) & 0xFFFFFFFF)
         )
 
-    ihdr = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
+    ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)
         + chunk(b"IDAT", idat)
         + chunk(b"IEND", b"")
     )
+
+
+LAYOUTS = ["rgb8", "gray8", "gray16"]
 
 
 class TestPngFilters:
@@ -124,6 +192,44 @@ class TestPngFilters:
         path = tmp_path / "f.png"
         path.write_bytes(_encode_with_filters(arr, filters))
         np.testing.assert_array_equal(read_png(path), arr)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (6, 13), (13, 6), (24, 36)])
+    def test_mixed_filters_equal_source_and_loop_reference(self, tmp_path, layout, shape):
+        rng = np.random.default_rng([LAYOUTS.index(layout), *shape])
+        path = tmp_path / "f.png"
+        for _ in range(4):
+            arr = _random_image(layout, shape, rng)
+            filters = rng.integers(0, 5, size=shape[0]).tolist()
+            scanlines = _filtered_scanlines(arr, filters)
+            _, _, bpp, rows = _layout(arr)
+            path.write_bytes(_encode_with_filters(arr, filters))
+            decoded = read_png(path)
+            assert decoded.dtype == arr.dtype and decoded.shape == arr.shape
+            np.testing.assert_array_equal(decoded, arr)
+            reference = unfilter_loop_reference(scanlines, shape[0], rows.shape[1], bpp)
+            assert _layout(decoded)[3].tobytes() == bytes(reference)
+
+    @pytest.mark.parametrize("bad", [5, 255])
+    def test_unsupported_filter_byte_rejected(self, tmp_path, bad):
+        raw = bytearray(_filtered_scanlines(np.zeros((4, 3, 3), dtype=np.uint8), [0, 1, 4, 2]))
+        raw[2 * 10] = bad  # the filter byte of row 2, after two 1 + 9 byte rows
+        path = tmp_path / "f.png"
+        path.write_bytes(_png_file(3, 4, 2, zlib.compress(bytes(raw))))
+        with pytest.raises(FormatError, match=f"unsupported PNG filter type {bad}"):
+            read_png(path)
+
+
+class TestPngWriterBytes:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (13, 17)])
+    def test_bytes_equal_per_row_scanline_build(self, tmp_path, layout, shape):
+        arr = _random_image(layout, shape, _rng())
+        color_type, bit_depth, _, rows = _layout(arr)
+        idat = zlib.compress(scanlines_loop_reference(rows.tobytes(), shape[0]), 6)
+        path = tmp_path / "w.png"
+        write_png(path, arr)
+        assert path.read_bytes() == _png_file(shape[1], shape[0], color_type, idat, bit_depth)
 
 
 class TestPngErrors:
