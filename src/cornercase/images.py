@@ -7,7 +7,8 @@ Files written here use filter type 0 on every row, and a file read
 with filter 0 throughout is sliced from its inflated bytes with no work.
 Any other file, which may mix all five filter types, decodes as one
 anti-diagonal wavefront of H + W - 1 vector steps, holding one int16
-buffer of about 2 (H + W)(H + 1) bpp bytes (bpp bytes per pixel).
+buffer of about 2 (H + W)(min(H, W) + 1) bpp bytes (bpp bytes per
+pixel), at most about four times the pixel bytes.
 
 Pixel values travel through the toolkit as float64 in [0, 1]; 8-bit
 quantization uses round-half-up so file output is bit-reproducible.
@@ -142,27 +143,35 @@ def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
     if not filters.any():
         return rows[:, 1:]
     width = stride // bpp
-    # Pixel (r, c) sits at T[r + c + 1, r + 1], so a diagonal is a run of
-    # one row of T. Row 0 and column 0 stay zero: the pixels above and
-    # left of the image (c at d = 0 reads T[-1, 0], in column 0 too).
-    # An entry holds its filtered byte until its step adds the predictor.
-    T = np.zeros((height + width, height + 1, bpp), dtype=np.int16)
+    # Pixel (r, c) sits at T[r + c + 1, k + 1], in lane k = r if H <= W
+    # else c: a diagonal is a run of one row of T, whose size follows the
+    # shorter side. Row 0 and column 0 stay zero, the pixels above and
+    # left of the image (c at d = 0 reads T[-1, 0]). An entry holds its
+    # filtered byte until its step adds the predictor.
+    by_rows = height <= width
+    lanes, across = (height, width) if by_rows else (width, height)
+    T = np.zeros((height + width, lanes + 1, bpp), dtype=np.int16)
     s0, s1, s2 = T.strides
-    skewed = as_strided(T[1:, 1:], (height, width, bpp), (s0 + s1, s0, s2))
+    moves = (s0 + s1, s0, s2) if by_rows else (s0, s0 + s1, s2)
+    skewed = as_strided(T[1:, 1:], (height, width, bpp), moves)
     skewed[...] = rows[:, 1:].reshape(height, width, bpp)
-    # None, Sub, Up and Average rows predict (wa a + wb b) >> avg
+    # None, Sub, Up and Average rows predict (wa a + wb b) >> avg. Lane k
+    # of a column-lane diagonal is row d - k, at H - 1 - d + k reversed.
     avg = (filters == 3).astype(np.int16)
-    wa, wb, paeth_row = (filters == 1) + avg, (filters == 2) + avg, filters == 4
+    per_row = [(filters == 1) + avg, (filters == 2) + avg, avg, filters == 4]
+    wa, wb, avg, paeth_row = per_row if by_rows else [m[::-1] for m in per_row]
     for d in range(height + width - 1):
-        lo, hi = max(0, d - width + 1), min(d, height - 1) + 1
-        a, b, c = T[d, lo + 1 : hi + 1], T[d, lo:hi], T[d - 1, lo:hi]
+        lo, hi = max(0, d - across + 1), min(d, lanes - 1) + 1
+        row = slice(lo, hi) if by_rows else slice(height - 1 - d + lo, height - 1 - d + hi)
+        same, prior, c = T[d, lo + 1 : hi + 1], T[d, lo:hi], T[d - 1, lo:hi]
+        a, b = (same, prior) if by_rows else (prior, same)
         pa, pb, pc = np.abs(b - c), np.abs(a - c), np.abs(a + b - 2 * c)
         paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-        linear = (wa[lo:hi] * a + wb[lo:hi] * b) >> avg[lo:hi]
+        linear = (wa[row] * a + wb[row] * b) >> avg[row]
         current = T[d + 1, lo + 1 : hi + 1]
-        current += np.where(paeth_row[lo:hi], paeth, linear)
+        current += np.where(paeth_row[row], paeth, linear)
         current &= 0xFF
-    return skewed.astype(np.uint8).reshape(height, stride)
+    return skewed.astype(np.uint8, order="C").reshape(height, stride)
 
 
 def read_png(path) -> np.ndarray:

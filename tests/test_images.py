@@ -1,6 +1,7 @@
 """PNG codec and container validation tests."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -194,7 +195,7 @@ class TestPngFilters:
         np.testing.assert_array_equal(read_png(path), arr)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (6, 13), (13, 6), (24, 36)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (6, 13), (13, 6), (24, 36), (36, 24)])
     def test_mixed_filters_equal_source_and_loop_reference(self, tmp_path, layout, shape):
         rng = np.random.default_rng([LAYOUTS.index(layout), *shape])
         path = tmp_path / "f.png"
@@ -209,6 +210,26 @@ class TestPngFilters:
             np.testing.assert_array_equal(decoded, arr)
             reference = unfilter_loop_reference(scanlines, shape[0], rows.shape[1], bpp)
             assert _layout(decoded)[3].tobytes() == bytes(reference)
+
+    def test_tall_narrow_decode_memory_follows_pixel_count(self, tmp_path):
+        # A wavefront buffer sized by the height squared would take 800 MB
+        # here. Sized by the shorter side it is 4 bytes per pixel byte;
+        # the inflated rows, the per-row filter masks and the output add
+        # about 12 bytes per row.
+        height = 20000
+        arr = _random_image("gray8", (height, 1), _rng())
+        filters = [0] * height
+        filters[7] = 1  # one Sub row, so the file is not sliced
+        path = tmp_path / "tall.png"
+        path.write_bytes(_encode_with_filters(arr, filters))
+        tracemalloc.start()
+        try:
+            decoded = read_png(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(decoded, arr)
+        assert peak < 32 * arr.nbytes
 
     @pytest.mark.parametrize("bad", [5, 255])
     def test_unsupported_filter_byte_rejected(self, tmp_path, bad):
