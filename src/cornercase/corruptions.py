@@ -9,11 +9,20 @@ monotone non-decreasing in beta pixel by pixel.
 
 Every operation is a pure function of (input, spec) including the
 seed, so sweeps replay bit-identically.
+
+run_sweep overlaps its work: the main thread reads and corrupts the
+sources and quantizes each block of outputs in place, while
+_PNG_WRITERS threads deflate and write the PNGs, taking them from a
+one-slot queue. At most four uint8 frames are in flight (one in the
+slot, one per writer, one waiting to enter the slot), and the files and
+manifest are byte-identical to writing the outputs one by one.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -21,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .images import DepthMap, ImageBuffer, load_depth, load_image, save_image
+from .images import DepthMap, ImageBuffer, _png_bytes, _quantize, load_depth, load_image
 
 CORRUPTION_KINDS = ("fog", "gaussian_noise", "white_box")
 
@@ -31,6 +40,13 @@ DEFAULT_ATMOSPHERIC_LIGHT = 0.92
 # b*H*W*3 <= 2^16 (512 KiB). On 64x96 noise sweeps a 2^18 budget was
 # slower and raised peak memory, so this is a constant, not a setting.
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
+
+# Threads that deflate and write sweep outputs. zlib releases the GIL
+# while it deflates, so two writers beside the main thread keep both
+# cores of a 2-core machine busy: a white-box sweep of two 1024x2048
+# frames went from 13.7-16.8 s to 6.6-7.1 s. A third writer was no
+# faster there and raised peak memory by about 10 MB.
+_PNG_WRITERS = 2
 
 # depth fallback when no map is supplied: vertical ramp approximating
 # road-scene geometry, far at the top of the frame, near at the bottom
@@ -260,6 +276,51 @@ def _sweep_blocks(sources, spec, severities):
             yield idx, j, seed, corrupt(severities[j : j + step])
 
 
+@contextmanager
+def _png_writers():
+    """Yield write(path, frame), which hands a uint8 frame to one of
+    _PNG_WRITERS threads that encode it as PNG and write it to path.
+
+    write blocks while the one-slot queue is full. The threads are
+    joined on exit, also when the body raises; the first exception a
+    writer met is raised by the next write or on exit, and after it the
+    writers drop the frames still queued.
+    """
+    from queue import Queue  # here, so `cornercase --version` does not load it
+
+    jobs = Queue(maxsize=1)
+    failures = []
+
+    def drain():
+        while (job := jobs.get()) is not None:
+            if not failures:
+                path, frame = job
+                try:
+                    path.write_bytes(_png_bytes(frame))
+                except BaseException as exc:  # re-raised in the main thread
+                    failures.append(exc)
+
+    def write(path, frame):
+        if failures:
+            raise failures[0]
+        jobs.put((path, frame))
+
+    threads = []
+    try:
+        for _ in range(_PNG_WRITERS):
+            thread = threading.Thread(target=drain, name="png-writer")
+            thread.start()
+            threads.append(thread)
+        yield write
+    finally:
+        for _ in threads:
+            jobs.put(None)
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+
+
 def run_sweep(
     images_dir,
     specs,
@@ -303,18 +364,22 @@ def run_sweep(
     for sev_dir in sev_dirs:
         sev_dir.mkdir(parents=True, exist_ok=True)
     entries = [[] for _ in specs]
-    for idx, first, seed, block in blocks:
-        for j, pixels in enumerate(block, start=first):
-            dst = sev_dirs[j] / sources[idx].name
-            save_image(ImageBuffer(pixels), dst)
-            entries[j].append(
-                {
-                    "source": str(sources[idx]),
-                    "output": str(dst),
-                    "severity": specs[j].severity,
-                    "seed": seed,
-                }
-            )
+    with _png_writers() as write:
+        for idx, first, seed, block in blocks:
+            # corrupted values lie in [0, 1], so no ImageBuffer check is needed
+            frames = _quantize(block)
+            del block  # free the float stack before the next one is made
+            for j, frame in enumerate(frames, start=first):
+                dst = sev_dirs[j] / sources[idx].name
+                write(dst, frame)
+                entries[j].append(
+                    {
+                        "source": str(sources[idx]),
+                        "output": str(dst),
+                        "severity": specs[j].severity,
+                        "seed": seed,
+                    }
+                )
     manifest = {
         "kind": kind,
         "atmospheric_light": specs[0].atmospheric_light,

@@ -262,6 +262,12 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
+            if len(np.unique(X, axis=0)) >= k:
+                # distinct rows whose scaled differences all square to 0
+                raise FitError(
+                    f"component {j} collapsed during initialization: the column "
+                    "scales are too far apart for float64 distances"
+                )
             raise FitError(
                 f"component {j} collapsed during initialization: "
                 f"fewer than {k} distinct fitting points"

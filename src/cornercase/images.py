@@ -12,6 +12,12 @@ pixel), at most about four times the pixel bytes.
 
 Pixel values travel through the toolkit as float64 in [0, 1]; 8-bit
 quantization uses round-half-up so file output is bit-reproducible.
+Sweeps (corruptions.run_sweep) quantize each block of outputs in place
+with _quantize, the quantizer behind ImageBuffer.to_uint8, and deflate
+the PNGs with _png_bytes, the encoder behind write_png, on two writer
+threads behind a one-slot queue. At most four uint8 frames are in
+flight and the files are byte-identical to save_image's; neither
+function touches shared state.
 """
 
 from __future__ import annotations
@@ -58,6 +64,14 @@ def _in_envelope(arr: np.ndarray) -> bool:
     return arr.size == 0 or bool(-MAX_MAGNITUDE < arr.min() and arr.max() < MAX_MAGNITUDE)
 
 
+def _quantize(values: np.ndarray) -> np.ndarray:
+    """8-bit levels floor(255 v + 0.5) of float values in [0, 1], of any
+    shape. values is scaled in place: pass a copy to keep it."""
+    values *= 255.0
+    values += 0.5
+    return np.floor(values, out=values).astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class ImageBuffer:
     """Normalized RGB image: pixels is (H, W, 3) float64 in [0, 1]."""
@@ -86,7 +100,7 @@ class ImageBuffer:
 
     def to_uint8(self) -> np.ndarray:
         """Quantize to 8-bit with round-half-up."""
-        return np.floor(self.pixels * 255.0 + 0.5).astype(np.uint8)
+        return _quantize(self.pixels.copy())
 
     @classmethod
     def from_uint8(cls, arr: np.ndarray) -> "ImageBuffer":
@@ -263,7 +277,11 @@ def write_png(path, arr: np.ndarray) -> None:
     Accepts (H, W, 3) uint8 (RGB), (H, W) uint8 (gray) or (H, W)
     uint16 (16-bit gray). Rows are written with filter type 0.
     """
-    arr = np.asarray(arr)
+    Path(path).write_bytes(_png_bytes(np.asarray(arr)))
+
+
+def _png_bytes(arr: np.ndarray) -> bytes:
+    """The PNG file write_png writes for arr."""
     if arr.ndim == 3 and arr.shape[2] == 3 and arr.dtype == np.uint8:
         color_type, bit_depth = 2, 8
     elif arr.ndim == 2 and arr.dtype == np.uint8:
@@ -279,13 +297,12 @@ def write_png(path, arr: np.ndarray) -> None:
     rows = samples.reshape(height, arr.nbytes // height)
     scanlines = np.hstack([np.zeros((height, 1), np.uint8), rows])
     ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
-    blob = (
+    return (
         _PNG_SIGNATURE
         + _chunk(b"IHDR", ihdr)
         + _chunk(b"IDAT", zlib.compress(scanlines, 6))
         + _chunk(b"IEND", b"")
     )
-    Path(path).write_bytes(blob)
 
 
 # ---------------------------------------------------------------------------

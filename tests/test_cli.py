@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import threading
 import warnings
 import zlib
 
@@ -117,6 +118,51 @@ class TestCorruptSweepCli:
         write_scene_set(images, WHITEBOX_FAMILY, 1, seed=0)
         assert main(["sweep", "--images", str(images), "--kind", "fog",
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def _main_within(argv, seconds=60.0):
+    """main(argv) on a daemon thread, so a sweep whose writers deadlock
+    fails the test instead of hanging it."""
+    codes = []
+    runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"{argv[0]} still running after {seconds} s"
+    return codes[0]
+
+
+class TestSweepWriterLifecycle:
+    """Sweep outputs are written on writer threads; every run, failed or
+    not, ends with those threads joined."""
+
+    def _sweep(self, tmp_path, out):
+        return ["sweep", "--images", str(tmp_path / "imgs"), "--kind", "white_box",
+                "--grid", "0.05,0.1,0.2", "--out", str(out)]
+
+    def test_successful_sweep(self, tmp_path):
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 3, seed=0)
+        before = threading.active_count()
+        assert _main_within(self._sweep(tmp_path, tmp_path / "o")) == 0
+        assert threading.active_count() == before
+        assert len(list((tmp_path / "o").rglob("*.png"))) == 9
+
+    def test_corrupt_second_source_exits_3(self, tmp_path):
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 3, seed=0)
+        first, second, _ = sorted((tmp_path / "imgs").glob("*.png"))
+        second.write_bytes(b"not a PNG file")
+        before = threading.active_count()
+        assert _main_within(self._sweep(tmp_path, tmp_path / "o")) == 3
+        assert threading.active_count() == before
+        # the first source's outputs were all written before the error
+        assert sorted(p.name for p in (tmp_path / "o").rglob("*.png")) == [first.name] * 3
+
+    def test_output_path_that_is_a_directory_exits_4(self, tmp_path):
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 3, seed=0)
+        _, second, _ = sorted((tmp_path / "imgs").glob("*.png"))
+        (tmp_path / "o" / "white_box" / "0.1" / second.name).mkdir(parents=True)
+        before = threading.active_count()
+        assert _main_within(self._sweep(tmp_path, tmp_path / "o")) == 4
+        assert threading.active_count() == before
 
 
 class TestPcaCli:

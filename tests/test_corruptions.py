@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from cornercase.corruptions import (
 )
 from cornercase.embeddings import toy_encode
 from cornercase.errors import ValidationError
-from cornercase.images import DepthMap, ImageBuffer, load_image, save_image
+from cornercase.images import DepthMap, ImageBuffer, _quantize, load_image, save_image
 
 
 def _random_image(seed=0, h=12, w=16):
@@ -81,6 +82,18 @@ def _reference_corruption(img, spec, depth=None):
     if spec.kind == "gaussian_noise":
         return _reference_gaussian_noise(img, spec.severity, spec.seed)
     return _reference_white_box(img, spec.severity, spec.seed)
+
+
+def _reference_sweep_outputs(images_dir, specs, out_dir):
+    """run_sweep's output loop as it stood before the writer threads: one
+    ImageBuffer and one save_image per output, in order."""
+    sources = sorted(Path(images_dir).glob("*.png"))
+    blocks = sweep_images(((load_image(src), None) for src in sources), specs)
+    for idx, first, _, block in blocks:
+        for j, pixels in enumerate(block, start=first):
+            sev_dir = Path(out_dir) / specs[j].kind / severity_dirname(specs[j].severity)
+            sev_dir.mkdir(parents=True, exist_ok=True)
+            save_image(ImageBuffer(pixels), sev_dir / sources[idx].name)
 
 
 class TestFog:
@@ -349,6 +362,23 @@ class TestRunSweep:
         with pytest.raises(ValidationError):
             run_sweep(src, severity_sweep("fog", [0.01]), tmp_path / "o")
 
+    # a failure before the last output is raised by the next hand-off to
+    # the writers, one at the last output when they are joined
+    @pytest.mark.parametrize("blocked", ["0.1/img-1.png", "0.2/img-2.png"])
+    def test_writer_failure_raised_with_writers_joined(self, tmp_path, blocked):
+        src = tmp_path / "clean"
+        src.mkdir()
+        for i in range(3):
+            save_image(_random_image(55 + i, h=8, w=8), src / f"img-{i}.png")
+        out = tmp_path / "o"
+        (out / "white_box" / blocked).mkdir(parents=True)
+        before = threading.active_count()
+        with pytest.raises(IsADirectoryError):
+            run_sweep(src, severity_sweep("white_box", [0.05, 0.1, 0.2]), out)
+        assert threading.active_count() == before
+        # the writers stop after the failure; the manifest is never written
+        assert not (out / "white_box" / "manifest.json").exists()
+
     def test_fog_sweep_with_provided_depth(self, tmp_path):
         from cornercase.images import save_depth
 
@@ -413,6 +443,43 @@ class TestSweepBlocks:
             for i in range(3):
                 rel = Path(kind, format(sev, ".6g"), f"img-{i}.png")
                 assert (sweep_out / rel).read_bytes() == (corrupt_out / rel).read_bytes(), rel
+
+    # 64x96 images make blocks of 3 outputs, 128x128 ones blocks of 1
+    @pytest.mark.parametrize("shape", [(64, 96), (128, 128)])
+    @pytest.mark.parametrize("kind", sorted(SWEEP_GRIDS))
+    def test_sweep_files_equal_per_output_save(self, tmp_path, kind, shape):
+        h, w = shape
+        assert (_SWEEP_BLOCK_ELEMENTS // (h * w * 3) > 1) == (shape == (64, 96))
+        src = tmp_path / "clean"
+        src.mkdir()
+        for i in range(3):
+            save_image(_random_image(75 + i, h=h, w=w), src / f"img-{i}.png")
+        specs = severity_sweep(kind, SWEEP_GRIDS[kind], base_seed=2)
+        run_sweep(src, specs, tmp_path / "sweep")
+        _reference_sweep_outputs(src, specs, tmp_path / "reference")
+        written = sorted(p.relative_to(tmp_path / "reference")
+                         for p in (tmp_path / "reference").rglob("*.png"))
+        assert len(written) == 3 * len(specs)
+        assert sorted(p.relative_to(tmp_path / "sweep")
+                      for p in (tmp_path / "sweep").rglob("*.png")) == written
+        for rel in written:
+            assert (tmp_path / "sweep" / rel).read_bytes() == (
+                tmp_path / "reference" / rel
+            ).read_bytes(), rel
+
+    def test_block_quantizer_equals_to_uint8(self):
+        # every rounding boundary (k + 0.5) / 255, one ulp either side, and 0 and 1
+        mid = (np.arange(255) + 0.5) / 255.0
+        values = np.concatenate([[0.0, 1.0], mid, np.nextafter(mid, 0.0), np.nextafter(mid, 1.0)])
+        frame = np.repeat(values[:, None], 3, axis=1)[None]  # (1, 767, 3)
+        block = np.stack([frame, frame[:, ::-1]])
+        want = np.stack([ImageBuffer(pixels).to_uint8() for pixels in block])
+        assert want.dtype == np.uint8
+        # to_uint8 before it shared the quantizer
+        assert (want == np.floor(block * 255.0 + 0.5).astype(np.uint8)).all()
+        got = _quantize(block.copy())
+        assert got.dtype == np.uint8 and got.shape == block.shape
+        assert (got == want).all()
 
     def test_noise_sweep_memory_bounded(self):
         # numpy reports its buffers to tracemalloc; the 50 corrupted

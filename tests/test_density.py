@@ -102,6 +102,19 @@ class TestFitGmm:
         with pytest.raises(FitError, match="collapsed"):
             fit_gmm(es, components=2)
 
+    def test_initialization_collapse_names_its_cause(self):
+        # 300 rows on 3 points cannot seed 4 centres
+        few = np.repeat([[0.0, 0.0], [5.0, 5.0], [10.0, 0.0]], 100, axis=0)
+        with pytest.raises(FitError, match="fewer than 4 distinct fitting points"):
+            fit_gmm(_set_from(few), components=4, seed=0)
+        # 60 distinct rows: next to the constant 1e100 column, every
+        # difference in the 1e-200 column squares to 0
+        rng = np.random.default_rng(7)
+        data = np.column_stack([np.full(60, 1e100), 1e-200 * rng.normal(size=60)])
+        assert len(np.unique(data, axis=0)) == 60
+        with pytest.raises(FitError, match="column scales are too far apart"):
+            fit_gmm(_set_from(data), components=2, seed=0)
+
     def test_variance_floor(self):
         # one dimension is constant; its fitted variance must sit at the floor
         rng = np.random.default_rng(5)
