@@ -303,8 +303,9 @@ def load_dataset_embeddings(manifest: DatasetManifest, grid: int = 4) -> Embeddi
     return load_embeddings(path)
 
 
-def load_dataset_maps(manifest: DatasetManifest) -> list:
-    """(sample id, UncertaintyMap) pairs from a directory of map files."""
+def score_dataset_maps(manifest: DatasetManifest) -> tuple[list[str], list[float]]:
+    """(sample ids, mean_uncertainty scores) of a directory of map files,
+    each map scored as it is read, so one map is held at a time."""
     path = Path(manifest.path)
     if not path.is_dir():
         raise ValidationError(
@@ -316,7 +317,7 @@ def load_dataset_maps(manifest: DatasetManifest) -> list:
     )
     if not files:
         raise ValidationError(f"{manifest.name}: no uncertainty maps under {path}")
-    return [(p.stem, load_uncertainty_map(p)) for p in files]
+    return [p.stem for p in files], [mean_uncertainty(load_uncertainty_map(p)) for p in files]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +484,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     models = {}
     for method in cfg.methods:
         if method == "mean_uncertainty":
-            scores = [[mean_uncertainty(um) for _, um in load_dataset_maps(m)] for m in test_sets]
+            scores = [score_dataset_maps(m)[1] for m in test_sets]
         else:
             models[method] = _fit_method(method, train, cfg)
             scores = [score_set(models[method], es) for es in embeddings]

@@ -151,13 +151,8 @@ def _cmd_fit_knn(args) -> int:
 
 def _cmd_score(args) -> int:
     if args.maps:
-        from .bench import load_dataset_maps
-        from .uncertainty import mean_uncertainty
-
         manifest = DatasetManifest(name="maps", role="id_test", path=args.maps)
-        maps = load_dataset_maps(manifest)
-        ids = [sid for sid, _ in maps]
-        scores = [mean_uncertainty(um) for _, um in maps]
+        ids, scores = bench_mod.score_dataset_maps(manifest)
     else:
         if not args.model or not args.embeddings:
             raise ConfigError("score needs --model and --embeddings, or --maps")

@@ -51,6 +51,15 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _adopt(cls, arr: np.ndarray):
+    """A cls (ImageBuffer or uncertainty.UncertaintyMap) that holds arr
+    itself, validated and made read-only, where the public constructor
+    would copy it: only for a fresh array that no caller holds."""
+    obj = cls.__new__(cls)
+    obj._keep(arr)
+    return obj
+
+
 # Largest magnitude an embedding value or a mixture mean may take. Its
 # square times any dimension below 1e8 stays under the float64 maximum
 # (1.8e308), so the squared distances, variances and Gram products that
@@ -79,16 +88,21 @@ class ImageBuffer:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=float)
+        self._keep(np.array(self.pixels, dtype=float))
+
+    def _keep(self, arr: np.ndarray) -> None:
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ValidationError(f"image must have shape (H, W, 3), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError("image must have positive height and width")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("image contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # NaN fails both comparisons, and an infinity is the min or the max
+        low, high = arr.min(), arr.max()
+        if not (0.0 <= low and high <= 1.0):
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ValidationError("image contains non-finite values")
             raise ValidationError("image values must lie in [0, 1]")
-        object.__setattr__(self, "pixels", _frozen_array(arr))
+        arr.flags.writeable = False
+        object.__setattr__(self, "pixels", arr)
 
     @property
     def height(self) -> int:
@@ -104,7 +118,7 @@ class ImageBuffer:
 
     @classmethod
     def from_uint8(cls, arr: np.ndarray) -> "ImageBuffer":
-        return cls(np.asarray(arr, dtype=float) / 255.0)
+        return _adopt(cls, np.divide(arr, 255.0, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -188,28 +202,26 @@ def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
     return skewed.astype(np.uint8, order="C").reshape(height, stride)
 
 
-def read_png(path) -> np.ndarray:
-    """Decode a PNG file.
-
-    Returns (H, W, 3) uint8 for RGB images, (H, W) uint8 for 8-bit
-    grayscale, and (H, W) uint16 for 16-bit grayscale.
-    """
-    data = Path(path).read_bytes()
+def _png_chunks(path, data: bytes):
+    """(IHDR fields, IDAT payload) of a PNG file's bytes, every
+    chunk CRC-checked in place. One IDAT, as this toolkit writes, comes
+    back as a view of data; several are joined."""
     if data[:8] != _PNG_SIGNATURE:
         raise FormatError(f"{path}: not a PNG file")
+    view = memoryview(data)
     pos = 8
     header = None
-    idat = bytearray()
+    idat = []
     while pos < len(data):
         if pos + 8 > len(data):
             raise FormatError(f"{path}: truncated PNG chunk header")
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        (length,) = struct.unpack_from(">I", data, pos)
         ctype = data[pos + 4 : pos + 8]
-        chunk = data[pos + 8 : pos + 8 + length]
+        chunk = view[pos + 8 : pos + 8 + length]
         if len(chunk) != length or pos + 12 + length > len(data):
             raise FormatError(f"{path}: truncated PNG chunk {ctype!r}")
-        (crc,) = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])
-        if zlib.crc32(ctype + chunk) & 0xFFFFFFFF != crc:
+        (crc,) = struct.unpack_from(">I", data, pos + 8 + length)
+        if zlib.crc32(chunk, zlib.crc32(ctype)) != crc:
             raise FormatError(f"{path}: PNG chunk {ctype!r} fails CRC check")
         pos += 12 + length
         if ctype == b"IHDR":
@@ -217,11 +229,21 @@ def read_png(path) -> np.ndarray:
                 raise FormatError(f"{path}: IHDR chunk has {length} bytes, expected 13")
             header = struct.unpack(">IIBBBBB", chunk)
         elif ctype == b"IDAT":
-            idat.extend(chunk)
+            idat.append(chunk)
         elif ctype == b"IEND":
             break
     if header is None:
         raise FormatError(f"{path}: missing IHDR chunk")
+    return header, idat[0] if len(idat) == 1 else b"".join(idat)
+
+
+def read_png(path) -> np.ndarray:
+    """Decode a PNG file.
+
+    Returns (H, W, 3) uint8 for RGB images, (H, W) uint8 for 8-bit
+    grayscale, and (H, W) uint16 for 16-bit grayscale.
+    """
+    header, idat = _png_chunks(path, Path(path).read_bytes())
     width, height, bit_depth, color_type, compression, filter_method, interlace = header
     if compression != 0 or filter_method != 0:
         raise FormatError(f"{path}: unsupported PNG compression/filter method")
@@ -250,7 +272,7 @@ def read_png(path) -> np.ndarray:
         )
     if len(raw) != expected or not inflater.eof:
         raise FormatError(f"{path}: PNG pixel payload has wrong size")
-    del data, idat  # only the inflated rows are needed from here on
+    del idat  # frees the file's bytes: only the inflated rows are needed from here on
     pixels = _unfilter(raw, height, stride, bpp)
     if bit_depth == 16:
         return pixels.view(">u2").astype(np.uint16)

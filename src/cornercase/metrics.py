@@ -7,13 +7,17 @@ AUPR-OUT treats OOD as positive with negated scores. AUROC gives half
 credit to ties and PR curves group tied scores at a single threshold,
 so no metric depends on input order. All results are percentages.
 
-Pixel AP over 16-bit uncertainty maps (every valid score k/65535 for
-an integer k in 0..65535) is computed from value counts: an exact grid
-test and np.bincount over 65536 values, block by block, replace the sort
-over pooled pixels, so no temporary grows with the pixel count. Any
-other float map (CCFMP1 feature-map scores, negated or rescaled scores)
-takes the sort path. Both paths feed one counting kernel the same
-integers, so they give identical results.
+Pixel AP and FPR95 over 16-bit uncertainty maps (every valid score
+k/65535 for an integer k in 0..65535) are computed from value counts:
+an exact grid test and np.bincount over 65536 values, block by block,
+replace the sort over pooled pixels, so no temporary grows with the
+pixel count. A PixelScoreMap counts once and caches the counts, so AP
+and FPR95 of one map share a single pass. Any other float map (CCFMP1
+feature-map scores, negated or rescaled scores) takes the sort path: AP
+sorts the valid pixels, and FPR95 selects the positives and counts the
+negatives at or above the threshold block by block, so it holds only
+the positive scores. Both paths use the same integers, so they give
+identical results.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +96,36 @@ class PixelScoreMap:
         object.__setattr__(self, "ground_truth", _frozen_array(gt, dtype=bool))
         object.__setattr__(self, "valid_mask", _frozen_array(valid, dtype=bool))
 
+    @cached_property
+    def _grid_counts(self):
+        """(positive, total) counts per distinct valid score, highest
+        first, when every valid score is k/65535 for an integer k in
+        0..65535; else None. Cached: the arrays are frozen copies.
+
+        k -> k/65535 is strictly increasing, so nonzero bins in
+        descending k are the tie groups in descending score order.
+        """
+        counts = np.zeros(2 * (_SIXTEEN_BIT_MAX + 1), dtype=np.intp)
+        for s, truth in _valid_blocks(self):
+            if not s.size:
+                continue
+            k = s * _SIXTEEN_BIT_MAX
+            np.rint(k, out=k)
+            if not (k.min() >= 0 and k.max() <= _SIXTEEN_BIT_MAX):
+                return None
+            index = k.astype(np.intp)
+            k /= _SIXTEEN_BIT_MAX
+            if not np.array_equal(k, s):
+                return None
+            # bin 2k counts the negatives at k, bin 2k + 1 the positives
+            index <<= 1
+            index += truth
+            counts += np.bincount(index, minlength=counts.size)
+        counts = counts.reshape(-1, 2)
+        total = counts.sum(axis=1)
+        groups = np.flatnonzero(total)[::-1]
+        return counts[groups, 1], total[groups]
+
 
 # ---------------------------------------------------------------------------
 # core metrics
@@ -121,10 +156,15 @@ def calibrate_threshold(id_scores, tpr_target: float = 0.95) -> float:
         raise ValidationError("cannot calibrate a threshold on empty scores")
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite")
+    kth = _kth_lowest(scores.size, tpr_target)
+    return float(np.partition(scores, kth)[kth])
+
+
+def _kth_lowest(n: int, tpr_target: float) -> int:
+    """Index, from the lowest, of the threshold among n sorted ID scores."""
     if not 0.0 < tpr_target <= 1.0:
         raise ValidationError(f"tpr_target must lie in (0, 1], got {tpr_target}")
-    kth = scores.size - math.ceil(tpr_target * scores.size)
-    return float(np.partition(scores, kth)[kth])
+    return n - math.ceil(tpr_target * n)
 
 
 def fpr_at_tpr(s: LabeledScores, tpr_target: float = 0.95) -> float:
@@ -198,43 +238,13 @@ def detection_report(s: LabeledScores, tpr_target: float = 0.95) -> DetectionRep
 # ---------------------------------------------------------------------------
 
 
-def _pixel_arrays(m: PixelScoreMap) -> tuple[np.ndarray, np.ndarray]:
-    valid = m.valid_mask.ravel()
-    return m.scores.ravel()[valid], m.ground_truth.ravel()[valid]
-
-
-def _grid_counts(m: PixelScoreMap):
-    """(positive, total) counts per distinct valid score, highest first,
-    when every valid score is k/65535 for an integer k in 0..65535; else
-    None.
-
-    k -> k/65535 is strictly increasing, so nonzero bins in descending k
-    are the tie groups in descending score order. The map is read in
-    blocks of _COUNT_BLOCK pixels, so no temporary grows with the map.
-    """
+def _valid_blocks(m: PixelScoreMap):
+    """(scores, ground truth) of the valid pixels, _COUNT_BLOCK pixels of
+    the map at a time, so no temporary grows with the map."""
     scores, truth, valid = m.scores.ravel(), m.ground_truth.ravel(), m.valid_mask.ravel()
-    counts = np.zeros(2 * (_SIXTEEN_BIT_MAX + 1), dtype=np.intp)
     for start in range(0, scores.size, _COUNT_BLOCK):
         ok = valid[start : start + _COUNT_BLOCK]
-        s = scores[start : start + _COUNT_BLOCK][ok]
-        if not s.size:
-            continue
-        k = s * _SIXTEEN_BIT_MAX
-        np.rint(k, out=k)
-        if not (k.min() >= 0 and k.max() <= _SIXTEEN_BIT_MAX):
-            return None
-        index = k.astype(np.intp)
-        k /= _SIXTEEN_BIT_MAX
-        if not np.array_equal(k, s):
-            return None
-        # bin 2k counts the negatives at k, bin 2k + 1 the positives
-        index <<= 1
-        index += truth[start : start + _COUNT_BLOCK][ok]
-        counts += np.bincount(index, minlength=counts.size)
-    counts = counts.reshape(-1, 2)
-    total = counts.sum(axis=1)
-    groups = np.flatnonzero(total)[::-1]
-    return counts[groups, 1], total[groups]
+        yield scores[start : start + _COUNT_BLOCK][ok], truth[start : start + _COUNT_BLOCK][ok]
 
 
 def pixel_average_precision(m: PixelScoreMap) -> float:
@@ -242,26 +252,49 @@ def pixel_average_precision(m: PixelScoreMap) -> float:
 
     Scores on the 16-bit grid are counted per value; others are sorted.
     """
-    counts = _grid_counts(m)
+    counts = m._grid_counts
     if counts is not None:
         pos, total = counts
         if pos.any():
             return 100.0 * _ap_from_counts(pos, total)
     else:
-        scores, positives = _pixel_arrays(m)
+        valid = m.valid_mask.ravel()
+        scores, positives = m.scores.ravel()[valid], m.ground_truth.ravel()[valid]
         if positives.any():
             return 100.0 * _average_precision(scores, positives)
     raise ValidationError("pixel map has no valid positive pixel")
 
 
 def pixel_fpr_at_tpr(m: PixelScoreMap, tpr_target: float = 0.95) -> float:
-    """FPR (%) over valid negative pixels at tpr_target anomaly recall."""
-    scores, positives = _pixel_arrays(m)
-    if not positives.any() or positives.all():
+    """FPR (%) over valid negative pixels at tpr_target anomaly recall.
+
+    The threshold is calibrate_threshold of the valid positive scores.
+    On the 16-bit grid it is read from the shared value counts; other
+    maps are read block by block, keeping only the positive scores.
+    """
+    counts = m._grid_counts
+    if counts is None:
+        positives = np.concatenate([s[truth] for s, truth in _valid_blocks(m)] or [np.empty(0)])
+        n_pos = positives.size
+        n_neg = np.count_nonzero(m.valid_mask) - n_pos
+    else:
+        pos, total = counts
+        n_pos = int(pos.sum())
+        n_neg = int(total.sum()) - n_pos
+    if not (n_pos and n_neg):
         raise ValidationError("pixel map needs valid positive and negative pixels")
-    lam = calibrate_threshold(scores[positives], tpr_target)
-    negatives = scores[~positives]
-    return 100.0 * float((negatives >= lam).sum()) / negatives.size
+    kth = _kth_lowest(n_pos, tpr_target)
+    if counts is None:
+        positives.partition(kth)
+        lam = positives[kth]
+        above = sum(np.count_nonzero(s[~truth] >= lam) for s, truth in _valid_blocks(m))
+    else:
+        # the threshold's tie group is the first, highest first, by which
+        # n_pos - kth positives have been seen; every negative from the
+        # top through that group scores >= the threshold
+        group = np.searchsorted(np.cumsum(pos), n_pos - kth) + 1
+        above = int(total[:group].sum() - pos[:group].sum())
+    return 100.0 * float(above) / n_neg
 
 
 def load_pixel_ground_truth(path) -> tuple[np.ndarray, np.ndarray]:

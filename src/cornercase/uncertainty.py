@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import FMAP_MAGIC, load_feature_map
 from .errors import FormatError, ValidationError
-from .images import _frozen_array, read_png
+from .images import _adopt, _frozen_array, read_png
 
 SIMPLEX_TOL = 1e-9
 # a 16-bit uncertainty map holds value / _SIXTEEN_BIT_MAX
@@ -49,14 +49,19 @@ class UncertaintyMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        self._keep(np.array(self.values, dtype=float))
+
+    def _keep(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or min(arr.shape) < 1:
             raise ValidationError(f"uncertainty map must be (H, W), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("uncertainty map contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # NaN fails both comparisons, and an infinity is the min or the max
+        low, high = arr.min(), arr.max()
+        if not (0.0 <= low and high <= 1.0):
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ValidationError("uncertainty map contains non-finite values")
             raise ValidationError("uncertainty values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen_array(arr))
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
     @property
     def height(self) -> int:
@@ -138,8 +143,9 @@ def load_uncertainty_map(path) -> UncertaintyMap:
         values = fm.data[0]
         if values.min() < 0.0 or values.max() > 1.0:
             raise FormatError(f"{path}: uncertainty values must lie in [0, 1]")
-        return UncertaintyMap(values=values)
+        return _adopt(UncertaintyMap, values)  # read-only, and fm is ours alone
     arr = read_png(path)
     if arr.ndim != 2 or arr.dtype != np.uint16:
         raise FormatError(f"{path}: expected a 16-bit single-channel PNG")
-    return UncertaintyMap(values=arr.astype(float) / _SIXTEEN_BIT_MAX)
+    # one float pass, bit for bit arr.astype(float) / 65535
+    return _adopt(UncertaintyMap, arr / _SIXTEEN_BIT_MAX)

@@ -1,6 +1,7 @@
 """Benchmark runner, synthetic generation, report rendering tests."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +33,11 @@ from cornercase.embeddings import (
     save_embeddings,
     toy_encode,
 )
+from cornercase.cli import main
+from cornercase.embeddings import FeatureMap, load_feature_map, save_feature_map
 from cornercase.errors import ConfigError, ValidationError
-from cornercase.metrics import DetectionReport
+from cornercase.images import read_png, write_png
+from cornercase.metrics import DetectionReport, LabeledScores, detection_report, save_scores
 from cornercase.stats import CorrelationResult
 from cornercase.synthetic import NOISE_FAMILY, scene_set
 
@@ -175,6 +179,82 @@ class TestRunBenchmark:
         cfg = _basic_config(paths, methods=("mean_uncertainty",))
         with pytest.raises(ValidationError, match="directory of uncertainty"):
             run_benchmark(cfg)
+
+
+def _write_map_dir(directory, rng, count, low=0.0, high=1.0, shape=(24, 40)):
+    """count 16-bit PNG maps, plus one single-channel CCFMP1 map."""
+    directory.mkdir()
+    for i in range(count):
+        levels = rng.integers(int(low * 65535), int(high * 65535) + 1, size=shape)
+        write_png(directory / f"m{i:02d}.png", levels.astype(np.uint16))
+    values = rng.uniform(low, high, size=(1, *shape)).astype(np.float32).astype(float)
+    save_feature_map(FeatureMap(values), directory / "z.ccfm")
+    return directory
+
+
+def _reference_map_scores(directory):
+    """(ids, scores) by the formula each map was scored with when every
+    map of a directory was loaded first: -mean(levels / 65535) per PNG."""
+    ids, scores = [], []
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".png":
+            values = read_png(path).astype(float) / 65535
+        else:
+            values = np.array(load_feature_map(path).data[0])
+        ids.append(path.stem)
+        scores.append(-float(values.mean()))
+    return ids, scores
+
+
+class TestScoreDatasetMaps:
+    def test_score_maps_file_equals_reference(self, tmp_path):
+        maps = _write_map_dir(tmp_path / "maps", np.random.default_rng(40), 7)
+        out = tmp_path / "u.jsonl"
+        assert main(["score", "--maps", str(maps), "--out", str(out)]) == 0
+        ids, scores = _reference_map_scores(maps)
+        save_scores(tmp_path / "want.jsonl", ids, scores, "id")
+        assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_mean_uncertainty_report_equals_reference(self, tmp_path):
+        rng = np.random.default_rng(41)
+        confident = _write_map_dir(tmp_path / "id_maps", rng, 9, 0.0, 1.0)
+        uncertain = _write_map_dir(tmp_path / "ood_maps", rng, 6, 0.01, 1.0)
+        cfg = BenchConfig(
+            seed=0,
+            methods=("mean_uncertainty",),
+            id_train=DatasetManifest(name="train", role="id_train", path=str(confident)),
+            id_test=DatasetManifest(name="test", role="id_test", path=str(confident)),
+            ood_sets=(DatasetManifest(name="shifted", role="ood", path=str(uncertain)),),
+        )
+        report = run_benchmark(cfg)
+        split = LabeledScores(
+            id_scores=_reference_map_scores(confident)[1],
+            ood_scores=_reference_map_scores(uncertain)[1],
+        )
+        want = detection_report(split, cfg.tpr_target)
+        assert report.rows == (("mean_uncertainty", "shifted", want),)
+        assert 0.0 < want.auroc < 100.0
+
+    def test_memory_holds_one_map_at_a_time(self, tmp_path):
+        # a 128x256 map is 256 KiB as float64; 20 maps held at once would
+        # add 4.75 MiB over 2, ids and scores only about 2 KiB
+        peaks = []
+        for count in (2, 20):
+            maps = tmp_path / f"maps{count}"
+            maps.mkdir()
+            rng = np.random.default_rng(42)
+            for i in range(count):
+                levels = rng.integers(0, 65536, size=(128, 256), dtype=np.uint16)
+                write_png(maps / f"m{i:02d}.png", levels)
+            manifest = DatasetManifest(name="maps", role="id_test", path=str(maps))
+            tracemalloc.start()
+            try:
+                ids, scores = bench_module.score_dataset_maps(manifest)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(ids) == len(scores) == count
+        assert peaks[1] <= peaks[0] + 32 * 1024
 
 
 class TestConfigSchema:

@@ -163,8 +163,9 @@ def _encode_with_filters(arr: np.ndarray, filters) -> bytes:
     return _png_file(arr.shape[1], arr.shape[0], color_type, idat, bit_depth)
 
 
-def _png_file(width, height, color_type, idat, bit_depth=8):
-    """PNG bytes for an image with the given raw IDAT payload."""
+def _png_file(width, height, color_type, idat, bit_depth=8, parts=1):
+    """PNG bytes for an image with the given raw IDAT payload, split
+    into that many IDAT chunks."""
 
     def chunk(ctype, payload):
         return (
@@ -178,7 +179,10 @@ def _png_file(width, height, color_type, idat, bit_depth=8):
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", idat)
+        + b"".join(
+            chunk(b"IDAT", idat[i * len(idat) // parts : (i + 1) * len(idat) // parts])
+            for i in range(parts)
+        )
         + chunk(b"IEND", b"")
     )
 
@@ -270,6 +274,34 @@ class TestPngErrors:
         with pytest.raises(FormatError):
             read_png(path)
 
+    # byte offsets in a toolkit-written file: IHDR type 12, IHDR CRC 29,
+    # IDAT type 37, IDAT payload 41; from the end, IDAT CRC -16
+    @pytest.mark.parametrize("offset", [12, 15, 29, 32, 37, 41, -16, -13])
+    def test_flipped_byte_fails_crc(self, tmp_path, offset):
+        arr = _rng().integers(0, 256, size=(5, 6, 3), dtype=np.uint8)
+        path = tmp_path / "x.png"
+        write_png(path, arr)
+        blob = bytearray(path.read_bytes())
+        assert blob[12:16] == b"IHDR" and blob[37:41] == b"IDAT"
+        blob[offset] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="fails CRC check"):
+            read_png(path)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_split_image_data_decodes_the_same(self, tmp_path, layout):
+        arr = _random_image(layout, (9, 13), _rng())
+        color_type, bit_depth, _, _ = _layout(arr)
+        idat = zlib.compress(_filtered_scanlines(arr, [0, 1, 2, 3, 4]))
+        for parts in (1, 3):
+            path = tmp_path / f"split{parts}.png"
+            blob = _png_file(arr.shape[1], arr.shape[0], color_type, idat, bit_depth, parts)
+            assert blob.count(b"IDAT") == parts
+            path.write_bytes(blob)
+            got = read_png(path)
+            assert got.dtype == arr.dtype
+            np.testing.assert_array_equal(got, arr)
+
     def test_inflate_bomb_rejected(self, tmp_path):
         # a 1x1 gray image needs 2 bytes; this IDAT inflates to 1 MiB
         idat = zlib.compress(bytes(1 << 20))
@@ -307,6 +339,47 @@ class TestImageBuffer:
             ImageBuffer(np.full((2, 2, 3), 1.5))
         with pytest.raises(ValidationError):
             ImageBuffer(np.full((2, 2, 3), np.nan))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "image contains non-finite values"),
+            (np.inf, "image contains non-finite values"),
+            (-np.inf, "image contains non-finite values"),
+            (1.5, r"image values must lie in \[0, 1\]"),
+            (-0.5, r"image values must lie in \[0, 1\]"),
+        ],
+    )
+    def test_bad_value_messages(self, bad, message):
+        pixels = np.full((3, 4, 3), 0.25)
+        pixels[1, 2, 0] = bad
+        with pytest.raises(ValidationError, match=message):
+            ImageBuffer(pixels)
+        # a non-finite value is named even beside an out-of-range one
+        pixels[0, 0, 1] = 2.0 if np.isfinite(bad) else bad
+        pixels[2, 3, 2] = 2.0
+        with pytest.raises(ValidationError, match=message):
+            ImageBuffer(pixels)
+
+    def test_caller_arrays_are_copied(self):
+        pixels = np.full((3, 4, 3), 0.25)
+        img = ImageBuffer(pixels)
+        pixels[:] = 0.75
+        assert np.all(img.pixels == 0.25)
+        levels = np.full((3, 4, 3), 51, dtype=np.uint8)
+        from_levels = ImageBuffer.from_uint8(levels)
+        levels[:] = 255
+        assert np.all(from_levels.pixels == 0.2)
+        assert not img.pixels.flags.writeable and not from_levels.pixels.flags.writeable
+
+    def test_from_uint8_equals_float_cast_then_divide_bit_for_bit(self):
+        levels = np.arange(256, dtype=np.uint8).repeat(3).reshape(16, 16, 3)
+        img = ImageBuffer.from_uint8(levels)
+        assert img.pixels.tobytes() == (levels.astype(float) / 255.0).tobytes()
+        # any integer or float input is divided in float64
+        assert ImageBuffer.from_uint8(levels.astype(np.float32)).pixels.tobytes() == (
+            img.pixels.tobytes()
+        )
 
     def test_file_round_trip(self, tmp_path):
         rng = _rng()

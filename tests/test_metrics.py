@@ -1,6 +1,7 @@
 """Detection-metric tests against brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ def average_precision_loop_reference(scores, positive) -> float:
         prev_recall = recall
         i = j + 1
     return ap
+
+
+def pixel_fpr_pooled_reference(m: PixelScoreMap, tpr_target: float) -> float:
+    """FPR95 from one copy of all valid pixels, the threshold taken by
+    calibrate_threshold: what pixel_fpr_at_tpr must equal on both paths."""
+    valid = m.valid_mask.ravel()
+    scores, positives = m.scores.ravel()[valid], m.ground_truth.ravel()[valid]
+    if not positives.any() or positives.all():
+        raise ValidationError("pixel map needs valid positive and negative pixels")
+    lam = calibrate_threshold(scores[positives], tpr_target)
+    negatives = scores[~positives]
+    return 100.0 * float((negatives >= lam).sum()) / negatives.size
 
 
 # seeded draws of n scores: no ties, five levels, signed zeros among
@@ -511,6 +524,145 @@ class TestPixelApPaths:
         m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
         with pytest.raises(ValidationError, match="no valid positive"):
             pixel_average_precision(m)
+
+
+def _sorted(m: PixelScoreMap) -> PixelScoreMap:
+    """m with its grid counts cached as absent, so both pixel metrics
+    take the sort path on the same scores."""
+    m.__dict__["_grid_counts"] = None
+    return m
+
+
+class TestPixelFprPaths:
+    """FPR95 of a 16-bit map is read from the cached value counts, of any
+    other map block by block; both equal the pooled-copy reference."""
+
+    TARGETS = [0.95, 0.5, 1.0, 1e-3]
+
+    def _maps(self, scores, gt, valid):
+        grid = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
+        assert grid._grid_counts is not None
+        return grid, _sorted(PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid))
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("levels", [1, 3, 40, 65536])
+    def test_count_path_equals_sort_path(self, levels, target):
+        # three count blocks, the second of invalid pixels only
+        rng = np.random.default_rng(30)
+        scores = _sixteen_bit_draw(rng, (600, 512), levels)
+        gt = rng.uniform(size=scores.shape) < 0.07
+        valid = np.ones(scores.shape, dtype=bool)
+        valid[256:512] = False
+        grid, by_sort = self._maps(scores, gt, valid)
+        want = pixel_fpr_pooled_reference(grid, target)
+        assert pixel_fpr_at_tpr(grid, target) == want
+        assert pixel_fpr_at_tpr(by_sort, target) == want
+
+    def test_random_maps_with_ties_and_invalid_pixels(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 40, size=2))
+            scores = _sixteen_bit_draw(rng, shape, int(rng.integers(1, 12)))
+            gt = rng.uniform(size=shape) < rng.uniform(0.05, 0.95)
+            valid = rng.uniform(size=shape) < rng.uniform(0.3, 1.0)
+            target = float(rng.choice([*self.TARGETS, rng.uniform(1e-3, 1.0)]))
+            grid, by_sort = self._maps(scores, gt, valid)
+            try:
+                want = pixel_fpr_pooled_reference(grid, target)
+            except ValidationError as exc:
+                for m in (grid, by_sort):
+                    with pytest.raises(ValidationError, match=str(exc)):
+                        pixel_fpr_at_tpr(m, target)
+                continue
+            assert pixel_fpr_at_tpr(grid, target) == want
+            assert pixel_fpr_at_tpr(by_sort, target) == want
+            checked += 1
+        assert checked > 200
+
+    def test_off_grid_maps_equal_reference(self):
+        rng = np.random.default_rng(32)
+        scores = -(rng.integers(1, 65536, size=(300, 512)) / 65535.0)
+        gt = rng.uniform(size=scores.shape) < 0.1
+        valid = rng.uniform(size=scores.shape) < 0.9
+        m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
+        assert m._grid_counts is None
+        for target in self.TARGETS:
+            assert pixel_fpr_at_tpr(m, target) == pixel_fpr_pooled_reference(m, target)
+
+    @pytest.mark.parametrize(
+        "case, target, message",
+        [
+            ("no_positive", 0.95, "valid positive and negative"),
+            ("no_negative", 0.95, "valid positive and negative"),
+            ("no_valid", 0.95, "valid positive and negative"),
+            ("both", 0.0, r"tpr_target must lie in \(0, 1\], got 0.0"),
+            ("both", 1.5, r"tpr_target must lie in \(0, 1\], got 1.5"),
+            ("both", -0.1, r"tpr_target must lie in \(0, 1\], got -0.1"),
+            ("both", float("nan"), r"tpr_target must lie in \(0, 1\], got nan"),
+        ],
+    )
+    def test_same_errors_on_both_paths(self, case, target, message):
+        scores = _sixteen_bit_draw(np.random.default_rng(33), (8, 8), 5)
+        gt = np.zeros(scores.shape, dtype=bool)
+        gt[:3] = True
+        valid = np.ones(scores.shape, dtype=bool)
+        if case == "no_positive":
+            valid[:3] = False
+        elif case == "no_negative":
+            valid[3:] = False
+        elif case == "no_valid":
+            valid[:] = False
+        for m in self._maps(scores, gt, valid):
+            with pytest.raises(ValidationError, match=message):
+                pixel_fpr_at_tpr(m, target)
+        with pytest.raises(ValidationError, match=message):
+            pixel_fpr_pooled_reference(m, target)
+
+    def test_one_count_pass_serves_ap_and_fpr(self, monkeypatch):
+        passes = []
+        blocks = metrics._valid_blocks
+
+        def spy(m):
+            passes.append(m)
+            return blocks(m)
+
+        monkeypatch.setattr(metrics, "_valid_blocks", spy)
+        rng = np.random.default_rng(34)
+        scores = _sixteen_bit_draw(rng, (300, 512), 50)
+        m = PixelScoreMap(scores=scores, ground_truth=rng.uniform(size=scores.shape) < 0.1,
+                          valid_mask=np.ones(scores.shape, dtype=bool))
+        pixel_average_precision(m)
+        pixel_fpr_at_tpr(m, 0.95)
+        pixel_fpr_at_tpr(m, 0.5)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("on_grid", [True, False])
+    def test_pooled_maps_in_bounded_memory(self, on_grid):
+        # 40 pooled 192x384 maps, 8% positive, an invalid band at the
+        # bottom of each; rescaled scores leave the grid. Pooled copies
+        # of the valid pixels peaked at 44.8 MiB for FPR95; blocks of
+        # _COUNT_BLOCK pixels hold about 4-5 MiB on either path.
+        rng = np.random.default_rng(35)
+        maps, height, width = 40, 192, 384
+        scores = rng.integers(0, 65536, size=(maps * height, width)) / 65535.0
+        if not on_grid:
+            scores = 0.5 * scores + 0.25
+        gt = np.zeros(scores.shape, dtype=bool)
+        gt[:, 100:130] = True
+        valid = np.ones((maps, height, width), dtype=bool)
+        valid[:, -16:] = False
+        m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid.reshape(scores.shape))
+        del scores, gt, valid
+        tracemalloc.start()
+        try:
+            got = pixel_fpr_at_tpr(m, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert got == pixel_fpr_pooled_reference(m, 0.95)
+        assert (m._grid_counts is not None) == on_grid
 
 
 class TestScoreFiles:

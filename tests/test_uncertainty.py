@@ -164,6 +164,34 @@ class TestMeanUncertainty:
         with pytest.raises(ValidationError):
             UncertaintyMap(values=np.full((2, 2), 1.5))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "uncertainty map contains non-finite values"),
+            (np.inf, "uncertainty map contains non-finite values"),
+            (-np.inf, "uncertainty map contains non-finite values"),
+            (1.5, r"uncertainty values must lie in \[0, 1\]"),
+            (-0.5, r"uncertainty values must lie in \[0, 1\]"),
+        ],
+    )
+    def test_bad_value_messages(self, bad, message):
+        values = np.full((3, 4), 0.25)
+        values[1, 2] = bad
+        with pytest.raises(ValidationError, match=message):
+            UncertaintyMap(values=values)
+        # a non-finite value is named even beside an out-of-range one
+        values[0, 0] = 2.0 if np.isfinite(bad) else bad
+        values[2, 3] = 2.0
+        with pytest.raises(ValidationError, match=message):
+            UncertaintyMap(values=values)
+
+    def test_caller_array_is_copied(self):
+        values = np.full((3, 4), 0.25)
+        umap = UncertaintyMap(values=values)
+        values[:] = 0.75
+        assert np.all(umap.values == 0.25)
+        assert not umap.values.flags.writeable
+
 
 class TestMapLoading:
     def test_png16_normalization(self, tmp_path):
@@ -172,6 +200,15 @@ class TestMapLoading:
         write_png(path, arr)
         umap = load_uncertainty_map(path)
         np.testing.assert_allclose(umap.values, arr.astype(float) / 65535.0)
+
+    def test_png16_equals_float_cast_then_divide_bit_for_bit(self, tmp_path):
+        arr = np.arange(65536, dtype=np.uint16).reshape(256, 256)
+        path = tmp_path / "u.png"
+        write_png(path, arr)
+        umap = load_uncertainty_map(path)
+        assert umap.values.dtype == np.float64
+        assert umap.values.tobytes() == (arr.astype(float) / 65535).tobytes()
+        assert not umap.values.flags.writeable
 
     def test_tensor_container_single_channel(self, tmp_path):
         rng = np.random.default_rng(4)
