@@ -20,9 +20,11 @@ import numpy as np
 
 from .corruptions import (
     DEFAULT_ATMOSPHERIC_LIGHT,
+    _noise_field,
+    _sweep_blocks,
+    _sweep_spec,
     severity_dirname,
     severity_sweep,
-    sweep_images,
 )
 from .density import build_knn_index, fit_gmm, fit_gmm_bic, score_set
 from .embeddings import (
@@ -31,6 +33,7 @@ from .embeddings import (
     load_embeddings,
     save_embeddings,
     toy_encode,
+    toy_encode_noise_sweep,
 )
 from .errors import ConfigError, DegenerateInputError, FormatError, ValidationError
 from .images import load_depth, load_image
@@ -404,7 +407,10 @@ def run_corruption_sweep(
 
     clean_images is a sequence of (sample_id, ImageBuffer); depths, when
     given, aligns with it. The ID side of every severity report is the
-    toy encoding of the clean images. Returns (sweep_rows, correlations).
+    toy encoding of the clean images. Noise sweeps are encoded from
+    per-image sums (toy_encode_noise_sweep), without corrupted images;
+    the other kinds from the sweep engine's blocks. Returns (sweep_rows,
+    correlations).
     """
     clean_images = list(clean_images)
     if not clean_images:
@@ -418,9 +424,15 @@ def run_corruption_sweep(
     # one array rather than lists of small rows: rows kept alive between
     # the per-image temporaries made the allocator re-fault their pages
     feats = np.empty((len(specs), len(ids), id_set.dim))
-    sources = zip((img for _, img in clean_images), depths)
-    for i, j, _, block in sweep_images(sources, specs):
-        feats[j : j + len(block), i] = toy_encode(block, grid=grid)
+    spec, severities = _sweep_spec(specs)
+    if spec.kind == "gaussian_noise":
+        for i, (_, img) in enumerate(clean_images):
+            field = _noise_field(spec.seed + i, img.pixels.shape)
+            feats[:, i] = toy_encode_noise_sweep(img, field, severities, grid=grid)
+    else:
+        sources = zip((img for _, img in clean_images), depths)
+        for i, j, _, block in _sweep_blocks(sources, spec, severities):
+            feats[j : j + len(block), i] = toy_encode(block, grid=grid)
     severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in feats)
     return _score_sweep(model, id_set, severity_sets, specs, tpr_target)
 

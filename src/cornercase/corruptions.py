@@ -37,8 +37,11 @@ CORRUPTION_KINDS = ("fog", "gaussian_noise", "white_box")
 DEFAULT_ATMOSPHERIC_LIGHT = 0.92
 
 # float64 values in one sweep block: b severities of an H x W image make
-# b*H*W*3 <= 2^16 (512 KiB). On 64x96 noise sweeps a 2^18 budget was
-# slower and raised peak memory, so this is a constant, not a setting.
+# b*H*W*3 <= 2^16 (512 KiB). The blocks feed file sweeps and the scoring
+# of fog and white-box sweeps; noise sweeps are scored from per-image
+# sums (embeddings.toy_encode_noise_sweep). The budget was measured when
+# 64x96 noise sweeps were still scored from blocks: 2^18 was slower and
+# raised peak memory there. A constant, not a setting.
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
 
 # Threads that deflate and write sweep outputs. zlib releases the GIL
@@ -248,6 +251,12 @@ def sweep_images(sources, specs):
     specs[j : j + b], with b * H * W * 3 <= _SWEEP_BLOCK_ELEMENTS, or b = 1
     for larger images.
     """
+    return _sweep_blocks(sources, *_sweep_spec(specs))
+
+
+def _sweep_spec(specs):
+    """The first of a sweep's specs and the severities of all of them,
+    after checking that they share kind, seed and atmospheric light."""
     specs = list(specs)
     if not specs:
         raise ValidationError("no corruption specs supplied")
@@ -256,7 +265,13 @@ def sweep_images(sources, specs):
         raise ValidationError(
             "all specs in one sweep must share a corruption kind, seed and atmospheric light"
         )
-    return _sweep_blocks(sources, specs[0], np.array([s.severity for s in specs]))
+    return specs[0], np.array([s.severity for s in specs])
+
+
+def _noise_field(seed: int, shape) -> np.ndarray:
+    """The standard normal field that noise of every sigma scales, for
+    the image whose sweep seed is seed."""
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 def _sweep_blocks(sources, spec, severities):
@@ -267,8 +282,7 @@ def _sweep_blocks(sources, spec, severities):
             d = _resolved_depth(img, depth)
             corrupt = partial(_fog_stack, px, d, spec.atmospheric_light)
         elif spec.kind == "gaussian_noise":
-            field = np.random.default_rng(seed).standard_normal(px.shape)
-            corrupt = partial(_noise_stack, px, field)
+            corrupt = partial(_noise_stack, px, _noise_field(seed, px.shape))
         else:
             corrupt = partial(_box_stack, px, seed)
         step = max(1, _SWEEP_BLOCK_ELEMENTS // px.size)

@@ -26,6 +26,11 @@ CONTAINER_VERSION = 1
 
 MANIFEST_ROLES = ("id_train", "id_test", "ood")
 
+# pixel values in one band of rows that toy_encode_noise_sweep scans for
+# clip candidates: its temporaries follow the band, not the image or the
+# share of pixels that clip
+_CLIP_BLOCK_ELEMENTS = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -142,6 +147,44 @@ def pool_spatial_mean(fm: FeatureMap) -> np.ndarray:
     return fm.data.mean(axis=(1, 2))
 
 
+def _encoding_grid(h: int, w: int, grid: int):
+    """Row starts, column starts and (grid, grid) cell sizes of the toy
+    encoding grid; the last row and column of cells absorb remainders."""
+    if grid < 1:
+        raise ValidationError("grid must be a positive integer")
+    if h < grid or w < grid:
+        raise ValidationError(
+            f"image {h}x{w} too small for a {grid}x{grid} encoding grid"
+        )
+    row_starts = np.arange(grid) * (h // grid)
+    col_starts = np.arange(grid) * (w // grid)
+    cell_sizes = np.outer(np.diff(row_starts, append=h), np.diff(col_starts, append=w))
+    return row_starts, col_starts, cell_sizes
+
+
+def _cell_sums(stack, row_starts, col_starts) -> np.ndarray:
+    """Per-cell per-channel sums of an (n, H, W, 3) stack: (n, grid, grid, 3)."""
+    return np.add.reduceat(np.add.reduceat(stack, row_starts, axis=1), col_starts, axis=2)
+
+
+def _channel_dots(u, v, w: int) -> np.ndarray:
+    """Per-channel sums of u * v for (..., rows, W*3) arrays, rows
+    interleaving the 3 channels: (..., 3)."""
+    per_column = np.einsum("...ij,...ij->...j", u, v)
+    return per_column.reshape(*per_column.shape[:-1], w, 3).sum(axis=-2)
+
+
+def _features(sums, cell_sizes, sq, pixels: int) -> np.ndarray:
+    """(n, 3*grid*grid + 3) features from cell sums (n, grid, grid, 3) and
+    per-channel sums of squares about the channel means (n, 3)."""
+    n = len(sums)
+    means = sums / cell_sizes[:, :, None]
+    feats = np.concatenate([means.reshape(n, -1), np.sqrt(sq / pixels)], axis=1)
+    if not np.isfinite(feats).all():
+        raise ValidationError("toy_encode input contains non-finite values")
+    return feats
+
+
 def toy_encode(images, grid: int = 4) -> np.ndarray:
     """Deterministic image embedding of length 3*grid*grid + 3.
 
@@ -151,8 +194,6 @@ def toy_encode(images, grid: int = 4) -> np.ndarray:
     grid x grid partition (remainder rows/columns absorbed by the last
     cell), followed by the three global per-channel standard deviations.
     """
-    if grid < 1:
-        raise ValidationError("grid must be a positive integer")
     single = isinstance(images, ImageBuffer)
     stack = images.pixels[None] if single else np.asarray(images, dtype=float)
     if stack.ndim != 4 or stack.shape[3] != 3:
@@ -160,24 +201,134 @@ def toy_encode(images, grid: int = 4) -> np.ndarray:
             f"toy_encode needs an ImageBuffer or an (n, H, W, 3) stack, got {stack.shape}"
         )
     n, h, w, _ = stack.shape
-    if h < grid or w < grid:
-        raise ValidationError(
-            f"image {h}x{w} too small for a {grid}x{grid} encoding grid"
-        )
-    row_starts = np.arange(grid) * (h // grid)
-    col_starts = np.arange(grid) * (w // grid)
-    sums = np.add.reduceat(np.add.reduceat(stack, row_starts, axis=1), col_starts, axis=2)
-    cell_sizes = np.outer(np.diff(row_starts, append=h), np.diff(col_starts, append=w))
-    means = sums / cell_sizes[:, :, None]
+    row_starts, col_starts, cell_sizes = _encoding_grid(h, w, grid)
+    sums = _cell_sums(stack, row_starts, col_starts)
     # centre each (H, W*3) image row on its per-channel mean, tiled along
     # the row, so the elementwise work runs over contiguous rows
     mean_row = np.tile(sums.sum(axis=(1, 2)) / (h * w), w)
     centred = stack.reshape(n, h, w * 3) - mean_row[:, None, :]
-    sq = np.einsum("nij,nij->nj", centred, centred).reshape(n, w, 3).sum(axis=1)
-    feats = np.concatenate([means.reshape(n, -1), np.sqrt(sq / (h * w))], axis=1)
-    if not np.isfinite(feats).all():
-        raise ValidationError("toy_encode input contains non-finite values")
+    feats = _features(sums, cell_sizes, _channel_dots(centred, centred, w), h * w)
     return feats[0] if single else feats
+
+
+def _unclipped_count(p, f, sigmas) -> np.ndarray:
+    """Per element, how many of the ascending sigmas leave fl(sigma * f) + p
+    in [0, 1], for elements that leave it at the last sigma.
+
+    Those sigmas are a prefix, as rounding is monotone and every sigma is
+    non-negative, so a bisection that evaluates the noisy value as the
+    sweep engine does finds the count exactly.
+    """
+    lo = np.zeros(len(p), dtype=np.intp)
+    hi = np.full(len(p), len(sigmas) - 1)
+    for _ in range(len(sigmas).bit_length()):
+        mid = (lo + hi) // 2
+        noisy = sigmas[mid] * f
+        noisy += p
+        inside = (noisy >= 0.0) & (noisy <= 1.0)
+        lo = np.where(inside, mid + 1, lo)
+        hi = np.where(inside, hi, mid)
+    return lo
+
+
+def toy_encode_noise_sweep(img: ImageBuffer, field, sigmas, grid: int = 4) -> np.ndarray:
+    """toy_encode of clip(img + sigma * field, 0, 1) for every sigma, as a
+    (K, dim) matrix, from per-image sums: no corrupted image is built.
+
+    The noisy value of a pixel channel p with noise f is
+    fl(sigma * f) + p, as in the sweep engine. In ascending sigma order
+    an element is inside [0, 1] for the first t sigmas and clipped to
+    its bound b (1 if f > 0, else 0) from then on. Elements inside at
+    the largest sigma (t = K) enter through band-wise sums over the
+    image; the others, the clip candidates, are found in bands of
+    _CLIP_BLOCK_ELEMENTS values, their t by bisection (_unclipped_count),
+    and their sums are binned by t. At sigma j, a cell sums
+    S_p + sigma S_f over the elements with t > j and S_b over the
+    others; the squared deviations from the clean channel mean a sum to
+    S_(p-a)^2 + 2 sigma S_(p-a)f + sigma^2 S_f^2 over the first and
+    S_(b-a)^2 over the second. |sigma * f| <= 1 in every element of the
+    first kind, so no term grows with sigma and nothing cancels. The
+    standard deviation follows from sum (x - a)^2 - n (m - a)^2. Rows
+    equal toy_encode of the corrupted images to within 1e-12, and those
+    of sigma 0 equal toy_encode(img) exactly. No array has K times as
+    many values as a band.
+    """
+    pixels = img.pixels
+    h, w, _ = pixels.shape
+    field = np.asarray(field, dtype=float)
+    if field.shape != pixels.shape:
+        raise ValidationError(f"noise field {field.shape} does not match image {pixels.shape}")
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 1 or not sigmas.size or not (np.isfinite(sigmas) & (sigmas >= 0)).all():
+        raise ValidationError("sigmas must be a non-empty sequence of non-negative reals")
+    row_starts, col_starts, cell_sizes = _encoding_grid(h, w, grid)
+    a = _cell_sums(pixels[None], row_starts, col_starts).sum(axis=(1, 2))[0] / (h * w)
+    mean_row = np.tile(a, w)
+    order = np.argsort(sigmas, kind="stable")
+    ascending = sigmas[order]
+    k = len(ascending)
+    # the grid cell of every row and column, as _encoding_grid cuts them
+    row_cell = np.minimum(np.arange(h) // (h // grid), grid - 1)
+    col_cell = np.minimum(np.arange(w) // (w // grid), grid - 1)
+    # binned by t: per cell S_p, S_f and S_b; per channel S_(p-a)^2,
+    # S_(p-a)f, S_f^2 and S_(b-a)^2
+    cell_terms = np.zeros((3, k + 1, grid, grid, 3))
+    channel_terms = np.zeros((4, k + 1, 3))
+    band = max(1, _CLIP_BLOCK_ELEMENTS // (3 * w))
+    for r0 in range(0, h, band):
+        p = pixels[r0 : r0 + band].reshape(-1, 3 * w)
+        f = field[r0 : r0 + band].reshape(-1, 3 * w)
+        centred = p - mean_row
+        noisy = ascending[-1] * f
+        noisy += p
+        clips = (noisy < 0.0) | (noisy > 1.0)
+        del noisy
+        if clips.any():
+            at = np.flatnonzero(clips)
+            pc, fc, channel = p.ravel()[at], f.ravel()[at], at % 3
+            rows, cols = np.divmod(at // 3, w)
+            cell = (row_cell[r0 + rows] * grid + col_cell[cols]) * 3 + channel
+            del at, rows, cols
+            t = _unclipped_count(pc, fc, ascending)
+            by_cell, by_channel = t * (grid * grid * 3) + cell, t * 3 + channel
+            del cell, t
+            bound = (fc > 0.0).astype(float)
+            for terms, weights in zip(cell_terms, (pc, fc, bound)):
+                terms[:k] += np.bincount(by_cell, weights, terms[:k].size).reshape(terms[:k].shape)
+            centre = a[channel]
+            dp, db = pc - centre, bound - centre
+            products = ((dp, dp), (dp, fc), (fc, fc), (db, db))
+            for terms, (u, v) in zip(channel_terms, products):
+                terms[:k] += np.bincount(by_channel, u * v, 3 * k).reshape(k, 3)
+            p = np.where(clips, 0.0, p)
+            f = np.where(clips, 0.0, f)
+            centred[clips] = 0.0
+        first, last = row_cell[r0], row_cell[min(r0 + band, h) - 1]
+        starts = np.maximum(row_starts[first : last + 1] - r0, 0)
+        for terms, values in zip(cell_terms[:2, k], (p, f)):
+            band_sums = _cell_sums(values.reshape(1, -1, w, 3), starts, col_starts)
+            terms[first : last + 1] += band_sums[0]
+        channel_terms[:3, k] += [
+            _channel_dots(centred, centred, w), _channel_dots(centred, f, w), _channel_dots(f, f, w)
+        ]
+    # at sigma j: terms of t > j (a suffix sum) and of t <= j (a prefix sum)
+    s_p, s_f = np.cumsum(cell_terms[:2, ::-1], axis=1)[:, k - 1 :: -1]
+    s_pp, s_pf, s_ff = np.cumsum(channel_terms[:3, ::-1], axis=1)[:, k - 1 :: -1]
+    sums = s_p + ascending[:, None, None, None] * s_f + np.cumsum(cell_terms[2, :k], axis=0)
+    # (sigma * sqrt(S_f^2))^2 is at most n, where sigma^2 may overflow
+    sq = s_pp + 2.0 * ascending[:, None] * s_pf + (ascending[:, None] * np.sqrt(s_ff)) ** 2
+    sq += np.cumsum(channel_terms[3, :k], axis=0)
+    shift = sums.sum(axis=(1, 2)) / (h * w) - a
+    sq -= (h * w) * shift**2
+    feats = np.empty((k, cell_sizes.size * 3 + 3))
+    # rounding can leave a zero spread a hair below 0
+    feats[order] = _features(sums, cell_sizes, np.maximum(sq, 0.0), h * w)
+    # sigma 0 leaves the image clean; its rows must tie with the clean
+    # encoding exactly, as ties decide ranks and precision
+    clean = sigmas == 0.0
+    if clean.any():
+        feats[clean] = toy_encode(img, grid)
+    return feats
 
 
 # ---------------------------------------------------------------------------

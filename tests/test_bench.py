@@ -24,7 +24,7 @@ from cornercase.bench import (
     run_corruption_sweep,
     save_report_json,
 )
-from cornercase.corruptions import severity_sweep
+from cornercase.corruptions import CorruptionSpec, severity_sweep, sweep_images
 from cornercase.density import fit_gmm
 from cornercase.embeddings import (
     DatasetManifest,
@@ -36,7 +36,7 @@ from cornercase.embeddings import (
 from cornercase.cli import main
 from cornercase.embeddings import FeatureMap, load_feature_map, save_feature_map
 from cornercase.errors import ConfigError, ValidationError
-from cornercase.images import read_png, write_png
+from cornercase.images import ImageBuffer, read_png, write_png
 from cornercase.metrics import DetectionReport, LabeledScores, detection_report, save_scores
 from cornercase.stats import CorrelationResult
 from cornercase.synthetic import NOISE_FAMILY, scene_set
@@ -362,6 +362,56 @@ class TestSweepRoutes:
         assert aurocs[-1] > aurocs[0]  # strong noise is easier to detect
         kinds = {(m, c.kind) for m, c in correlations}
         assert ("auroc", "pearson") in kinds and ("fpr_at_95", "spearman") in kinds
+
+    @pytest.mark.parametrize("grid", ["noise-paper", [0.0, 0.05, 0.3]])
+    def test_noise_sweep_rows_equal_block_path(self, grid):
+        # a black and a white patch in every scene, so the noise clips
+        scenes = []
+        for img in scene_set(NOISE_FAMILY, 12, seed=3):
+            px = img.pixels.copy()
+            px[:8, :16] = 0.0
+            px[-8:, -16:] = 1.0
+            scenes.append(ImageBuffer(px))
+        ids = [f"s{i}" for i in range(len(scenes))]
+        train = scene_set(NOISE_FAMILY, 40, seed=0)
+        model = fit_gmm(
+            EmbeddingSet([f"t{i}" for i in range(40)], [toy_encode(img) for img in train]),
+            components=2,
+            seed=0,
+        )
+        specs = severity_sweep("gaussian_noise", grid, base_seed=5)
+        rows, correlations = run_corruption_sweep(list(zip(ids, scenes)), specs, model)
+        # the block path: toy_encode of the sweep engine's corrupted stacks
+        feats = np.empty((len(specs), len(scenes), 3 * 16 + 3))
+        for i, j, _, block in sweep_images(((img, None) for img in scenes), specs):
+            feats[j : j + len(block), i] = toy_encode(block)
+        id_set = EmbeddingSet(ids, [toy_encode(img) for img in scenes])
+        severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in feats)
+        want = bench_module._score_sweep(model, id_set, severity_sets, specs, 0.95)
+        assert (rows, correlations) == want
+
+    @pytest.mark.parametrize(
+        "specs,message",
+        [
+            ([], "no corruption specs supplied"),
+            (
+                [
+                    CorruptionSpec("gaussian_noise", 0.1, seed=0),
+                    CorruptionSpec("gaussian_noise", 0.2, seed=1),
+                ],
+                "all specs in one sweep must share a corruption kind, seed and atmospheric light",
+            ),
+        ],
+    )
+    def test_noise_sweep_spec_checks_shared_with_engine(self, specs, message):
+        scenes = scene_set(NOISE_FAMILY, 3, seed=0)
+        named = [(f"s{i}", img) for i, img in enumerate(scenes)]
+        train = EmbeddingSet([sid for sid, _ in named], [toy_encode(img) for img in scenes])
+        model = fit_gmm(train, components=1, seed=0)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            run_corruption_sweep(named, specs, model)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sweep_images([], specs)
 
     def test_depths_must_align_with_images(self):
         from cornercase.corruptions import default_depth_ramp

@@ -19,6 +19,7 @@ from cornercase.corruptions import (
     CorruptionSpec,
     _box_stack,
     _fog_stack,
+    _noise_field,
     _noise_stack,
     _resolved_depth,
     apply_corruption,
@@ -31,7 +32,7 @@ from cornercase.corruptions import (
     severity_sweep,
     sweep_images,
 )
-from cornercase.embeddings import toy_encode
+from cornercase.embeddings import toy_encode, toy_encode_noise_sweep
 from cornercase.errors import ValidationError
 from cornercase.images import DepthMap, ImageBuffer, _quantize, load_image, save_image
 
@@ -496,6 +497,24 @@ class TestSweepBlocks:
             tracemalloc.stop()
         assert peak <= 3 * 8 * _SWEEP_BLOCK_ELEMENTS, f"peak {peak / 2**20:.2f} MB"
         assert np.isfinite(feats).all()
+
+    def test_noise_sweep_from_sums_memory_bounded(self):
+        # a saturated image: every value with a nonzero draw clips at some
+        # sigma, so half of the 18432 values are clip candidates. The
+        # encoder peaked at 1.2 MiB here; one float64 array of 50 sigmas by
+        # 9216 candidates alone is 3.5 MiB.
+        rng = np.random.default_rng(81)
+        img = ImageBuffer((rng.uniform(size=(64, 96, 3)) < 0.5).astype(float))
+        specs = severity_sweep("gaussian_noise", "noise-paper", base_seed=0)
+        sigmas = [spec.severity for spec in specs]
+        tracemalloc.start()
+        try:
+            feats = toy_encode_noise_sweep(img, _noise_field(0, img.pixels.shape), sigmas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert feats.shape == (len(specs), 3 * 16 + 3)
 
     def test_mixed_seeds_rejected(self):
         specs = [

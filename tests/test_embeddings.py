@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornercase.corruptions import apply_fog
+from cornercase.corruptions import (
+    CorruptionSpec,
+    _noise_field,
+    apply_fog,
+    severity_sweep,
+    sweep_images,
+)
 from cornercase.embeddings import (
+    _CLIP_BLOCK_ELEMENTS,
     DatasetManifest,
     EmbeddingSet,
     FeatureMap,
@@ -16,6 +23,7 @@ from cornercase.embeddings import (
     save_embeddings,
     save_feature_map,
     toy_encode,
+    toy_encode_noise_sweep,
 )
 from cornercase.errors import FormatError, ValidationError
 from cornercase.images import ImageBuffer
@@ -330,6 +338,79 @@ class TestToyEncoder:
         img = ImageBuffer(np.full((2, 2, 3), 0.5))
         with pytest.raises(ValidationError):
             toy_encode(img, grid=4)
+
+
+def noise_sweep_block_reference(img, sigmas, grid, seed):
+    """toy_encode of the sweep engine's corrupted blocks, one row per sigma."""
+    specs = [CorruptionSpec("gaussian_noise", float(s), seed=seed) for s in sigmas]
+    feats = np.empty((len(specs), 3 * grid * grid + 3))
+    for _, j, _, block in sweep_images([(img, None)], specs):
+        feats[j : j + len(block)] = toy_encode(block, grid=grid)
+    return feats
+
+
+NOISE_SIGMA_GRIDS = {
+    "noise-paper": [s.severity for s in severity_sweep("gaussian_noise", "noise-paper")],
+    "three": [0.0, 0.05, 0.3],
+    "one": [0.2],
+}
+
+
+def _noise_test_image(kind, h, w, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return ImageBuffer(rng.uniform(size=(h, w, 3)))
+    if kind == "saturated":  # every value 0 or 1, so every nonzero draw clips
+        return ImageBuffer((rng.uniform(size=(h, w, 3)) < 0.5).astype(float))
+    return ImageBuffer(rng.uniform(0.0, 0.02, size=(h, w, 3)))  # dark
+
+
+class TestToyEncodeNoiseSweep:
+    # shapes whose sides the grid does not divide, and one cell per image
+    @pytest.mark.parametrize("sigmas", sorted(NOISE_SIGMA_GRIDS))
+    @pytest.mark.parametrize("h,w,grid", [(37, 53, 4), (20, 31, 3), (50, 70, 5), (8, 8, 1)])
+    @pytest.mark.parametrize("kind", ["random", "saturated", "dark"])
+    def test_equals_toy_encode_of_sweep_blocks(self, kind, h, w, grid, sigmas):
+        img = _noise_test_image(kind, h, w, seed=h * w + grid)
+        sigmas = NOISE_SIGMA_GRIDS[sigmas]
+        got = toy_encode_noise_sweep(img, _noise_field(4, img.pixels.shape), sigmas, grid=grid)
+        want = noise_sweep_block_reference(img, sigmas, grid, seed=4)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # sigma 0 ties with the clean encoding exactly
+        for row in got[np.array(sigmas) == 0.0]:
+            np.testing.assert_array_equal(row, toy_encode(img, grid=grid))
+
+    @pytest.mark.parametrize("sigmas", sorted(NOISE_SIGMA_GRIDS))
+    @pytest.mark.parametrize("kind", ["random", "saturated"])
+    def test_scan_bands_cutting_cells(self, kind, sigmas):
+        # 300x200 spans three scan bands, whose edges cut grid cells
+        h, w, grid = 300, 200, 7
+        band = _CLIP_BLOCK_ELEMENTS // (3 * w)
+        assert 2 * band < h and band % (h // grid)
+        img = _noise_test_image(kind, h, w, seed=5)
+        sigmas = NOISE_SIGMA_GRIDS[sigmas]
+        got = toy_encode_noise_sweep(img, _noise_field(6, img.pixels.shape), sigmas, grid=grid)
+        want = noise_sweep_block_reference(img, sigmas, grid, seed=6)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "saturated"])
+    def test_unsorted_repeated_and_huge_sigmas(self, kind):
+        # at 1e200 nearly every value clips, and nothing cancels
+        sigmas = [0.3, 0.0, 1e200, 0.05, 2.0, 0.05]
+        img = _noise_test_image(kind, 37, 53, seed=7)
+        got = toy_encode_noise_sweep(img, _noise_field(8, img.pixels.shape), sigmas)
+        want = noise_sweep_block_reference(img, sigmas, 4, seed=8)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "field,sigmas",
+        [((8, 9, 3), [0.1]), ((8, 8, 3), []), ((8, 8, 3), [0.1, -0.1]), ((8, 8, 3), [np.nan])],
+    )
+    def test_bad_field_or_sigmas_rejected(self, field, sigmas):
+        img = ImageBuffer(np.full((8, 8, 3), 0.5))
+        with pytest.raises(ValidationError):
+            toy_encode_noise_sweep(img, np.zeros(field), sigmas, grid=2)
 
 
 class TestContainers:
