@@ -36,7 +36,7 @@ from .embeddings import (
     toy_encode_noise_sweep,
 )
 from .errors import ConfigError, DegenerateInputError, FormatError, ValidationError
-from .images import load_depth, load_image
+from .images import _sorted_pngs, load_depth, load_image
 from .metrics import DetectionReport, LabeledScores, detection_report
 from .stats import CorrelationResult, pearson, spearman
 from .uncertainty import load_uncertainty_map, mean_uncertainty
@@ -287,10 +287,6 @@ class BenchReport:
 # ---------------------------------------------------------------------------
 # dataset materialization
 # ---------------------------------------------------------------------------
-
-
-def _sorted_pngs(directory: Path) -> list[Path]:
-    return sorted(p for p in directory.iterdir() if p.suffix.lower() == ".png")
 
 
 def load_dataset_embeddings(manifest: DatasetManifest, grid: int = 4) -> EmbeddingSet:

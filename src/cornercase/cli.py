@@ -210,6 +210,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pca(args) -> int:
+    if args.k < 1:
+        raise ValidationError("k must be a positive integer")
     named = []
     for item in args.embeddings:
         name, sep, path = item.partition("=")

@@ -11,18 +11,18 @@ Every operation is a pure function of (input, spec) including the
 seed, so sweeps replay bit-identically.
 
 run_sweep overlaps its work: the main thread reads and corrupts the
-sources and quantizes each block of outputs in place, while
-_PNG_WRITERS threads deflate and write the PNGs, taking them from a
-one-slot queue. At most four uint8 frames are in flight (one in the
-slot, one per writer, one waiting to enter the slot), and the files and
-manifest are byte-identical to writing the outputs one by one.
+sources and quantizes each block of outputs in place, while a pool of
+_PNG_WRITERS threads deflates and writes the PNGs. The main thread
+waits for the oldest output whenever more than _PNG_WRITERS are
+unwritten, so at most _PNG_WRITERS + 1 uint8 frames are handed off at a
+time, and the files and manifest are byte-identical to writing the
+outputs one by one.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from contextlib import contextmanager
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .images import DepthMap, ImageBuffer, _png_bytes, _quantize, load_depth, load_image
+from .images import DepthMap, ImageBuffer, load_depth, load_image
+from .images import _png_bytes, _quantize, _sorted_pngs
 
 CORRUPTION_KINDS = ("fog", "gaussian_noise", "white_box")
 
@@ -290,49 +291,20 @@ def _sweep_blocks(sources, spec, severities):
             yield idx, j, seed, corrupt(severities[j : j + step])
 
 
-@contextmanager
-def _png_writers():
-    """Yield write(path, frame), which hands a uint8 frame to one of
-    _PNG_WRITERS threads that encode it as PNG and write it to path.
+def _write_frame(path, frame):
+    # runs on a writer thread, so it calls only private functions: a tracer
+    # that wraps the public ones keeps one span stack, not thread-safe
+    path.write_bytes(_png_bytes(frame))
 
-    write blocks while the one-slot queue is full. The threads are
-    joined on exit, also when the body raises; the first exception a
-    writer met is raised by the next write or on exit, and after it the
-    writers drop the frames still queued.
-    """
-    from queue import Queue  # here, so `cornercase --version` does not load it
 
-    jobs = Queue(maxsize=1)
-    failures = []
-
-    def drain():
-        while (job := jobs.get()) is not None:
-            if not failures:
-                path, frame = job
-                try:
-                    path.write_bytes(_png_bytes(frame))
-                except BaseException as exc:  # re-raised in the main thread
-                    failures.append(exc)
-
-    def write(path, frame):
-        if failures:
-            raise failures[0]
-        jobs.put((path, frame))
-
-    threads = []
+def _wait_written(pool, future):
+    """Wait for one output's writer. If it failed, the outputs queued
+    behind it are cancelled before its error is raised here."""
     try:
-        for _ in range(_PNG_WRITERS):
-            thread = threading.Thread(target=drain, name="png-writer")
-            thread.start()
-            threads.append(thread)
-        yield write
-    finally:
-        for _ in threads:
-            jobs.put(None)
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
+        future.result()
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
 
 
 def run_sweep(
@@ -353,13 +325,11 @@ def run_sweep(
     """
     images_dir = Path(images_dir)
     out_dir = Path(out_dir)
-    sources = sorted(p for p in images_dir.iterdir() if p.suffix.lower() == ".png")
+    sources = _sorted_pngs(images_dir)
     if not sources:
         raise ValidationError(f"no PNG images found under {images_dir}")
     specs = list(specs)
-    depth_policy = "default_ramp"
-    if depth_dir is not None:
-        depth_policy = "provided"
+    depth_policy = "default_ramp" if depth_dir is None else "provided"
 
     def read():
         nonlocal depth_policy
@@ -378,14 +348,22 @@ def run_sweep(
     for sev_dir in sev_dirs:
         sev_dir.mkdir(parents=True, exist_ok=True)
     entries = [[] for _ in specs]
-    with _png_writers() as write:
+    # here, so `cornercase --version` does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = deque()
+    # the with block joins the writers on every exit; after an error in
+    # the main thread they first write the outputs already handed off
+    with ThreadPoolExecutor(_PNG_WRITERS, thread_name_prefix="png-writer") as pool:
         for idx, first, seed, block in blocks:
             # corrupted values lie in [0, 1], so no ImageBuffer check is needed
             frames = _quantize(block)
             del block  # free the float stack before the next one is made
             for j, frame in enumerate(frames, start=first):
                 dst = sev_dirs[j] / sources[idx].name
-                write(dst, frame)
+                pending.append(pool.submit(_write_frame, dst, frame))
+                if len(pending) > _PNG_WRITERS:
+                    _wait_written(pool, pending.popleft())
                 entries[j].append(
                     {
                         "source": str(sources[idx]),
@@ -394,6 +372,8 @@ def run_sweep(
                         "seed": seed,
                     }
                 )
+        for future in pending:
+            _wait_written(pool, future)
     manifest = {
         "kind": kind,
         "atmospheric_light": specs[0].atmospheric_light,

@@ -12,17 +12,12 @@ pixel), at most about four times the pixel bytes.
 
 Pixel values travel through the toolkit as float64 in [0, 1]; 8-bit
 quantization uses round-half-up so file output is bit-reproducible.
-Sweeps (corruptions.run_sweep) quantize each block of outputs in place
-with _quantize, the quantizer behind ImageBuffer.to_uint8, and deflate
-the PNGs with _png_bytes, the encoder behind write_png, on two writer
-threads behind a one-slot queue. At most four uint8 frames are in
-flight and the files are byte-identical to save_image's; neither
-function touches shared state.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 import zlib
@@ -332,6 +327,10 @@ def _png_bytes(arr: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def _sorted_pngs(directory: Path) -> list[Path]:
+    return sorted(p for p in directory.iterdir() if p.suffix.lower() == ".png")
+
+
 def load_image(path) -> ImageBuffer:
     """Load an 8-bit RGB PNG as a normalized image."""
     arr = read_png(path)
@@ -357,12 +356,12 @@ def load_depth(path) -> DepthMap:
     if not sidecar.exists():
         raise FormatError(f"{path}: missing depth sidecar {sidecar.name}")
     try:
-        meta = json.loads(sidecar.read_text())
-        scale = float(meta[_DEPTH_SCALE_KEY])
+        scale = json.loads(sidecar.read_text(), parse_int=float)[_DEPTH_SCALE_KEY]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{sidecar}: bad depth sidecar ({exc})") from exc
-    if scale <= 0:
-        raise FormatError(f"{sidecar}: {_DEPTH_SCALE_KEY} must be positive")
+    # a JSON number only: float() would also take true and "0.5"
+    if type(scale) is not float or not 0 < scale < math.inf:
+        raise FormatError(f"{sidecar}: {_DEPTH_SCALE_KEY} must be a positive, finite number")
     valid = arr > 0
     depth = arr.astype(float) * scale
     depth[~valid] = 1.0  # placeholder; masked out
@@ -371,8 +370,8 @@ def load_depth(path) -> DepthMap:
 
 def save_depth(dm: DepthMap, path, meters_per_unit: float) -> None:
     """Write a depth map as 16-bit PNG plus sidecar; invalid pixels become 0."""
-    if meters_per_unit <= 0:
-        raise ValidationError("meters_per_unit must be positive")
+    if not 0 < meters_per_unit < math.inf:
+        raise ValidationError("meters_per_unit must be positive and finite")
     raw = np.floor(dm.depth / meters_per_unit + 0.5)
     raw = np.clip(raw, 1, 65535)
     raw[~dm.valid] = 0

@@ -69,10 +69,6 @@ class PcaModel:
     def input_dim(self) -> int:
         return self.mean.size
 
-    @property
-    def output_dim(self) -> int:
-        return self.components.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # regularized incomplete beta / Student-t p-values

@@ -1,11 +1,15 @@
 """End-to-end command-line tests, including exit-code mapping."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import threading
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ import pytest
 from cornercase.cli import main
 from cornercase.density import MODEL_MAGIC
 from cornercase.embeddings import EMBED_MAGIC, FMAP_MAGIC, EmbeddingSet, save_embeddings
-from cornercase.images import write_png
+from cornercase.images import ImageBuffer, save_image, write_png
 from cornercase.synthetic import WHITEBOX_FAMILY, write_scene_set
 
 
@@ -177,6 +181,34 @@ class TestPcaCli:
         assert {r["dataset"] for r in recs} == {"clean", "shifted"}
         assert all(len(r["coords"]) == 3 for r in recs)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected_as_by_fit_knn(self, tmp_path, capsys, k):
+        assert main(_pca_k_argv(tmp_path, k)) == 3
+        assert main(["fit-knn", "--embeddings", str(tmp_path / "e.ccemb"),
+                     "--out", str(tmp_path / "m"), "--k", str(k)]) == 3
+        pca_err, knn_err = capsys.readouterr().err.splitlines()
+        assert pca_err == knn_err == "data error: k must be a positive integer"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # sweeps import their writer pool when they run, so `cornercase
+    # --version` loads none of it
+    import cornercase
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cornercase.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    snippet = (
+        "import sys\n"
+        "import cornercase.cli\n"
+        "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert loaded.strip() == "[]"
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
@@ -251,6 +283,37 @@ def _pca_argv(tmp_path, name, blob):
     (tmp_path / name).write_bytes(blob)
     return ["pca", "--embeddings", f"a={tmp_path / name}", "--k", "2",
             "--out", str(tmp_path / "p.jsonl")]
+
+
+def _pca_k_argv(tmp_path, k):
+    _write_embeddings(tmp_path / "e.ccemb", n=30)
+    return ["pca", "--embeddings", f"a={tmp_path / 'e.ccemb'}", "--k", str(k),
+            "--out", str(tmp_path / "p.jsonl")]
+
+
+# meters_per_unit values a depth sidecar must not load with; 1e400 and
+# the 400-digit integer overflow a float
+BAD_DEPTH_SCALES = {
+    "true": "true",
+    "string": '"0.5"',
+    "NaN": "NaN",
+    "Infinity": "Infinity",
+    "1e400": "1e400",
+    "400-digit integer": "1" + "0" * 400,
+    "0": "0",
+    "negative": "-0.5",
+    "null": "null",
+}
+
+
+def _depth_sidecar_argv(tmp_path, sidecar_text):
+    for name in ("imgs", "depth"):
+        (tmp_path / name).mkdir()
+    save_image(ImageBuffer(np.full((8, 8, 3), 0.5)), tmp_path / "imgs" / "a.png")
+    write_png(tmp_path / "depth" / "a.png", np.full((8, 8), 100, dtype=np.uint16))
+    (tmp_path / "depth" / "a.png.json").write_text('{"meters_per_unit": %s}\n' % sidecar_text)
+    return ["sweep", "--images", str(tmp_path / "imgs"), "--kind", "fog", "--grid", "0.01",
+            "--depth", str(tmp_path / "depth"), "--out", str(tmp_path / "o")]
 
 
 def _config_bytes_argv(tmp_path, blob):
@@ -597,6 +660,12 @@ MALFORMED_INPUTS = {
                    "--out", str(t / "o")],
         2,
     ),
+    "pca --k 0": (lambda t: _pca_k_argv(t, 0), 3),
+    "pca --k -3": (lambda t: _pca_k_argv(t, -3), 3),
+    **{
+        f"depth sidecar scale {label}": (lambda t, text=text: _depth_sidecar_argv(t, text), 3)
+        for label, text in BAD_DEPTH_SCALES.items()
+    },
 }
 
 

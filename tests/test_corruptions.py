@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from cornercase.cli import main
 from cornercase.corruptions import (
+    _PNG_WRITERS,
     _SWEEP_BLOCK_ELEMENTS,
     DEFAULT_ATMOSPHERIC_LIGHT,
     SWEEP_PRESETS,
@@ -34,7 +36,14 @@ from cornercase.corruptions import (
 )
 from cornercase.embeddings import toy_encode, toy_encode_noise_sweep
 from cornercase.errors import ValidationError
-from cornercase.images import DepthMap, ImageBuffer, _quantize, load_image, save_image
+from cornercase.images import (
+    DepthMap,
+    ImageBuffer,
+    _png_bytes,
+    _quantize,
+    load_image,
+    save_image,
+)
 
 
 def _random_image(seed=0, h=12, w=16):
@@ -379,6 +388,45 @@ class TestRunSweep:
         assert threading.active_count() == before
         # the writers stop after the failure; the manifest is never written
         assert not (out / "white_box" / "manifest.json").exists()
+
+    def test_hand_offs_stop_while_writers_are_busy(self, tmp_path, monkeypatch):
+        import cornercase.corruptions as corruptions
+
+        src = tmp_path / "clean"
+        src.mkdir()
+        for i in range(6):
+            save_image(_random_image(70 + i, h=8, w=8), src / f"img-{i}.png")
+        encoding = threading.Semaphore(0)
+        release = threading.Event()
+        reads = []
+
+        def blocked_png_bytes(frame):
+            encoding.release()
+            release.wait()
+            return _png_bytes(frame)
+
+        def counting_load_image(path):
+            reads.append(path)
+            return load_image(path)
+
+        monkeypatch.setattr(corruptions, "_png_bytes", blocked_png_bytes)
+        monkeypatch.setattr(corruptions, "load_image", counting_load_image)
+        # one severity: each source read makes one frame, handed off at once
+        specs = severity_sweep("white_box", [0.1])
+        sweep = threading.Thread(
+            target=run_sweep, args=(src, specs, tmp_path / "o"), daemon=True
+        )
+        sweep.start()
+        try:
+            for _ in range(_PNG_WRITERS):
+                assert encoding.acquire(timeout=30), "a writer never started encoding"
+            time.sleep(0.2)  # room for the main thread to hand off more, were it free to
+            assert len(reads) == _PNG_WRITERS + 1
+        finally:
+            release.set()
+            sweep.join(60)
+        assert not sweep.is_alive()
+        assert len(list((tmp_path / "o").rglob("*.png"))) == 6
 
     def test_fog_sweep_with_provided_depth(self, tmp_path):
         from cornercase.images import save_depth

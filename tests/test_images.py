@@ -1,8 +1,10 @@
 """PNG codec and container validation tests."""
 
+import math
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +418,25 @@ class TestDepthMap:
         write_png(path, np.full((2, 2), 100, dtype=np.uint16))
         with pytest.raises(FormatError):
             load_depth(path)
+
+    @pytest.mark.parametrize(
+        "scale",
+        ["true", '"0.5"', "NaN", "Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400"),
+         "0", "-0.5", "null"],
+    )
+    def test_sidecar_scale_must_be_a_positive_finite_number(self, tmp_path, scale):
+        path = tmp_path / "d.png"
+        write_png(path, np.full((2, 2), 100, dtype=np.uint16))
+        Path(str(path) + ".json").write_text('{"meters_per_unit": %s}' % scale)
+        with pytest.raises(FormatError, match="d.png.json"):
+            load_depth(path)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_save_rejects_a_bad_scale(self, tmp_path, scale):
+        dm = DepthMap(depth=np.full((2, 2), 5.0), valid=np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValidationError):
+            save_depth(dm, tmp_path / "d.png", meters_per_unit=scale)
+        assert not (tmp_path / "d.png").exists()
 
     def test_invalid_depths_rejected(self):
         with pytest.raises(ValidationError):
