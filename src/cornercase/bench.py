@@ -21,6 +21,7 @@ import numpy as np
 from .corruptions import (
     DEFAULT_ATMOSPHERIC_LIGHT,
     _noise_field,
+    _seeded_sources,
     _sweep_blocks,
     _sweep_spec,
     severity_dirname,
@@ -75,6 +76,10 @@ class SweepSettings:
             raise ConfigError(f"sweep encoder must be 'toy' or 'external', got {self.encoder!r}")
         if self.encoder_grid < 1:
             raise ConfigError("encoder_grid must be a positive integer")
+        if self.encoder == "toy" and self.severity_embeddings:
+            raise ConfigError("severity_embeddings is read by the external encoder only")
+        if self.encoder == "external" and (self.images is not None or self.depth is not None):
+            raise ConfigError("images and depth are read by the toy encoder only")
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         object.__setattr__(self, "severity_embeddings", tuple(self.severity_embeddings))
         try:
@@ -294,8 +299,6 @@ def load_dataset_embeddings(manifest: DatasetManifest, grid: int = 4) -> Embeddi
     path = Path(manifest.path)
     if path.is_dir():
         pngs = _sorted_pngs(path)
-        if not pngs:
-            raise ValidationError(f"{manifest.name}: no PNG images under {path}")
         return EmbeddingSet(
             [p.stem for p in pngs], [toy_encode(load_image(p), grid=grid) for p in pngs]
         )
@@ -411,25 +414,30 @@ def run_corruption_sweep(
     clean_images = list(clean_images)
     if not clean_images:
         raise ValidationError("sweep needs at least one clean image")
-    specs = list(specs)
-    depths = [None] * len(clean_images) if depths is None else list(depths)
-    if len(depths) != len(clean_images):
-        raise ValidationError(f"{len(depths)} depth maps for {len(clean_images)} images")
     ids = [sid for sid, _ in clean_images]
     id_set = EmbeddingSet(ids, [toy_encode(img, grid=grid) for _, img in clean_images])
+    return _toy_sweep(id_set, clean_images, specs, model, grid, depths, tpr_target)
+
+
+def _toy_sweep(id_set, clean_images, specs, model, grid, depths, tpr_target) -> tuple:
+    """run_corruption_sweep against id_set, the toy encoding of clean_images."""
+    images = [img for _, img in clean_images]
+    specs = list(specs)
+    depths = [None] * len(images) if depths is None else list(depths)
+    if len(depths) != len(images):
+        raise ValidationError(f"{len(depths)} depth maps for {len(images)} images")
     # one array rather than lists of small rows: rows kept alive between
     # the per-image temporaries made the allocator re-fault their pages
-    feats = np.empty((len(specs), len(ids), id_set.dim))
+    feats = np.empty((len(specs), len(images), id_set.dim))
     spec, severities = _sweep_spec(specs)
     if spec.kind == "gaussian_noise":
-        for i, (_, img) in enumerate(clean_images):
-            field = _noise_field(spec.seed + i, img.pixels.shape)
+        for i, seed, img, _ in _seeded_sources(zip(images, depths), spec):
+            field = _noise_field(seed, img.pixels.shape)
             feats[:, i] = toy_encode_noise_sweep(img, field, severities, grid=grid)
     else:
-        sources = zip((img for _, img in clean_images), depths)
-        for i, j, _, block in _sweep_blocks(sources, spec, severities):
+        for i, j, _, block in _sweep_blocks(zip(images, depths), spec, severities):
             feats[j : j + len(block), i] = toy_encode(block, grid=grid)
-    severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in feats)
+    severity_sets = (EmbeddingSet(id_set.ids(), per_spec) for per_spec in feats)
     return _score_sweep(model, id_set, severity_sets, specs, tpr_target)
 
 
@@ -445,27 +453,19 @@ def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_test, model)
 
         return _score_sweep(model, id_test, severity_sets(), specs, cfg.tpr_target)
 
-    images_dir = sweep.images or (
-        cfg.id_test.path if Path(cfg.id_test.path).is_dir() else None
-    )
-    if images_dir is None:
-        raise ConfigError(
-            "toy-encoder sweep needs sweep.images or an image-directory id_test"
-        )
+    images_dir = sweep.images or cfg.id_test.path
+    if sweep.images is None and not Path(images_dir).is_dir():
+        raise ConfigError("toy-encoder sweep needs sweep.images or an image-directory id_test")
     pngs = _sorted_pngs(Path(images_dir))
-    if not pngs:
-        raise ValidationError(f"no PNG images under {images_dir}")
     clean = [(p.stem, load_image(p)) for p in pngs]
     depths = None
-    if sweep.depth is not None:
+    if sweep.depth is not None and sweep.kind == "fog":
         depths = [load_depth(Path(sweep.depth) / p.name) for p in pngs]
+    if sweep.images is None:
+        # the clean images are id_test's, toy-encoded with this grid already
+        return _toy_sweep(id_test, clean, specs, model, sweep.encoder_grid, depths, cfg.tpr_target)
     return run_corruption_sweep(
-        clean,
-        specs,
-        model,
-        grid=sweep.encoder_grid,
-        depths=depths,
-        tpr_target=cfg.tpr_target,
+        clean, specs, model, grid=sweep.encoder_grid, depths=depths, tpr_target=cfg.tpr_target
     )
 
 

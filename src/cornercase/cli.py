@@ -59,28 +59,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tpr", type=float, default=0.95)
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
 
-    p = sub.add_parser("corrupt", help="apply one corruption to a directory of images")
-    p.add_argument("--images", required=True)
-    p.add_argument("--kind", choices=corruptions.CORRUPTION_KINDS, required=True)
-    p.add_argument("--severity", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--depth", help="directory of matching 16-bit depth PNGs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
+    # the source flags of corrupt, a sweep of one severity, and of sweep
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--images", required=True)
+    source.add_argument("--kind", choices=corruptions.CORRUPTION_KINDS, required=True)
+    source.add_argument("--out", required=True)
+    source.add_argument("--depth", help="directory of matching 16-bit depth PNGs (fog only)")
+    source.add_argument("--seed", type=int, default=0)
+    source.add_argument(
         "--atmospheric-light", type=float, default=corruptions.DEFAULT_ATMOSPHERIC_LIGHT
     )
 
-    p = sub.add_parser("sweep", help="generate a severity sweep of corrupted datasets")
-    p.add_argument("--images", required=True)
-    p.add_argument("--kind", choices=corruptions.CORRUPTION_KINDS, required=True)
+    p = sub.add_parser(
+        "corrupt", parents=[source], help="apply one corruption to a directory of images"
+    )
+    p.add_argument("--severity", type=float, required=True)
+
+    p = sub.add_parser(
+        "sweep", parents=[source], help="generate a severity sweep of corrupted datasets"
+    )
     p.add_argument("--preset", help="named grid: fog-paper, noise-paper, whitebox-paper")
     p.add_argument("--grid", help="comma-separated severities, strictly increasing")
-    p.add_argument("--out", required=True)
-    p.add_argument("--depth")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--atmospheric-light", type=float, default=corruptions.DEFAULT_ATMOSPHERIC_LIGHT
-    )
 
     p = sub.add_parser("pca", help="fit PCA on pooled embeddings and export coordinates")
     p.add_argument(
@@ -175,25 +174,15 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_corrupt(args) -> int:
-    specs = [
-        corruptions.CorruptionSpec(
-            kind=args.kind,
-            severity=args.severity,
-            seed=args.seed,
-            atmospheric_light=args.atmospheric_light,
-        )
-    ]
-    manifest = corruptions.run_sweep(args.images, specs, args.out, depth_dir=args.depth)
-    print(f"corrupted {len(manifest['entries'])} images under {args.out}")
-    return EXIT_OK
-
-
 def _cmd_sweep(args) -> int:
-    if (args.preset is None) == (args.grid is None):
+    """sweep, and corrupt as a sweep of the one severity [--severity]."""
+    if args.command == "corrupt":
+        grid = [args.severity]
+    elif (args.preset is None) == (args.grid is None):
         raise ConfigError("sweep needs exactly one of --preset or --grid")
-    grid = args.preset
-    if args.grid is not None:
+    elif args.preset is not None:
+        grid = args.preset
+    else:
         try:
             grid = [float(v) for v in args.grid.split(",")]
         except ValueError as exc:
@@ -273,7 +262,7 @@ _HANDLERS = {
     "fit-knn": _cmd_fit_knn,
     "score": _cmd_score,
     "eval": _cmd_eval,
-    "corrupt": _cmd_corrupt,
+    "corrupt": _cmd_sweep,
     "sweep": _cmd_sweep,
     "pca": _cmd_pca,
     "synth": _cmd_synth,

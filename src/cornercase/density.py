@@ -416,10 +416,6 @@ def gmm_log_density(model: GmmModel, X: np.ndarray) -> np.ndarray:
 
 def build_knn_index(ids: EmbeddingSet, k: int = 50) -> KnnIndex:
     """Store the embedding set for exact k-th-neighbor queries."""
-    if k < 1:
-        raise ValidationError("k must be a positive integer")
-    if len(ids) < k:
-        raise ValidationError(f"k={k} exceeds the {len(ids)} available records")
     return KnnIndex(k=k, points=ids.matrix())
 
 

@@ -57,14 +57,6 @@ class FeatureMap:
     def channels(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
 
 class EmbeddingSet:
     """An ordered collection of embeddings: one string id per row of a

@@ -328,7 +328,11 @@ def _png_bytes(arr: np.ndarray) -> bytes:
 
 
 def _sorted_pngs(directory: Path) -> list[Path]:
-    return sorted(p for p in directory.iterdir() if p.suffix.lower() == ".png")
+    """The PNGs under directory in filename order; none is a ValidationError."""
+    pngs = sorted(p for p in directory.iterdir() if p.suffix.lower() == ".png")
+    if not pngs:
+        raise ValidationError(f"no PNG images under {directory}")
+    return pngs
 
 
 def load_image(path) -> ImageBuffer:

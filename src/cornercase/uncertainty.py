@@ -63,14 +63,6 @@ class UncertaintyMap:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 def dirichlet_pdf(params: DirichletParams, p) -> float:
     """Dirichlet density at a point of the probability simplex.

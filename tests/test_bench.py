@@ -1,5 +1,6 @@
 """Benchmark runner, synthetic generation, report rendering tests."""
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -451,6 +452,59 @@ class TestSweepRoutes:
         assert heavy.auroc > light.auroc
         # identical scenes corrupted at beta=0 would be the ID side itself
         assert report.sweep_rows[0][0] == 0.005
+
+    @staticmethod
+    def _image_dir_config(tmp_path, sweep):
+        from cornercase.synthetic import FOG_FAMILY, write_scene_set
+
+        for name, n, seed in (("train", 30, 0), ("test", 8, 100), ("ood", 8, 200)):
+            write_scene_set(tmp_path / name, FOG_FAMILY, n, seed=seed)
+        return BenchConfig(
+            seed=0,
+            methods=("gmm",),
+            id_train=DatasetManifest(name="train", role="id_train", path=str(tmp_path / "train")),
+            id_test=DatasetManifest(name="test", role="id_test", path=str(tmp_path / "test")),
+            ood_sets=(DatasetManifest(name="ood", role="ood", path=str(tmp_path / "ood")),),
+            gmm_components=1,
+            sweep=sweep,
+        )
+
+    @pytest.mark.parametrize("kind", ["gaussian_noise", "white_box"])
+    def test_config_toy_sweep_encodes_id_test_once(self, tmp_path, monkeypatch, kind):
+        shapes = []
+
+        def counting_toy_encode(images, grid=4):
+            shapes.append(np.shape(images.pixels if isinstance(images, ImageBuffer) else images))
+            return toy_encode(images, grid=grid)
+
+        monkeypatch.setattr(bench_module, "toy_encode", counting_toy_encode)
+        sweep = SweepSettings(kind=kind, grid=(0.01, 0.05, 0.2))
+        report = run_benchmark(self._image_dir_config(tmp_path, sweep))
+        # one call per image of id_train, id_test and the OOD set: the sweep's
+        # ID side is id_test's rows. Only a white-box sweep encodes corrupted
+        # stacks, 8 images x 3 severities; noise is encoded from sums.
+        assert sum(len(s) == 3 for s in shapes) == 30 + 8 + 8
+        assert sum(s[0] for s in shapes if len(s) == 4) == (kind == "white_box") * 8 * 3
+        # the same rows as a sweep that encodes those images itself
+        given = dataclasses.replace(sweep, images=str(tmp_path / "test"))
+        again = run_benchmark(self._image_dir_config(tmp_path, given))
+        assert (report.sweep_rows, report.correlations) == (again.sweep_rows, again.correlations)
+
+    def test_config_sweep_reads_depth_maps_for_fog_only(self, tmp_path):
+        (tmp_path / "no-depth").mkdir()
+        no_depth = str(tmp_path / "no-depth")
+        plain = run_benchmark(
+            self._image_dir_config(tmp_path, SweepSettings(kind="white_box", grid=(0.01, 0.05)))
+        )
+        ignored = run_benchmark(
+            self._image_dir_config(
+                tmp_path, SweepSettings(kind="white_box", grid=(0.01, 0.05), depth=no_depth)
+            )
+        )
+        assert (ignored.sweep_rows, ignored.correlations) == (plain.sweep_rows, plain.correlations)
+        fog = SweepSettings(kind="fog", grid=(0.01,), depth=no_depth)
+        with pytest.raises(FileNotFoundError):
+            run_benchmark(self._image_dir_config(tmp_path, fog))
 
     @staticmethod
     def _external_sweep_config(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 from cornercase.cli import main
 from cornercase.density import MODEL_MAGIC
 from cornercase.embeddings import EMBED_MAGIC, FMAP_MAGIC, EmbeddingSet, save_embeddings
-from cornercase.images import ImageBuffer, save_image, write_png
+from cornercase.images import DepthMap, ImageBuffer, save_depth, save_image, write_png
 from cornercase.synthetic import WHITEBOX_FAMILY, write_scene_set
 
 
@@ -122,6 +123,99 @@ class TestCorruptSweepCli:
         write_scene_set(images, WHITEBOX_FAMILY, 1, seed=0)
         assert main(["sweep", "--images", str(images), "--kind", "fog",
                      "--out", str(tmp_path / "o")]) == 2
+
+    # fog reads depth maps that have invalid pixels, so its manifest says
+    # provided_with_median_fill
+    @pytest.mark.parametrize("kind", ["fog", "gaussian_noise", "white_box"])
+    def test_corrupt_writes_what_a_one_severity_sweep_writes(self, tmp_path, kind):
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 3, seed=0)
+        argv = ["--images", str(tmp_path / "imgs"), "--kind", kind, "--seed", "5",
+                "--out", str(tmp_path / "o")]
+        if kind == "fog":
+            _write_depth_dir(tmp_path / "depth", sorted((tmp_path / "imgs").iterdir()))
+            argv += ["--depth", str(tmp_path / "depth")]
+        assert main(["sweep", *argv, "--grid", "0.03"]) == 0
+        swept = _tree_bytes(tmp_path / "o")
+        shutil.rmtree(tmp_path / "o")
+        assert main(["corrupt", *argv, "--severity", "0.03"]) == 0
+        assert _tree_bytes(tmp_path / "o") == swept
+        assert len(swept) == 4  # 3 PNGs and the manifest
+
+    # only fog reads depth maps: a directory without them changes nothing
+    # for the other kinds
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--kind", "white_box", "--grid", "0.01,0.02"],
+            ["corrupt", "--kind", "gaussian_noise", "--severity", "0.01"],
+        ],
+    )
+    def test_depth_maps_ignored_by_kinds_other_than_fog(self, tmp_path, argv):
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 2, seed=0)
+        (tmp_path / "no-depth").mkdir()
+        argv = [*argv, "--images", str(tmp_path / "imgs"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        without = _tree_bytes(tmp_path / "o")
+        shutil.rmtree(tmp_path / "o")
+        assert main([*argv, "--depth", str(tmp_path / "no-depth")]) == 0
+        assert _tree_bytes(tmp_path / "o") == without
+
+
+def _tree_bytes(root):
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _write_depth_dir(directory, images):
+    """A depth map per image, each with an invalid band along its top rows."""
+    directory.mkdir()
+    for i, image in enumerate(images):
+        depth = np.linspace(40.0 + i, 4.0, 64)[:, None] * np.ones((64, 96))
+        valid = np.ones(depth.shape, dtype=bool)
+        valid[:5] = False
+        save_depth(DepthMap(depth, valid), directory / image.name, meters_per_unit=0.01)
+
+
+def _empty_dir_sweep_argv(tmp_path, command):
+    (tmp_path / "empty").mkdir()
+    severity = ["--severity", "0.01"] if command == "corrupt" else ["--grid", "0.01"]
+    return [command, "--images", str(tmp_path / "empty"), "--kind", "fog", *severity,
+            "--out", str(tmp_path / "o")]
+
+
+def _empty_dir_bench_argv(tmp_path, empty_slot):
+    (tmp_path / "empty").mkdir()
+    write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 20, seed=0)
+    config = {
+        "schema": 1,
+        "seed": 0,
+        "methods": ["gmm"],
+        "gmm_components": 1,
+        "id_train": {"name": "train", "role": "id_train", "path": "imgs"},
+        "id_test": {
+            "name": "test", "role": "id_test", "path": "empty" if empty_slot == "id_test" else "imgs"
+        },
+        "ood_sets": [{"name": "ood", "role": "ood", "path": "imgs"}],
+    }
+    if empty_slot == "sweep.images":
+        config["sweep"] = {"kind": "gaussian_noise", "grid": [0.01], "images": "empty"}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    return ["bench", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda t: _empty_dir_sweep_argv(t, "sweep"),
+        lambda t: _empty_dir_sweep_argv(t, "corrupt"),
+        lambda t: _empty_dir_bench_argv(t, "id_test"),
+        lambda t: _empty_dir_bench_argv(t, "sweep.images"),
+    ],
+    ids=["sweep", "corrupt", "bench id_test", "bench sweep.images"],
+)
+def test_empty_png_directory_exits_3_with_one_message(tmp_path, capsys, make_argv):
+    assert main(make_argv(tmp_path)) == 3
+    assert capsys.readouterr().err == f"data error: no PNG images under {tmp_path / 'empty'}\n"
 
 
 def _main_within(argv, seconds=60.0):
@@ -475,6 +569,22 @@ MALFORMED_INPUTS = {
         lambda t: _bench_argv(
             t, None, id_test={"name": "x", "role": "id_test", "path": "x.ccemb", "fmt": "binary"}
         ),
+        2,
+    ),
+    "toy sweep with severity_embeddings": (
+        lambda t: _bench_argv(
+            t, {"kind": "gaussian_noise", "grid": [0.01], "severity_embeddings": ["nope.ccemb"]}
+        ),
+        2,
+    ),
+    "external sweep with images": (
+        lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.01], "encoder": "external",
+                                  "severity_embeddings": ["a.ccemb"], "images": "imgs"}),
+        2,
+    ),
+    "external sweep with depth": (
+        lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.01], "encoder": "external",
+                                  "severity_embeddings": ["a.ccemb"], "depth": "depth"}),
         2,
     ),
     "sweep preset for another kind": (
