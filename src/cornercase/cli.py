@@ -67,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--depth", help="directory of matching 16-bit depth PNGs (fog only)")
     source.add_argument("--seed", type=int, default=0)
     source.add_argument(
-        "--atmospheric-light", type=float, default=corruptions.DEFAULT_ATMOSPHERIC_LIGHT
+        "--atmospheric-light",
+        type=float,
+        help=f"fog only (default {corruptions.DEFAULT_ATMOSPHERIC_LIGHT})",
     )
 
     p = sub.add_parser(
@@ -187,9 +189,12 @@ def _cmd_sweep(args) -> int:
             grid = [float(v) for v in args.grid.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--grid expects comma-separated numbers ({exc})") from exc
-    specs = corruptions.severity_sweep(
-        args.kind, grid, base_seed=args.seed, atmospheric_light=args.atmospheric_light
-    )
+    light = args.atmospheric_light
+    if light is None:
+        light = corruptions.DEFAULT_ATMOSPHERIC_LIGHT
+    elif args.kind != "fog":
+        raise ConfigError("--atmospheric-light is read by fog only")
+    specs = corruptions.severity_sweep(args.kind, grid, base_seed=args.seed, atmospheric_light=light)
     manifest = corruptions.run_sweep(args.images, specs, args.out, depth_dir=args.depth)
     print(
         f"swept {len(specs)} severities over "

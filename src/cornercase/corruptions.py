@@ -10,18 +10,25 @@ monotone non-decreasing in beta pixel by pixel.
 Every operation is a pure function of (input, spec) including the
 seed, so sweeps replay bit-identically.
 
-run_sweep overlaps its work: the main thread reads and corrupts the
-sources and quantizes each block of outputs in place, while a pool of
-_PNG_WRITERS threads deflates and writes the PNGs. The main thread
-waits for the oldest output whenever more than _PNG_WRITERS are
-unwritten, so at most _PNG_WRITERS + 1 uint8 frames are handed off at a
-time, and the files and manifest are byte-identical to writing the
-outputs one by one.
+run_sweep overlaps its work: the main thread reads the sources and
+makes each output's PNG job, while a pool of _PNG_WRITERS threads
+finishes the deflate and writes the files. A job is an IHDR payload, the
+compressed head of the IDAT, a zlib compressor that made that head from
+the rows above, and the remaining (tail) filter-0 scanlines. White-box
+outputs share one head per source, made by a single compressor in
+box-top order (_box_outputs); fog and noise outputs are quantized from
+the sweep engine's blocks and get an empty head, a fresh compressor and
+all their rows. The main thread waits for the oldest output whenever
+more than _PNG_WRITERS are unwritten, so at most _PNG_WRITERS + 1 jobs,
+each one compressor copy, one head and one tail of at most a frame, are
+handed off at a time, and the files and manifest are byte-identical to
+writing the outputs one by one.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -30,16 +37,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .images import DepthMap, ImageBuffer, load_depth, load_image
-from .images import _png_bytes, _quantize, _sorted_pngs
+from .images import DepthMap, ImageBuffer, load_depth
+from .images import _png_file, _quantize, _read_rgb, _scanlines, _sorted_pngs
 
 CORRUPTION_KINDS = ("fog", "gaussian_noise", "white_box")
 
 DEFAULT_ATMOSPHERIC_LIGHT = 0.92
 
 # float64 values in one sweep block: b severities of an H x W image make
-# b*H*W*3 <= 2^16 (512 KiB). Blocks feed file sweeps and the scoring of fog
-# and white-box sweeps (noise sweeps are scored from per-image sums). On 2
+# b*H*W*3 <= 2^16 (512 KiB). Blocks feed fog and noise file sweeps and the
+# scoring of fog and white-box sweeps (white-box files are written from the
+# uint8 source, noise sweeps are scored from per-image sums). On 2
 # cores, scoring 500 images of 32x32 took 0.40-0.52 s at the 20 white-box
 # severities and 0.21-0.32 s at 8 fog levels, against 0.93-1.22 s and
 # 0.46-0.60 s one severity at a time; 200 scenes of 64x96 (3 severities a
@@ -173,13 +181,21 @@ def _box_stack(pixels, seed, fractions):
     h, w = pixels.shape[:2]
     out = np.repeat(pixels[None], len(fractions), axis=0)
     for k, fraction in enumerate(fractions):
-        side = min(int(np.floor(np.sqrt(fraction * h * w) + 0.5)), h, w)
-        if side:
-            rng = np.random.default_rng(seed)
-            top = int(rng.integers(0, h - side + 1))
-            left = int(rng.integers(0, w - side + 1))
-            out[k, top : top + side, left : left + side, :] = 1.0
+        top, left, side = _box(h, w, seed, fraction)
+        out[k, top : top + side, left : left + side, :] = 1.0
     return out
+
+
+def _box(h, w, seed, fraction):
+    """(top, left, side) of the white box covering about fraction of an
+    h x w image, placed by default_rng(seed); top is h when side is 0."""
+    side = min(int(np.floor(np.sqrt(fraction * h * w) + 0.5)), h, w)
+    if not side:
+        return h, 0, 0
+    rng = np.random.default_rng(seed)
+    top = int(rng.integers(0, h - side + 1))
+    left = int(rng.integers(0, w - side + 1))
+    return top, left, side
 
 
 def severity_sweep(
@@ -297,10 +313,40 @@ def _sweep_blocks(sources, spec, severities):
             yield idx, j, seed, corrupt(severities[j : j + step])
 
 
-def _write_frame(path, frame):
+def _box_outputs(pixels, seed, fractions):
+    """(k, PNG job) per box fraction k of the uint8 image pixels, in
+    box-top order. Every row above a box is the source's, so one
+    compressor takes in the source's scanlines top down, and each job
+    gets the head it has emitted so far, a copy of it, and the rows from
+    the box's top down with the box painted 255."""
+    h, w = pixels.shape[:2]
+    header, rows = _scanlines(pixels)
+    boxes = [_box(h, w, seed, fraction) for fraction in fractions]
+    compressor = zlib.compressobj(6)
+    head, done = [], 0
+    # in top order one compressor serves every box; a snapshot per box, in
+    # severity order, held about 256 KB of zlib state each
+    for k in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        top, left, side = boxes[k]
+        if top > done:
+            head.append(compressor.compress(rows[done:top]))
+            done = top
+        tail = rows[top:].copy()
+        tail[:side, 1 + 3 * left : 1 + 3 * (left + side)] = 255
+        yield k, (header, tuple(head), compressor.copy(), tail)
+
+
+def _write_output(path, header, head, compressor, tail):
     # runs on a writer thread, so it calls only private functions: a tracer
     # that wraps the public ones keeps one span stack, not thread-safe
-    path.write_bytes(_png_bytes(frame))
+    path.write_bytes(_encode_png(header, head, compressor, tail))
+
+
+def _encode_png(header, head, compressor, tail):
+    """The PNG file whose IDAT is head, then compressor's deflate of
+    tail and its flush: the bytes of zlib.compress(rows, 6) when a fresh
+    compressobj(6) emitted head from the rows above tail."""
+    return _png_file(header, b"".join((*head, compressor.compress(tail), compressor.flush())))
 
 
 def _wait_written(pool, future):
@@ -339,15 +385,30 @@ def run_sweep(
     def read():
         nonlocal depth_policy
         for src in sources:
-            img = load_image(src)
+            pixels = _read_rgb(src)
             depth = None
             if depth_dir is not None and kind == "fog":
                 depth = load_depth(Path(depth_dir) / src.name)
                 if not depth.valid.all():
                     depth_policy = "provided_with_median_fill"
-            yield img, depth
+            yield pixels, depth
 
-    blocks = _sweep_blocks(read(), spec, severities)
+    def outputs():
+        """(image index, spec index, seed, PNG job) per output, image by image."""
+        if kind == "white_box":
+            for idx, seed, pixels, _ in _seeded_sources(read(), spec):
+                for j, job in _box_outputs(pixels, seed, severities):
+                    yield idx, j, seed, job
+            return
+        images = ((ImageBuffer.from_uint8(pixels), depth) for pixels, depth in read())
+        for idx, first, seed, block in _sweep_blocks(images, spec, severities):
+            # corrupted values lie in [0, 1], so no ImageBuffer check is needed
+            frames = _quantize(block)
+            del block  # free the float stack before the next one is made
+            for j, frame in enumerate(frames, start=first):
+                header, rows = _scanlines(frame)
+                yield idx, j, seed, (header, (), zlib.compressobj(6), rows)
+
     sev_dirs = [out_dir / kind / severity_dirname(s.severity) for s in specs]
     for sev_dir in sev_dirs:
         sev_dir.mkdir(parents=True, exist_ok=True)
@@ -359,31 +420,28 @@ def run_sweep(
     # the with block joins the writers on every exit; after an error in
     # the main thread they first write the outputs already handed off
     with ThreadPoolExecutor(_PNG_WRITERS, thread_name_prefix="png-writer") as pool:
-        for idx, first, seed, block in blocks:
-            # corrupted values lie in [0, 1], so no ImageBuffer check is needed
-            frames = _quantize(block)
-            del block  # free the float stack before the next one is made
-            for j, frame in enumerate(frames, start=first):
-                dst = sev_dirs[j] / sources[idx].name
-                pending.append(pool.submit(_write_frame, dst, frame))
-                if len(pending) > _PNG_WRITERS:
-                    _wait_written(pool, pending.popleft())
-                entries[j].append(
-                    {
-                        "source": str(sources[idx]),
-                        "output": str(dst),
-                        "severity": specs[j].severity,
-                        "seed": seed,
-                    }
-                )
+        for idx, j, seed, job in outputs():
+            dst = sev_dirs[j] / sources[idx].name
+            pending.append(pool.submit(_write_output, dst, *job))
+            if len(pending) > _PNG_WRITERS:
+                _wait_written(pool, pending.popleft())
+            entries[j].append(
+                {
+                    "source": str(sources[idx]),
+                    "output": str(dst),
+                    "severity": specs[j].severity,
+                    "seed": seed,
+                }
+            )
         for future in pending:
             _wait_written(pool, future)
     manifest = {
         "kind": kind,
-        "atmospheric_light": spec.atmospheric_light,
         "depth_policy": depth_policy if kind == "fog" else "not_applicable",
         "entries": [entry for per_spec in entries for entry in per_spec],
     }
+    if kind == "fog":
+        manifest["atmospheric_light"] = spec.atmospheric_light
     manifest_path = out_dir / kind / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -279,15 +279,6 @@ def read_png(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chunk(ctype: bytes, payload: bytes) -> bytes:
-    return (
-        struct.pack(">I", len(payload))
-        + ctype
-        + payload
-        + struct.pack(">I", zlib.crc32(ctype + payload) & 0xFFFFFFFF)
-    )
-
-
 def write_png(path, arr: np.ndarray) -> None:
     """Encode an array as PNG.
 
@@ -299,6 +290,12 @@ def write_png(path, arr: np.ndarray) -> None:
 
 def _png_bytes(arr: np.ndarray) -> bytes:
     """The PNG file write_png writes for arr."""
+    header, scanlines = _scanlines(arr)
+    return _png_file(header, zlib.compress(scanlines, 6))
+
+
+def _scanlines(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """(IHDR payload, (H, 1 + row bytes) uint8 filter-0 scanlines) of arr."""
     if arr.ndim == 3 and arr.shape[2] == 3 and arr.dtype == np.uint8:
         color_type, bit_depth = 2, 8
     elif arr.ndim == 2 and arr.dtype == np.uint8:
@@ -313,13 +310,17 @@ def _png_bytes(arr: np.ndarray) -> bytes:
     samples = arr.astype(">u2" if bit_depth == 16 else np.uint8, copy=False).view(np.uint8)
     rows = samples.reshape(height, arr.nbytes // height)
     scanlines = np.hstack([np.zeros((height, 1), np.uint8), rows])
-    ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
-    return (
-        _PNG_SIGNATURE
-        + _chunk(b"IHDR", ihdr)
-        + _chunk(b"IDAT", zlib.compress(scanlines, 6))
-        + _chunk(b"IEND", b"")
-    )
+    header = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
+    return header, scanlines
+
+
+def _png_file(header: bytes, idat: bytes) -> bytes:
+    """The PNG file of one IHDR payload and one IDAT payload."""
+    parts = [_PNG_SIGNATURE]
+    for ctype, payload in ((b"IHDR", header), (b"IDAT", idat), (b"IEND", b"")):
+        crc = zlib.crc32(payload, zlib.crc32(ctype))
+        parts += (struct.pack(">I", len(payload)), ctype, payload, struct.pack(">I", crc))
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +338,15 @@ def _sorted_pngs(directory: Path) -> list[Path]:
 
 def load_image(path) -> ImageBuffer:
     """Load an 8-bit RGB PNG as a normalized image."""
+    return ImageBuffer.from_uint8(_read_rgb(path))
+
+
+def _read_rgb(path) -> np.ndarray:
+    """The (H, W, 3) uint8 pixels of an 8-bit RGB PNG."""
     arr = read_png(path)
     if arr.ndim != 3:
         raise FormatError(f"{path}: expected an RGB image, got grayscale")
-    return ImageBuffer.from_uint8(arr)
+    return arr
 
 
 def save_image(img: ImageBuffer, path) -> None:

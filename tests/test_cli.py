@@ -160,6 +160,48 @@ class TestCorruptSweepCli:
         assert main([*argv, "--depth", str(tmp_path / "no-depth")]) == 0
         assert _tree_bytes(tmp_path / "o") == without
 
+    # a white-box sweep reads its sources as uint8, not through load_image
+    @pytest.mark.parametrize("kind", ["white_box", "fog"])
+    def test_grayscale_source_exits_3(self, tmp_path, capsys, kind):
+        (tmp_path / "imgs").mkdir()
+        gray = tmp_path / "imgs" / "gray.png"
+        write_png(gray, np.full((8, 8), 100, dtype=np.uint8))
+        argv = ["sweep", "--images", str(tmp_path / "imgs"), "--kind", kind,
+                "--grid", "0.01,0.02", "--out", str(tmp_path / "o")]
+        assert _main_within(argv) == 3
+        assert capsys.readouterr().err == f"data error: {gray}: expected an RGB image, got grayscale\n"
+        assert not list((tmp_path / "o").rglob("*.png"))
+
+    @pytest.mark.parametrize("command", ["sweep", "corrupt"])
+    @pytest.mark.parametrize("kind", ["gaussian_noise", "white_box"])
+    def test_atmospheric_light_is_a_usage_error_without_fog(self, tmp_path, capsys, command, kind):
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 1, seed=0)
+        severity = ["--severity", "0.05"] if command == "corrupt" else ["--grid", "0.05"]
+        argv = [command, "--images", str(tmp_path / "imgs"), "--kind", kind, *severity,
+                "--atmospheric-light", "0.3", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: --atmospheric-light is read by fog only\n"
+        assert not (tmp_path / "o").exists()
+
+    # only a fog manifest records the atmospheric light, the default when
+    # the flag is not given
+    @pytest.mark.parametrize(
+        "kind, flag, recorded",
+        [
+            ("fog", [], 0.92),
+            ("fog", ["--atmospheric-light", "0.5"], 0.5),
+            ("gaussian_noise", [], None),
+            ("white_box", [], None),
+        ],
+    )
+    def test_manifest_records_atmospheric_light_for_fog_only(self, tmp_path, kind, flag, recorded):
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 1, seed=0)
+        argv = ["sweep", "--images", str(tmp_path / "imgs"), "--kind", kind, "--grid", "0.05",
+                *flag, "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / kind / "manifest.json").read_text())
+        assert manifest.get("atmospheric_light") == recorded
+
 
 def _tree_bytes(root):
     """Every file under root, by its path relative to root, with its bytes."""

@@ -19,7 +19,9 @@ from cornercase.corruptions import (
     DEFAULT_ATMOSPHERIC_LIGHT,
     SWEEP_PRESETS,
     CorruptionSpec,
+    _box,
     _box_stack,
+    _encode_png,
     _fog_stack,
     _noise_field,
     _noise_stack,
@@ -41,6 +43,7 @@ from cornercase.images import (
     ImageBuffer,
     _png_bytes,
     _quantize,
+    _read_rgb,
     load_image,
     save_image,
 )
@@ -305,6 +308,19 @@ class TestSeveritySweep:
         assert not np.array_equal(a.pixels, b.pixels)
 
 
+# (image shapes, grid, whether image 0 has tied box tops): severity 0
+# (top = H), fraction 1.0 (a box across the short side), tied tops, 1xN
+# and Nx1 images (every box one pixel), and several images of different
+# shapes in one sweep
+WHITE_BOX_CASES = {
+    "zero and full": ([(12, 16)], [0.0, 0.3, 1.0], False),
+    "tied tops": ([(24, 16)], [0.02, 0.05, 0.1, 0.2, 0.4], True),
+    "1xN": ([(1, 37)], [0.0, 0.01, 0.5, 1.0], True),
+    "Nx1": ([(37, 1)], [0.0, 0.01, 0.5, 1.0], True),
+    "several images": ([(12, 16), (1, 37), (37, 1), (64, 96)], [0.0, 0.01, 0.05, 0.2, 1.0], False),
+}
+
+
 class TestRunSweep:
     def test_layout_and_manifest(self, tmp_path):
         src = tmp_path / "clean"
@@ -353,11 +369,11 @@ class TestRunSweep:
             save_image(_random_image(50 + i, h=8, w=8), src / f"img-{i}.png")
         reads = []
 
-        def counting_load_image(path):
+        def counting_read_rgb(path):
             reads.append(path)
-            return load_image(path)
+            return _read_rgb(path)
 
-        monkeypatch.setattr(corruptions, "load_image", counting_load_image)
+        monkeypatch.setattr(corruptions, "_read_rgb", counting_read_rgb)
         specs = severity_sweep("white_box", [0.05, 0.1, 0.2, 0.4], base_seed=10)
         manifest = run_sweep(src, specs, tmp_path / "o")
         assert len(reads) == 3
@@ -400,17 +416,17 @@ class TestRunSweep:
         release = threading.Event()
         reads = []
 
-        def blocked_png_bytes(frame):
+        def blocked_encode_png(*job):
             encoding.release()
             release.wait()
-            return _png_bytes(frame)
+            return _encode_png(*job)
 
-        def counting_load_image(path):
+        def counting_read_rgb(path):
             reads.append(path)
-            return load_image(path)
+            return _read_rgb(path)
 
-        monkeypatch.setattr(corruptions, "_png_bytes", blocked_png_bytes)
-        monkeypatch.setattr(corruptions, "load_image", counting_load_image)
+        monkeypatch.setattr(corruptions, "_encode_png", blocked_encode_png)
+        monkeypatch.setattr(corruptions, "_read_rgb", counting_read_rgb)
         # one severity: each source read makes one frame, handed off at once
         specs = severity_sweep("white_box", [0.1])
         sweep = threading.Thread(
@@ -427,6 +443,46 @@ class TestRunSweep:
             sweep.join(60)
         assert not sweep.is_alive()
         assert len(list((tmp_path / "o").rglob("*.png"))) == 6
+
+    @pytest.mark.parametrize(
+        "shapes, grid, tied", WHITE_BOX_CASES.values(), ids=list(WHITE_BOX_CASES)
+    )
+    def test_white_box_files_equal_quantized_corruption(self, tmp_path, shapes, grid, tied):
+        src = tmp_path / "clean"
+        src.mkdir()
+        for i, (h, w) in enumerate(shapes):
+            save_image(_random_image(90 + i, h=h, w=w), src / f"img-{i}.png")
+        specs = severity_sweep("white_box", grid, base_seed=6)
+        h, w = shapes[0]
+        tops = [_box(h, w, 6, spec.severity)[0] for spec in specs]
+        assert (len(set(tops)) < len(tops)) == tied
+        run_sweep(src, specs, tmp_path / "o")
+        for i in range(len(shapes)):
+            clean = load_image(src / f"img-{i}.png")  # the 8-bit source the sweep reads
+            for spec in specs:
+                out = apply_corruption(clean, CorruptionSpec("white_box", spec.severity, seed=6 + i))
+                rel = Path("white_box", severity_dirname(spec.severity), f"img-{i}.png")
+                assert (tmp_path / "o" / rel).read_bytes() == _png_bytes(
+                    _quantize(out.pixels.copy())
+                ), rel
+
+    def test_white_box_sweep_memory_bounded(self, tmp_path):
+        # numpy and zlib report their buffers to tracemalloc. Corrupting
+        # the frame in float64 costs 16 times its uint8 bytes for the image
+        # and one output; a 256x512 paper sweep peaked at 12.3 MiB that
+        # way, and at 4.0 MiB writing every output from the uint8 source.
+        h, w = 256, 512
+        (tmp_path / "clean").mkdir()
+        save_image(_random_image(95, h=h, w=w), tmp_path / "clean" / "a.png")
+        specs = severity_sweep("white_box", "whitebox-paper")
+        tracemalloc.start()
+        try:
+            run_sweep(tmp_path / "clean", specs, tmp_path / "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * h * w * 3, f"peak {peak / 2**20:.2f} MiB"
+        assert len(list((tmp_path / "o").rglob("*.png"))) == len(specs)
 
     def test_fog_sweep_with_provided_depth(self, tmp_path):
         from cornercase.images import save_depth

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornercase.errors import FormatError, ValidationError
 from cornercase.images import (
@@ -257,6 +259,30 @@ class TestPngWriterBytes:
         path = tmp_path / "w.png"
         write_png(path, arr)
         assert path.read_bytes() == _png_file(shape[1], shape[0], color_type, idat, bit_depth)
+
+
+class TestDeflateFromPrefix:
+    # A white-box sweep deflates a source's rows once and finishes each
+    # output from a copy of that compressor taken at its box's top; the
+    # writer relies on zlib giving the bytes of one compress call that way.
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(1, 24),
+        row_bytes=st.integers(1, 2000),
+        levels=st.sampled_from([1, 3, 256]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_prefix_copy_then_suffix_equals_one_compress(self, seed, height, row_bytes, levels):
+        rows = np.random.default_rng(seed).integers(0, levels, (height, row_bytes), dtype=np.uint8)
+        want = zlib.compress(rows, 6)
+        # one live compressor, copied at every split before it goes on
+        compressor, head, copies = zlib.compressobj(6), b"", []
+        for split in range(height + 1):
+            copies.append((head, compressor.copy()))
+            if split < height:
+                head += compressor.compress(rows[split])
+        for split, (prefix, copy) in enumerate(copies):
+            assert prefix + copy.compress(rows[split:]) + copy.flush() == want, split
 
 
 class TestPngErrors:
