@@ -14,16 +14,13 @@ import argparse
 import time
 
 from cornercase.bench import run_corruption_sweep
-from cornercase.corruptions import severity_sweep
+from cornercase.corruptions import SWEEP_PRESETS, severity_sweep
 from cornercase.density import fit_gmm
 from cornercase.embeddings import EmbeddingSet, toy_encode
 from cornercase.synthetic import family_for_kind, scene_set
 
-PRESETS = {
-    "fog": "fog-paper",
-    "gaussian_noise": "noise-paper",
-    "white_box": "whitebox-paper",
-}
+# the paper preset of each corruption kind
+PRESETS = {kind: name for name, (kind, _) in SWEEP_PRESETS.items()}
 
 
 def run_kind(kind: str, n_train: int, n_test: int, seed: int, verbose_rows: bool):

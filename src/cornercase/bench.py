@@ -20,9 +20,10 @@ import numpy as np
 
 from .corruptions import (
     DEFAULT_ATMOSPHERIC_LIGHT,
+    _image_blocks,
     _noise_field,
+    _read_sources,
     _seeded_sources,
-    _sweep_blocks,
     _sweep_spec,
     severity_dirname,
     severity_sweep,
@@ -37,7 +38,7 @@ from .embeddings import (
     toy_encode_noise_sweep,
 )
 from .errors import ConfigError, DegenerateInputError, FormatError, ValidationError
-from .images import _sorted_pngs, load_depth, load_image
+from .images import ImageBuffer, _sorted_pngs, load_image
 from .metrics import DetectionReport, LabeledScores, detection_report
 from .stats import CorrelationResult, pearson, spearman
 from .uncertainty import load_uncertainty_map, mean_uncertainty
@@ -86,6 +87,8 @@ class SweepSettings:
             specs = _sweep_specs(self, seed=0)
         except ValidationError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
+        if self.kind != "fog" and self.atmospheric_light != DEFAULT_ATMOSPHERIC_LIGHT:
+            raise ConfigError("atmospheric_light is read by fog only")
         if self.encoder == "external" and len(self.severity_embeddings) != len(specs):
             raise ConfigError(
                 "external sweep needs one embedding file per severity "
@@ -406,38 +409,39 @@ def run_corruption_sweep(
 
     clean_images is a sequence of (sample_id, ImageBuffer); depths, when
     given, aligns with it. The ID side of every severity report is the
-    toy encoding of the clean images. Noise sweeps are encoded from
-    per-image sums (toy_encode_noise_sweep), without corrupted images;
-    the other kinds from the sweep engine's blocks. Returns (sweep_rows,
+    toy encoding of the clean images. Each image is encoded clean, then
+    corrupted: noise from per-image sums (toy_encode_noise_sweep), the
+    other kinds from the sweep engine's blocks. Returns (sweep_rows,
     correlations).
     """
     clean_images = list(clean_images)
     if not clean_images:
         raise ValidationError("sweep needs at least one clean image")
-    ids = [sid for sid, _ in clean_images]
-    id_set = EmbeddingSet(ids, [toy_encode(img, grid=grid) for _, img in clean_images])
-    return _toy_sweep(id_set, clean_images, specs, model, grid, depths, tpr_target)
+    depths = [None] * len(clean_images) if depths is None else list(depths)
+    if len(depths) != len(clean_images):
+        raise ValidationError(f"{len(depths)} depth maps for {len(clean_images)} images")
+    ids, images = zip(*clean_images)
+    return _toy_sweep(list(ids), zip(images, depths), specs, model, grid, tpr_target)
 
 
-def _toy_sweep(id_set, clean_images, specs, model, grid, depths, tpr_target) -> tuple:
-    """run_corruption_sweep against id_set, the toy encoding of clean_images."""
-    images = [img for _, img in clean_images]
+def _toy_sweep(ids, sources, specs, model, grid, tpr_target, id_set=None) -> tuple:
+    """run_corruption_sweep of the (ImageBuffer, depth) sources named by ids,
+    consumed once; id_set, if given, is their clean toy encoding."""
     specs = list(specs)
-    depths = [None] * len(images) if depths is None else list(depths)
-    if len(depths) != len(images):
-        raise ValidationError(f"{len(depths)} depth maps for {len(images)} images")
-    # one array rather than lists of small rows: rows kept alive between
-    # the per-image temporaries made the allocator re-fault their pages
-    feats = np.empty((len(specs), len(images), id_set.dim))
     spec, severities = _sweep_spec(specs)
-    if spec.kind == "gaussian_noise":
-        for i, seed, img, _ in _seeded_sources(zip(images, depths), spec):
+    clean, feats = [], []
+    for _, seed, img, depth in _seeded_sources(sources, spec):
+        if id_set is None:
+            clean.append(toy_encode(img, grid=grid))
+        if spec.kind == "gaussian_noise":
             field = _noise_field(seed, img.pixels.shape)
-            feats[:, i] = toy_encode_noise_sweep(img, field, severities, grid=grid)
-    else:
-        for i, j, _, block in _sweep_blocks(zip(images, depths), spec, severities):
-            feats[j : j + len(block), i] = toy_encode(block, grid=grid)
-    severity_sets = (EmbeddingSet(id_set.ids(), per_spec) for per_spec in feats)
+            feats.append(toy_encode_noise_sweep(img, field, severities, grid=grid))
+        else:
+            blocks = _image_blocks(img, depth, seed, spec, severities)
+            feats.append(np.concatenate([toy_encode(block, grid=grid) for _, block in blocks]))
+    if id_set is None:
+        id_set = EmbeddingSet(ids, clean)
+    severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in np.stack(feats, axis=1))
     return _score_sweep(model, id_set, severity_sets, specs, tpr_target)
 
 
@@ -457,16 +461,12 @@ def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_test, model)
     if sweep.images is None and not Path(images_dir).is_dir():
         raise ConfigError("toy-encoder sweep needs sweep.images or an image-directory id_test")
     pngs = _sorted_pngs(Path(images_dir))
-    clean = [(p.stem, load_image(p)) for p in pngs]
-    depths = None
-    if sweep.depth is not None and sweep.kind == "fog":
-        depths = [load_depth(Path(sweep.depth) / p.name) for p in pngs]
-    if sweep.images is None:
-        # the clean images are id_test's, toy-encoded with this grid already
-        return _toy_sweep(id_test, clean, specs, model, sweep.encoder_grid, depths, cfg.tpr_target)
-    return run_corruption_sweep(
-        clean, specs, model, grid=sweep.encoder_grid, depths=depths, tpr_target=cfg.tpr_target
-    )
+    read = _read_sources(pngs, sweep.depth, sweep.kind)
+    sources = ((ImageBuffer.from_uint8(pixels), depth) for pixels, depth in read)
+    # without sweep.images, the clean images are id_test's, encoded with this grid
+    id_set = id_test if sweep.images is None else None
+    ids = [p.stem for p in pngs]
+    return _toy_sweep(ids, sources, specs, model, sweep.encoder_grid, cfg.tpr_target, id_set)
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:

@@ -10,19 +10,25 @@ monotone non-decreasing in beta pixel by pixel.
 Every operation is a pure function of (input, spec) including the
 seed, so sweeps replay bit-identically.
 
-run_sweep overlaps its work: the main thread reads the sources and
-makes each output's PNG job, while a pool of _PNG_WRITERS threads
-finishes the deflate and writes the files. A job is an IHDR payload, the
-compressed head of the IDAT, a zlib compressor that made that head from
-the rows above, and the remaining (tail) filter-0 scanlines. White-box
-outputs share one head per source, made by a single compressor in
-box-top order (_box_outputs); fog and noise outputs are quantized from
-the sweep engine's blocks and get an empty head, a fresh compressor and
-all their rows. The main thread waits for the oldest output whenever
-more than _PNG_WRITERS are unwritten, so at most _PNG_WRITERS + 1 jobs,
-each one compressor copy, one head and one tail of at most a frame, are
-handed off at a time, and the files and manifest are byte-identical to
-writing the outputs one by one.
+The sweep engine's unit is one image, corrupted a block of severities at
+a time (_image_blocks). Each sweep driver is one loop over sources read
+one at a time (_read_sources; depth maps for fog only): run_sweep writes
+files, bench's toy sweep scores them. Beside the engine, each has one
+fast path: white-box files from the uint8 source (_box_outputs), noise
+scores from per-image sums (embeddings.toy_encode_noise_sweep).
+
+run_sweep overlaps its work: the main thread makes each output's PNG
+job, while a pool of _PNG_WRITERS threads finishes the deflate and
+writes the files. A job is an IHDR payload, the compressed head of the
+IDAT, a zlib compressor that made that head from the rows above, and
+the remaining (tail) filter-0 scanlines. White-box outputs share one
+head per source, made by one compressor in box-top order; fog and noise
+outputs get an empty head, a fresh compressor and all their rows. The
+main thread waits for the oldest output whenever more than _PNG_WRITERS
+are unwritten, so at most _PNG_WRITERS + 1 jobs, each one compressor
+copy, one head and one tail of at most a frame, are handed off at a
+time, and the files and manifest are byte-identical to writing the
+outputs one by one.
 """
 
 from __future__ import annotations
@@ -45,13 +51,12 @@ CORRUPTION_KINDS = ("fog", "gaussian_noise", "white_box")
 DEFAULT_ATMOSPHERIC_LIGHT = 0.92
 
 # float64 values in one sweep block: b severities of an H x W image make
-# b*H*W*3 <= 2^16 (512 KiB). Blocks feed fog and noise file sweeps and the
-# scoring of fog and white-box sweeps (white-box files are written from the
-# uint8 source, noise sweeps are scored from per-image sums). On 2
-# cores, scoring 500 images of 32x32 took 0.40-0.52 s at the 20 white-box
-# severities and 0.21-0.32 s at 8 fog levels, against 0.93-1.22 s and
-# 0.46-0.60 s one severity at a time; 200 scenes of 64x96 (3 severities a
-# block) took 0.43-0.54 s against 0.53-0.59 s. A constant, not a setting.
+# b*H*W*3 <= 2^16 (512 KiB). Blocks feed fog and noise file sweeps and
+# fog and white-box scoring. On 2 cores, scoring 500 images of 32x32 took
+# 0.40-0.52 s at the 20 white-box severities and 0.21-0.32 s at 8 fog
+# levels, against 0.93-1.22 s and 0.46-0.60 s one severity at a time; 200
+# scenes of 64x96 (3 severities a block) took 0.43-0.54 s against
+# 0.53-0.59 s. A constant, not a setting.
 _SWEEP_BLOCK_ELEMENTS = 1 << 16
 
 # Threads that deflate and write sweep outputs. zlib releases the GIL
@@ -161,7 +166,7 @@ def apply_corruption(
 
 
 # Each function below corrupts one (H, W, 3) image at b severities and
-# returns the (b, H, W, 3) stack; _sweep_blocks picks one per kind.
+# returns the (b, H, W, 3) stack; _image_blocks picks one per kind.
 
 
 def _fog_stack(pixels, depth, atmospheric_light, betas):
@@ -254,22 +259,26 @@ def severity_dirname(severity: float) -> str:
 
 
 def sweep_images(sources, specs):
-    """Corrupt every source image under every spec, images in the outer loop.
+    """Corrupt every source image under every spec, one image at a time.
 
     The specs share one kind, seed and atmospheric light and differ in
     severity only; they are checked here, before any image is read.
     sources yields (ImageBuffer, DepthMap | None) pairs and is consumed
     once, in order, so a lazy source reads each file once. Image i gets
-    the noise/box seed spec.seed + i at every severity (common random
-    numbers: one noise field per image, scaled per sigma), so each
-    output equals apply_corruption with that seed.
+    the noise/box seed spec.seed + i at every severity (one noise field
+    per image, scaled per sigma), as apply_corruption with that seed.
 
     Returns an iterator of (image index, first spec index j, seed,
     block): block is the (b, H, W, 3) float64 stack of the image under
     specs[j : j + b], with b * H * W * 3 <= _SWEEP_BLOCK_ELEMENTS, or b = 1
     for larger images.
     """
-    return _sweep_blocks(sources, *_sweep_spec(specs))
+    spec, severities = _sweep_spec(specs)
+    return (
+        (idx, j, seed, block)
+        for idx, seed, img, depth in _seeded_sources(sources, spec)
+        for j, block in _image_blocks(img, depth, seed, spec, severities)
+    )
 
 
 def _sweep_spec(specs):
@@ -298,19 +307,38 @@ def _seeded_sources(sources, spec):
         yield idx, spec.seed + idx, img, depth
 
 
-def _sweep_blocks(sources, spec, severities):
-    for idx, seed, img, depth in _seeded_sources(sources, spec):
-        px = img.pixels
-        if spec.kind == "fog":
-            d = _resolved_depth(img, depth)
-            corrupt = partial(_fog_stack, px, d, spec.atmospheric_light)
-        elif spec.kind == "gaussian_noise":
-            corrupt = partial(_noise_stack, px, _noise_field(seed, px.shape))
-        else:
-            corrupt = partial(_box_stack, px, seed)
-        step = max(1, _SWEEP_BLOCK_ELEMENTS // px.size)
-        for j in range(0, len(severities), step):
-            yield idx, j, seed, corrupt(severities[j : j + step])
+def _read_sources(paths, depth_dir, kind):
+    """(uint8 pixels, DepthMap | None) per path; only fog reads depth_dir/<name>."""
+    fog_depth = depth_dir is not None and kind == "fog"
+    for path in paths:
+        yield _read_rgb(path), load_depth(Path(depth_dir) / path.name) if fog_depth else None
+
+
+def _image_blocks(img, depth, seed, spec, severities):
+    """(first severity index j, block) per block of one image's sweep:
+    block is the (b, H, W, 3) stack of img under severities[j : j + b]."""
+    px = img.pixels
+    if spec.kind == "fog":
+        corrupt = partial(_fog_stack, px, _resolved_depth(img, depth), spec.atmospheric_light)
+    elif spec.kind == "gaussian_noise":
+        corrupt = partial(_noise_stack, px, _noise_field(seed, px.shape))
+    else:
+        corrupt = partial(_box_stack, px, seed)
+    step = max(1, _SWEEP_BLOCK_ELEMENTS // px.size)
+    for j in range(0, len(severities), step):
+        yield j, corrupt(severities[j : j + step])
+
+
+def _frame_outputs(img, depth, seed, spec, severities):
+    """(k, PNG job) per severity k of img, quantized from the engine's
+    blocks: an empty head, a fresh compressor and all the frame's rows."""
+    for first, block in _image_blocks(img, depth, seed, spec, severities):
+        # corrupted values lie in [0, 1], so no ImageBuffer check is needed
+        frames = _quantize(block)
+        del block  # free the float stack before the next one is made
+        for j, frame in enumerate(frames, start=first):
+            header, rows = _scanlines(frame)
+            yield j, (header, (), zlib.compressobj(6), rows)
 
 
 def _box_outputs(pixels, seed, fractions):
@@ -381,34 +409,6 @@ def run_sweep(
     spec, severities = _sweep_spec(specs)
     kind = spec.kind
     depth_policy = "default_ramp" if depth_dir is None else "provided"
-
-    def read():
-        nonlocal depth_policy
-        for src in sources:
-            pixels = _read_rgb(src)
-            depth = None
-            if depth_dir is not None and kind == "fog":
-                depth = load_depth(Path(depth_dir) / src.name)
-                if not depth.valid.all():
-                    depth_policy = "provided_with_median_fill"
-            yield pixels, depth
-
-    def outputs():
-        """(image index, spec index, seed, PNG job) per output, image by image."""
-        if kind == "white_box":
-            for idx, seed, pixels, _ in _seeded_sources(read(), spec):
-                for j, job in _box_outputs(pixels, seed, severities):
-                    yield idx, j, seed, job
-            return
-        images = ((ImageBuffer.from_uint8(pixels), depth) for pixels, depth in read())
-        for idx, first, seed, block in _sweep_blocks(images, spec, severities):
-            # corrupted values lie in [0, 1], so no ImageBuffer check is needed
-            frames = _quantize(block)
-            del block  # free the float stack before the next one is made
-            for j, frame in enumerate(frames, start=first):
-                header, rows = _scanlines(frame)
-                yield idx, j, seed, (header, (), zlib.compressobj(6), rows)
-
     sev_dirs = [out_dir / kind / severity_dirname(s.severity) for s in specs]
     for sev_dir in sev_dirs:
         sev_dir.mkdir(parents=True, exist_ok=True)
@@ -417,22 +417,24 @@ def run_sweep(
     from concurrent.futures import ThreadPoolExecutor
 
     pending = deque()
+    read = _read_sources(sources, depth_dir, kind)
     # the with block joins the writers on every exit; after an error in
     # the main thread they first write the outputs already handed off
     with ThreadPoolExecutor(_PNG_WRITERS, thread_name_prefix="png-writer") as pool:
-        for idx, j, seed, job in outputs():
-            dst = sev_dirs[j] / sources[idx].name
-            pending.append(pool.submit(_write_output, dst, *job))
-            if len(pending) > _PNG_WRITERS:
-                _wait_written(pool, pending.popleft())
-            entries[j].append(
-                {
-                    "source": str(sources[idx]),
-                    "output": str(dst),
-                    "severity": specs[j].severity,
-                    "seed": seed,
-                }
-            )
+        for idx, seed, pixels, depth in _seeded_sources(read, spec):
+            if depth is not None and not depth.valid.all():
+                depth_policy = "provided_with_median_fill"
+            if kind == "white_box":
+                jobs = _box_outputs(pixels, seed, severities)
+            else:
+                jobs = _frame_outputs(ImageBuffer.from_uint8(pixels), depth, seed, spec, severities)
+            for j, job in jobs:
+                dst = sev_dirs[j] / sources[idx].name
+                pending.append(pool.submit(_write_output, dst, *job))
+                if len(pending) > _PNG_WRITERS:
+                    _wait_written(pool, pending.popleft())
+                entries[j].append({"source": str(sources[idx]), "output": str(dst),
+                                   "severity": specs[j].severity, "seed": seed})
         for future in pending:
             _wait_written(pool, future)
     manifest = {

@@ -55,6 +55,18 @@ def _adopt(cls, arr: np.ndarray):
     return obj
 
 
+def _keep_unit(obj, field: str, arr: np.ndarray, whole: str, values: str) -> None:
+    """Set obj.field to arr, read-only, once all its values lie in [0, 1]."""
+    # NaN fails both comparisons, and an infinity is the min or the max
+    low, high = arr.min(), arr.max()
+    if not (0.0 <= low and high <= 1.0):
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValidationError(f"{whole} contains non-finite values")
+        raise ValidationError(f"{values} must lie in [0, 1]")
+    arr.flags.writeable = False
+    object.__setattr__(obj, field, arr)
+
+
 # Largest magnitude an embedding value or a mixture mean may take. Its
 # square times any dimension below 1e8 stays under the float64 maximum
 # (1.8e308), so the squared distances, variances and Gram products that
@@ -90,14 +102,7 @@ class ImageBuffer:
             raise ValidationError(f"image must have shape (H, W, 3), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError("image must have positive height and width")
-        # NaN fails both comparisons, and an infinity is the min or the max
-        low, high = arr.min(), arr.max()
-        if not (0.0 <= low and high <= 1.0):
-            if not (np.isfinite(low) and np.isfinite(high)):
-                raise ValidationError("image contains non-finite values")
-            raise ValidationError("image values must lie in [0, 1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "pixels", arr)
+        _keep_unit(self, "pixels", arr, "image", "image values")
 
     @property
     def height(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import FMAP_MAGIC, load_feature_map
 from .errors import FormatError, ValidationError
-from .images import _adopt, _frozen_array, read_png
+from .images import _adopt, _frozen_array, _keep_unit, read_png
 
 SIMPLEX_TOL = 1e-9
 # a 16-bit uncertainty map holds value / _SIXTEEN_BIT_MAX
@@ -54,14 +54,7 @@ class UncertaintyMap:
     def _keep(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or min(arr.shape) < 1:
             raise ValidationError(f"uncertainty map must be (H, W), got {arr.shape}")
-        # NaN fails both comparisons, and an infinity is the min or the max
-        low, high = arr.min(), arr.max()
-        if not (0.0 <= low and high <= 1.0):
-            if not (np.isfinite(low) and np.isfinite(high)):
-                raise ValidationError("uncertainty map contains non-finite values")
-            raise ValidationError("uncertainty values must lie in [0, 1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        _keep_unit(self, "values", arr, "uncertainty map", "uncertainty values")
 
 
 def dirichlet_pdf(params: DirichletParams, p) -> float:

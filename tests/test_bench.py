@@ -507,6 +507,73 @@ class TestSweepRoutes:
             run_benchmark(self._image_dir_config(tmp_path, fog))
 
     @staticmethod
+    def _write_frames_with_depth(frames_dir, depth_dir, count, h, w, seed):
+        from cornercase.images import DepthMap, save_depth
+
+        rng = np.random.default_rng(seed)
+        frames_dir.mkdir()
+        depth_dir.mkdir(exist_ok=True)
+        for i in range(count):
+            write_png(frames_dir / f"f{i:02d}.png", rng.integers(0, 256, (h, w, 3), np.uint8))
+            valid = rng.random((h, w)) > 0.1  # some pixels take the median depth
+            depth = DepthMap(depth=rng.uniform(2.0, 300.0, (h, w)), valid=valid)
+            save_depth(depth, depth_dir / f"f{i:02d}.png", meters_per_unit=0.01)
+
+    def test_config_fog_sweep_holds_one_frame_at_a_time(self, tmp_path):
+        # a 256x512 frame is 3 MiB as float64 and its depth map 1 MiB more,
+        # so a sweep that held every frame and map would peak about 25 MiB
+        # higher at 8 frames than at 2
+        h, w = 256, 512
+        paths = _write_sets(tmp_path, dim=3 * 4 * 4 + 3, n=30)
+        peaks = []
+        for count in (2, 8):
+            frames = tmp_path / f"frames{count}"
+            self._write_frames_with_depth(frames, tmp_path / "depth", count, h, w, seed=count)
+            sweep = SweepSettings(
+                kind="fog", grid=(0.005, 0.02), images=str(frames), depth=str(tmp_path / "depth")
+            )
+            cfg = _basic_config(paths, methods=("gmm",), gmm_components=1, sweep=sweep)
+            tracemalloc.start()
+            try:
+                report = run_benchmark(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(report.sweep_rows) == 2
+        assert peaks[1] < peaks[0] + h * w * 3 * 8, [p / 2**20 for p in peaks]
+
+    def test_config_sweep_with_images_reads_and_encodes_each_image_once(
+        self, tmp_path, monkeypatch
+    ):
+        from cornercase import images as images_module
+        from cornercase.synthetic import FOG_FAMILY
+
+        read_png = images_module.read_png
+        reads, shapes = [], []
+
+        def counting_read_png(path):
+            reads.append(Path(path))
+            return read_png(path)
+
+        def counting_toy_encode(images, grid=4):
+            shapes.append(np.shape(images.pixels if isinstance(images, ImageBuffer) else images))
+            return toy_encode(images, grid=grid)
+
+        monkeypatch.setattr(images_module, "read_png", counting_read_png)
+        monkeypatch.setattr(bench_module, "toy_encode", counting_toy_encode)
+        frames, depth = tmp_path / "frames", tmp_path / "depth"
+        h, w = FOG_FAMILY.height, FOG_FAMILY.width
+        self._write_frames_with_depth(frames, depth, 5, h, w, seed=1)
+        sweep = SweepSettings(kind="fog", grid=(0.01, 0.05), images=str(frames), depth=str(depth))
+        report = run_benchmark(self._image_dir_config(tmp_path, sweep))
+        assert len(report.sweep_rows) == 2
+        assert sorted(reads) == sorted(set(reads))
+        assert set(frames.iterdir()) < set(reads) and set(depth.glob("*.png")) < set(reads)
+        # one clean encoding per image of id_train, id_test, the OOD set and
+        # the sweep, whose ID side is its own images
+        assert sum(len(s) == 3 for s in shapes) == 30 + 8 + 8 + 5
+
+    @staticmethod
     def _external_sweep_config(tmp_path):
         rng = np.random.default_rng(3)
         paths = _write_sets(tmp_path, dim=6, n=80, shift=6.0)

@@ -595,6 +595,12 @@ MALFORMED_INPUTS = {
         ),
         2,
     ),
+    "sweep.atmospheric_light without fog": (
+        lambda t: _bench_argv(
+            t, {"kind": "gaussian_noise", "grid": [0.01], "atmospheric_light": 0.3}
+        ),
+        2,
+    ),
     "boolean sweep.grid value": (
         lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.01, True]}),
         2,

@@ -3,11 +3,16 @@
 Each case takes one valid file, applies a few byte edits (set, cut,
 insert) and checks that loading it raises nothing but a CornerCaseError
 or an OSError, and that the command that reads it exits 0, 2, 3 or 4
-(2, 3 or 4 when the loader failed). Hypothesis runs derandomized, so
-every run tries the same edits.
+(2, 3 or 4 when the loader failed). A second test writes float64 values
+from the whole range into models and embeddings and checks the same of
+the commands that fit, score and project them, with warnings as errors.
+Hypothesis runs derandomized, so every run tries the same edits and
+values.
 """
 
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -177,3 +182,55 @@ def test_inputs_are_valid(tmp_path):
     for case, (load, argv) in CASES.items():
         load(tmp_path / case)
         assert main(argv(tmp_path, tmp_path / case)) == 0, case
+
+
+def _payload(size):
+    """size float64 values on one scale: mantissas in [-10, 10] times 10**e,
+    e anywhere in [-308, 308]; mantissas near 10 at e = 308 overflow to
+    infinities."""
+    return st.builds(
+        lambda e, mantissas: [m * 10.0**e for m in mantissas],
+        st.integers(-308, 308),
+        st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size),
+    )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(means=_payload(4), variances=_payload(4), rows=_payload(12))
+def test_wide_floats_end_in_typed_errors(inputs, means, variances, rows):
+    work = inputs / "wide"
+    work.mkdir(exist_ok=True)
+    # a CCMDL1 file ends in its float64 values: a gmm's 2 weights (kept), 2x2
+    # means and 2x2 variances, here above the 1e-6 floor; a knn index's 4x2 points
+    for name, values in (("gmm.ccmdl", [*means, *(1e-6 + abs(v) for v in variances)]),
+                         ("knn.ccmdl", [*means, *variances])):
+        head = (inputs / name).read_bytes()[: -8 * len(values)]
+        (work / name).write_bytes(head + struct.pack(f"<{len(values)}d", *values))
+    emb = work / "e.jsonl"
+    emb.write_text("".join(
+        json.dumps({"id": f"r{i}", "vec": rows[2 * i : 2 * i + 2]}) + "\n" for i in range(6)
+    ))
+    out = ["--out", str(work / "o")]
+    # (files the command reads, its argv)
+    commands = [
+        ((work / "gmm.ccmdl", emb), ["score", "--model", str(work / "gmm.ccmdl"),
+                                     "--embeddings", str(emb), *out]),
+        ((work / "knn.ccmdl", emb), ["score", "--model", str(work / "knn.ccmdl"),
+                                     "--embeddings", str(emb), *out]),
+        ((emb,), ["fit-gmm", "--embeddings", str(emb), "--components", "2", *out]),
+        ((emb,), ["fit-knn", "--embeddings", str(emb), "--k", "2", *out]),
+        ((emb,), ["pca", "--embeddings", f"a={emb}", "--k", "2", *out]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = {}
+        for path, load in ((work / "gmm.ccmdl", restore_model),
+                           (work / "knn.ccmdl", restore_model), (emb, load_embeddings)):
+            try:
+                load(path)
+                loaded[path] = True
+            except (CornerCaseError, OSError):
+                loaded[path] = False
+        for reads, argv in commands:
+            allowed = (0, 2, 3, 4) if all(loaded[f] for f in reads) else (2, 3, 4)
+            assert main(argv) in allowed, argv
