@@ -50,6 +50,10 @@ VARIANCE_FLOOR = 1e-6
 # (2 MiB), apart from one row of distances per kNN query.
 _BLOCK_ELEMENTS = 1 << 18
 
+# Query rows per kNN block when the stored points are tiled: enough rows
+# for the GEMM to run near its peak rate.
+_TILE_ROWS = 128
+
 # Largest rounding bound, relative to max(1, |value|), that an expanded
 # (GEMM) GMM entry may carry before it is recomputed explicitly.
 _GEMM_REL_TOL = 1e-9
@@ -128,7 +132,12 @@ class KnnIndex:
             raise ValidationError(
                 f"k={self.k} exceeds the {points.shape[0]} stored points"
             )
-        object.__setattr__(self, "points", _frozen_array(points))
+        # a read-only C-contiguous float64 array that owns its data, such
+        # as an EmbeddingSet's matrix, is held as it is; anything else is copied
+        flags = points.flags
+        if flags.writeable or not (flags.owndata and flags.c_contiguous):
+            points = _frozen_array(points)
+        object.__setattr__(self, "points", points)
 
     @property
     def dim(self) -> int:
@@ -188,17 +197,21 @@ def _log_gaussian_matrix(
         quad = Xc2 @ inv.T
         quad += (means * scaled).sum(axis=1)
         bound = (4.0 * _gamma(d + 4)) * quad
-        quad -= 2.0 * (Xc @ scaled.T)
-    limit = _GEMM_REL_TOL * np.clip(quad, 1.0, np.finfo(float).max)
-    row, comp = np.nonzero(~(bound <= limit))
+        work = Xc @ scaled.T
+        work *= 2.0
+        quad -= work
+    limit = np.clip(quad, 1.0, np.finfo(float).max, out=work)
+    limit *= _GEMM_REL_TOL
+    row, comp = np.divmod(np.flatnonzero(~(bound <= limit)), quad.shape[1])
     step = max(1, _BLOCK_ELEMENTS // max(d, 1))
     for s in range(0, row.size, step):
         r, j = row[s : s + step], comp[s : s + step]
         # an explicit sum past the float64 range is inf: density 0
         with np.errstate(over="ignore"):
             quad[r, j] = ((Xc[r] - means[j]) ** 2 / variances[j]).sum(axis=1)
-    const = -0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)  # (K,)
-    return const[None, :] - 0.5 * quad
+    quad *= -0.5
+    quad += -0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)  # (K,)
+    return quad
 
 
 def _m_step(Xc: np.ndarray, Xc2: np.ndarray, resp: np.ndarray):
@@ -246,20 +259,40 @@ def _m_step(Xc: np.ndarray, Xc2: np.ndarray, resp: np.ndarray):
 
 
 def _logsumexp_rows(logp: np.ndarray) -> np.ndarray:
-    m = logp.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(logp - m).sum(axis=1, keepdims=True))).ravel()
+    # the row maxima, one column at a time: a maximum is exact in any
+    # order, and (n, K) rows of a few components reduce slowly
+    m = logp[:, :1].copy()
+    for j in range(1, logp.shape[1]):
+        np.maximum(m, logp[:, j : j + 1], out=m)
+    shifted = logp - m
+    total = np.exp(shifted, out=shifted).sum(axis=1, keepdims=True)
+    total = np.log(total, out=total)
+    total += m
+    return total.ravel()
 
 
-def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_centers(
+    X: np.ndarray, k: int, rng: np.random.Generator, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """k initial means drawn k-means++ style from the rows of X; scratch,
+    if given, is an array like X that the squared differences overwrite."""
     n = X.shape[0]
     # Differences are scaled by 2^-e, 2^e above X's largest magnitude,
     # before they are squared. That is exact, so the draw probabilities
     # d2 / total are X's, but squares of tiny rows (1e-200) stay above 0.
     e = np.frexp(max(X.max(), -X.min()))[1]
+    sq = np.empty_like(X) if scratch is None else scratch
+
+    def sq_dist(center):
+        np.subtract(X, center, out=sq)
+        np.ldexp(sq, -e, out=sq)
+        return np.multiply(sq, sq, out=sq).sum(axis=1)
+
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = (np.ldexp(X - centers[0], -e) ** 2).sum(axis=1)
     for j in range(1, k):
+        # squared distance to the nearest centre drawn so far
+        d2 = sq_dist(centers[0]) if j == 1 else np.minimum(d2, sq_dist(centers[j - 1]))
         total = d2.sum()
         if total <= 0.0:
             if len(np.unique(X, axis=0)) >= k:
@@ -273,7 +306,6 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
                 f"fewer than {k} distinct fitting points"
             )
         centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, (np.ldexp(X - centers[j], -e) ** 2).sum(axis=1))
     return centers
 
 
@@ -311,11 +343,14 @@ def fit_gmm(
         )
     rng = np.random.default_rng(seed)
     centre = X.mean(axis=0)
-    means = _kmeanspp_centers(X, components, rng) - centre
-    variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (components, 1))
-    weights = np.full(components, 1.0 / components)
+    # k-means++ works in the buffer that then holds Xc ** 2
+    Xc2 = np.empty_like(X)
+    means = _kmeanspp_centers(X, components, rng, scratch=Xc2) - centre
     Xc = X - centre
-    Xc2 = Xc * Xc
+    np.multiply(Xc, Xc, out=Xc2)
+    # X.var(axis=0) to the bit: numpy's var takes the same centre and sums
+    variances = np.tile(np.maximum(Xc2.sum(axis=0) / n, VARIANCE_FLOOR), (components, 1))
+    weights = np.full(components, 1.0 / components)
 
     ll_trace: list[float] = []
     prev_ll = None
@@ -323,10 +358,9 @@ def fit_gmm(
     # max_iters M-steps, and one E-step past the last of them, so the
     # final trace entry scores the parameters returned
     for m_steps in range(max_iters + 1):
+        log_joint = _log_gaussian_matrix(Xc, Xc2, means, variances)
         with np.errstate(divide="ignore"):
-            log_joint = np.log(weights)[None, :] + _log_gaussian_matrix(
-                Xc, Xc2, means, variances
-            )
+            log_joint += np.log(weights)
         log_norm = _logsumexp_rows(log_joint)
         ll = float(log_norm.sum())
         if prev_ll is not None:
@@ -339,9 +373,9 @@ def fit_gmm(
         if converged or m_steps == max_iters:
             break
         prev_ll = ll
-        weights, means, variances = _m_step(
-            Xc, Xc2, np.exp(log_joint - log_norm[:, None])
-        )
+        # the responsibilities, in place of log_joint
+        log_joint -= log_norm[:, None]
+        weights, means, variances = _m_step(Xc, Xc2, np.exp(log_joint, out=log_joint))
 
     return GmmModel(
         weights=weights,
@@ -419,25 +453,118 @@ def build_knn_index(ids: EmbeddingSet, k: int = 50) -> KnnIndex:
     return KnnIndex(k=k, points=ids.matrix())
 
 
+def _kth_in_rows(row: np.ndarray, values: np.ndarray, n: int, ranks: np.ndarray) -> np.ndarray:
+    """Per row i in 0..n-1, the ranks[i]-th smallest (from 0) of its
+    values, from (row, value) pairs sorted by row; +inf pads the shorter
+    rows of the (n, widest row) table."""
+    counts = np.bincount(row, minlength=n)
+    first = np.cumsum(counts) - counts
+    table = np.full((n, counts.max()), np.inf)
+    table[row, np.arange(row.size) - first[row]] = values
+    # the distinct ranks, ascending (np.unique would import numpy.ma, 50 ms)
+    kth = np.flatnonzero(np.bincount(ranks))
+    return np.partition(table, kth, axis=1)[np.arange(n), ranks]
+
+
+def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
+    """(row, col, b) of a query block's candidate pairs, sorted by row,
+    and tau, each row's k-th smallest b; None if they outgrow the bound.
+
+    b = |p|^2 - 2 x.p is the expanded distance less the row's own |x|^2.
+    The points are scanned in tiles of `tile`, at least k of them. Pairs
+    pass when their b is at most slack above the first tile's k-th
+    smallest b, which is never below tau; a row that keeps all points
+    passes them all. With one tile, that is the candidate set. With more,
+    the pairs that pass hold every candidate, so the k-th smallest b over
+    them is tau. None when a block of more than one tile has a row that
+    keeps all points, or one where more than _BLOCK_ELEMENTS // len(block)
+    pairs pass.
+    """
+    n, count = len(block), len(points)
+    if tile < count and keep_all.any():
+        return None
+    neg2 = -2.0 * block
+    passed = np.zeros(n, dtype=np.intp)
+    found = []
+    for c0 in range(0, count, tile):
+        b = neg2 @ points[c0 : c0 + tile].T
+        b += p_sq[c0 : c0 + tile]
+        if c0 == 0:
+            tau = np.partition(b, k - 1, axis=1)[:, k - 1]
+            thr = tau + slack
+        keep = b <= thr[:, None]
+        keep[keep_all] = True
+        flat = np.flatnonzero(keep)
+        row, col = np.divmod(flat, b.shape[1])
+        if tile >= count:
+            return row, col, b.ravel()[flat], tau
+        passed += np.bincount(row, minlength=n)
+        if passed.max() > _BLOCK_ELEMENTS // n:
+            return None
+        found.append((row, col + c0, b.ravel()[flat]))
+    order = np.argsort(np.concatenate([f[0] for f in found]), kind="stable")
+    row, col, b = (np.concatenate(parts)[order] for parts in zip(*found))
+    return row, col, b, _kth_in_rows(row, b, n, np.full(n, k - 1))
+
+
+def _kth_block(block, points, p_sq, k, slack, keep_all, tile) -> np.ndarray:
+    """knn_kth_sqdist of one query block, the points in tiles of `tile`.
+
+    Only pairs whose b lies within slack of tau get explicit distances:
+    a point more than slack below it lies strictly below the k-th
+    explicit distance (see knn_kth_sqdist), so each such point lowers
+    its row's rank by one. A block whose candidates outgrow their bound
+    (_block_candidates) runs again against all points at once, in as many
+    rows as fit.
+    """
+    found = _block_candidates(block, points, p_sq, k, slack, keep_all, tile)
+    if found is None:
+        step = max(1, _BLOCK_ELEMENTS // len(points))
+        return np.concatenate([
+            _kth_block(block[s : s + step], points, p_sq, k, slack[s : s + step],
+                       keep_all[s : s + step], len(points))
+            for s in range(0, len(block), step)
+        ])
+    row, col, b, tau = found
+    n, dim = block.shape
+    lo, hi = tau - slack, tau + slack
+    lo[keep_all], hi[keep_all] = -np.inf, np.inf
+    # a pair is passed over only when it is proven below or above; an
+    # overflowing b (nan) never is
+    below = b < lo[row]
+    ranks = k - 1 - np.bincount(row[below], minlength=n)
+    band = ~(below | (b > hi[row]))
+    row, col = row[band], col[band]
+    exact = np.empty(row.size)
+    step = max(1, _BLOCK_ELEMENTS // dim)
+    for s in range(0, row.size, step):
+        diff = block[row[s : s + step]]
+        diff -= points[col[s : s + step]]
+        diff *= diff
+        exact[s : s + step] = diff.sum(axis=1)
+    return _kth_in_rows(row, exact, n, ranks)
+
+
 def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     """Squared distance from each row of X to its k-th nearest stored point.
 
     The result equals a brute-force scan of explicit differences,
     ``((x - p) ** 2).sum()``, bit for bit. It is found in two stages:
 
-    1. Candidates. One GEMM per block of queries gives the expanded
-       distance |x|^2 + |p|^2 - 2 x.p to every stored point. It rounds
-       differently from the explicit sum, but by at most a bound E
-       (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
-       so every point within 2E of the k-th smallest expanded distance
-       is kept.
+    1. Candidates. GEMMs give the expanded distance |x|^2 + |p|^2 - 2 x.p
+       to every stored point. It rounds differently from the explicit
+       sum, but by at most a bound E (Higham, Accuracy and Stability of
+       Numerical Algorithms, 3.1), so every point within 2E of the k-th
+       smallest expanded distance is kept (_block_candidates).
     2. Re-rank. Explicit differences are recomputed for the candidates
-       only, and the k-th smallest of those is the result.
+       that are not provably nearer than the k-th, and the result is the
+       k-th smallest of those, counting the nearer ones (_kth_block).
 
-    Both stages work in blocks of at most _BLOCK_ELEMENTS values
-    (beyond one row of distances per query), so memory stays bounded
-    whatever the index size or the number of ties. Non-finite query
-    rows raise ValidationError.
+    Queries run in blocks of up to _TILE_ROWS rows against tiles of the
+    points. Every temporary holds at most _BLOCK_ELEMENTS values, beyond
+    one row of distances per query, so memory stays bounded whatever the
+    index size or the number of ties. Non-finite query rows raise
+    ValidationError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != index.dim:
@@ -448,55 +575,43 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
         raise ValidationError("kNN query rows must be finite")
     points, k = index.points, index.k
     count, dim = points.shape
-    # For a query x and a point p, let a be the expanded distance and f
-    # the explicit one. Each is at most gamma_(dim+2) * (|x| + |p|)^2 away
-    # from the exact |x - p|^2: a takes dim roundings per inner product
-    # plus two additions, f takes a difference (counted twice, as it is
-    # squared), a square and dim - 1 additions. So |a - f| <= E with
-    # E = gamma_(2 dim + 4) * (|x| + max|p|)^2, plus one `tiny` per
-    # rounding for underflow. The factor 2 in `bound` also covers the
-    # roundings of the norms, of E itself and of the threshold.
-    # Let tau be the k-th smallest a in a row:
-    #   - the k points with the smallest a have f <= a + E <= tau + E,
-    #     so the true k-th explicit distance F is at most tau + E;
-    #   - any point with f <= F has a <= f + E <= tau + 2E.
-    # Every point with f <= F is therefore a candidate, and the k-th
-    # smallest f over the candidates is F itself. When 4 (|x| + max|p|)^2
-    # is not finite, the bound can overflow, and the row keeps all points.
+    # For a query x and a point p, let f be the explicit distance, b the
+    # computed |p|^2 - 2 x.p and a = b + |x|^2, the sum taken exactly.
+    # Each of a and f is at most gamma_(dim+2) * (|x| + |p|)^2 away from
+    # the exact |x - p|^2: the norms and x.p take dim roundings each
+    # (scaling x by -2 is exact) and b one addition; f takes a difference
+    # (counted twice, as it is squared), a square and dim - 1 additions.
+    # So |a - f| <= E with E = gamma_(2 dim + 4) * (|x| + max|p|)^2, plus
+    # one `tiny` per rounding for underflow. `slack` is twice 2E, which
+    # also covers the roundings of E itself and of tau -+ slack.
+    # Let tau be the k-th smallest b in a row, so tau + |x|^2 is the k-th
+    # smallest a, and F the k-th smallest f. As f is within E of a for
+    # every point, F is within E of tau + |x|^2. So:
+    #   - any point with f <= F has a <= F + E <= tau + |x|^2 + 2E, that
+    #     is b <= tau + 2E: it is a candidate, and the k-th smallest f
+    #     over the candidates is F itself;
+    #   - any point with b < tau - 2E has f <= a + E < tau + |x|^2 - E
+    #     <= F: it lies strictly below F, so at most k - 1 do.
+    # When 4 (|x| + max|p|)^2 is not finite, the bound can overflow, and
+    # the row keeps all points.
     roundings = 2 * dim + 4
     gamma = _gamma(roundings)
     floor = roundings * np.finfo(float).tiny
-    out = np.empty(X.shape[0])
-    rows = max(1, _BLOCK_ELEMENTS // count)
-    pair_step = max(1, _BLOCK_ELEMENTS // max(dim, 1))
+    rows = max(1, min(len(X), _TILE_ROWS))
+    tile = max(k, _BLOCK_ELEMENTS // rows)
+    if tile >= count:
+        tile, rows = count, max(1, _BLOCK_ELEMENTS // count)
+    out = np.empty(len(X))
     # overflow in the expanded form is expected: such rows keep all points
     with np.errstate(over="ignore", invalid="ignore"):
         p_sq = np.einsum("ij,ij->i", points, points)
         p_max = np.sqrt(p_sq.max())
-        for start in range(0, X.shape[0], rows):
+        for start in range(0, len(X), rows):
             block = X[start : start + rows]
-            x_sq = np.einsum("ij,ij->i", block, block)
-            approx = block @ points.T
-            approx *= -2.0
-            approx += p_sq
-            approx += x_sq[:, None]
-            scale = (np.sqrt(x_sq) + p_max) ** 2
-            bound = 2.0 * (gamma * scale + floor)
-            tau = np.partition(approx, k - 1, axis=1)[:, k - 1]
-            keep = approx <= (tau + 2.0 * bound)[:, None]
-            keep[~np.isfinite(4.0 * scale)] = True
-            row, col = np.nonzero(keep)
-            exact = np.empty(row.size)
-            for s in range(0, row.size, pair_step):
-                diff = block[row[s : s + pair_step]]
-                diff -= points[col[s : s + pair_step]]
-                exact[s : s + pair_step] = (diff * diff).sum(axis=1)
-            # row is sorted, so each query's candidates are one run of
-            # pairs; its k-th sits k - 1 places after the run's start
-            counts = keep.sum(axis=1)
-            first = np.cumsum(counts) - counts
-            order = np.lexsort((exact, row))
-            out[start : start + rows] = exact[order[first + k - 1]]
+            scale = (np.sqrt(np.einsum("ij,ij->i", block, block)) + p_max) ** 2
+            slack = 4.0 * (gamma * scale + floor)
+            keep_all = ~np.isfinite(4.0 * scale)
+            out[start : start + rows] = _kth_block(block, points, p_sq, k, slack, keep_all, tile)
     return out
 
 

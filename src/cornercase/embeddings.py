@@ -433,6 +433,31 @@ def _load_embeddings_text(path: Path) -> EmbeddingSet:
     return _checked_set(path, ids, rows)
 
 
+def _uniform_records(path: Path, data: bytes, pos: int, dim: int, count: int):
+    """The set in data, the bytes of a CCEMB1 file whose records start at
+    pos, when every id is as long as the first: ids and rows are then read
+    through one strided view of data. None for other files (or none
+    with records), which load_embeddings parses record by record."""
+    if not count or len(data) < pos + 2:
+        return None
+    (id_len,) = struct.unpack_from("<H", data, pos)
+    stride = 2 + id_len + 4 * dim
+    if len(data) - pos != count * stride:
+        return None
+    # record i starts at pos + i * stride if every length field before it says id_len
+    lengths = np.ndarray((count,), "<u2", data, pos, (stride,))
+    if (lengths != id_len).any():
+        return None
+    ids = []
+    for start in range(pos + 2, len(data), stride):
+        try:
+            ids.append(data[start : start + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: record {len(ids)} id is not UTF-8 ({exc})") from exc
+    rows = np.ndarray((count, dim), "<f4", data, pos + 2 + id_len, (stride, 4))
+    return _checked_set(path, ids, rows)
+
+
 def load_embeddings(path) -> EmbeddingSet:
     """Load an embedding set: the binary container if the file starts with
     EMBED_MAGIC, JSON-lines text otherwise."""
@@ -443,6 +468,9 @@ def load_embeddings(path) -> EmbeddingSet:
         return _load_embeddings_text(path)
     data = path.read_bytes()
     (dim, count), pos = read_container(path, data, EMBED_MAGIC, "embedding", "IQ")
+    uniform = _uniform_records(path, data, pos, dim, count)
+    if uniform is not None:
+        return uniform
     ids, starts = [], []
     for _ in range(count):
         if pos + 2 > len(data):
