@@ -134,6 +134,8 @@ class BenchConfig:
                 raise ConfigError(f"manifest {m.name!r} has role {m.role!r} in the {slot} slot")
         if self.gmm_components < 1 or self.knn_k < 1:
             raise ConfigError("gmm_components and knn_k must be positive")
+        if self.gmm_bic and self.gmm_components != BenchConfig.gmm_components:
+            raise ConfigError("gmm_components is not read with gmm_bic, which picks the count by BIC")
         if not 0.0 < self.tpr_target <= 1.0:
             raise ConfigError("tpr_target must lie in (0, 1]")
         if self.sweep is not None and methods[0] == "mean_uncertainty":
@@ -437,8 +439,11 @@ def _toy_sweep(ids, sources, specs, model, grid, tpr_target, id_set=None) -> tup
             field = _noise_field(seed, img.pixels.shape)
             feats.append(toy_encode_noise_sweep(img, field, severities, grid=grid))
         else:
-            blocks = _image_blocks(img, depth, seed, spec, severities)
-            feats.append(np.concatenate([toy_encode(block, grid=grid) for _, block in blocks]))
+            rows = []
+            for _, block in _image_blocks(img, depth, seed, spec, severities):
+                rows.append(toy_encode(block, grid=grid))
+                del block  # free the float stack before the next one is made
+            feats.append(np.concatenate(rows))
     if id_set is None:
         id_set = EmbeddingSet(ids, clean)
     severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in np.stack(feats, axis=1))

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-gmm", help="fit a Gaussian mixture to ID embeddings")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--components", type=int, default=4)
+    p.add_argument("--components", type=int, help="mixture components (default 4; not with --bic)")
     p.add_argument("--bic", action="store_true", help="select components by BIC over 1,2,4,8")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=200)
@@ -120,6 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit_gmm(args) -> int:
+    if args.bic and args.components is not None:
+        raise ConfigError("--components is not read with --bic, which picks the count by BIC")
     es = load_embeddings(args.embeddings)
     if args.bic:
         model = density.fit_gmm_bic(
@@ -128,7 +130,7 @@ def _cmd_fit_gmm(args) -> int:
     else:
         model = density.fit_gmm(
             es,
-            components=args.components,
+            components=4 if args.components is None else args.components,
             seed=args.seed,
             max_iters=args.max_iters,
             tol=args.tol,

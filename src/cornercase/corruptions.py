@@ -99,16 +99,24 @@ class CorruptionSpec:
             raise ValidationError("atmospheric_light must lie in [0, 1]")
 
 
+def _ramp_column(height: int) -> np.ndarray:
+    """The default depth ramp's one (height, 1) column: every column of
+    the ramp is this one."""
+    return np.linspace(RAMP_TOP_METERS, RAMP_BOTTOM_METERS, height)[:, None]
+
+
 def default_depth_ramp(height: int, width: int) -> DepthMap:
     """Linear top-to-bottom depth ramp for depth-free datasets."""
-    col = np.linspace(RAMP_TOP_METERS, RAMP_BOTTOM_METERS, height)
-    depth = np.tile(col[:, None], (1, width))
+    depth = np.tile(_ramp_column(height), (1, width))
     return DepthMap(depth=depth, valid=np.ones((height, width), dtype=bool))
 
 
 def _resolved_depth(img: ImageBuffer, depth: DepthMap | None) -> np.ndarray:
+    """Fog depths for img: an (H, W) map with invalid pixels at the valid
+    median, or without a map the default ramp as its (H, 1) column, which
+    fog broadcasts across the frame."""
     if depth is None:
-        return default_depth_ramp(img.height, img.width).depth
+        return _ramp_column(img.height)
     if (depth.height, depth.width) != (img.height, img.width):
         raise ValidationError(
             f"depth {depth.height}x{depth.width} does not match "
@@ -170,8 +178,11 @@ def apply_corruption(
 
 
 def _fog_stack(pixels, depth, atmospheric_light, betas):
+    # depth is (H, W) or the ramp's (H, 1) column; the output is the one
+    # frame-size temporary per severity
     t = np.exp(-betas[:, None, None] * depth)[..., None]
-    out = pixels * t + atmospheric_light * (1.0 - t)
+    out = pixels * t
+    out += atmospheric_light * (1.0 - t)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

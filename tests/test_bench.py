@@ -542,6 +542,34 @@ class TestSweepRoutes:
             assert len(report.sweep_rows) == 2
         assert peaks[1] < peaks[0] + h * w * 3 * 8, [p / 2**20 for p in peaks]
 
+    @pytest.mark.parametrize("with_depth, frames", [(False, 2.5), (True, 3.0)])
+    def test_fog_toy_rows_without_frame_size_temporaries(self, with_depth, frames):
+        # Scoring one frame takes its clean encoding, then each fog block
+        # and its encoding: the block and toy_encode's centred copy are 2
+        # float64 frames, a depth map with invalid pixels adds its filled
+        # third. Building pixels * t and A * (1 - t) apart, tiling the
+        # ramp and keeping a block while the next one is made reach 4.
+        from cornercase.images import DepthMap
+
+        h, w = 256, 512
+        rng = np.random.default_rng(5)
+        img = ImageBuffer(rng.random((h, w, 3)))
+        depth = None
+        if with_depth:
+            depth = DepthMap(depth=rng.uniform(2.0, 300.0, (h, w)), valid=rng.random((h, w)) > 0.1)
+        train = EmbeddingSet([f"t{i}" for i in range(30)], rng.random((30, 3 * 4 * 4 + 3)))
+        model = fit_gmm(train, components=1, seed=0)
+        tracemalloc.start()
+        try:
+            rows, _ = run_corruption_sweep(
+                [("f", img)], severity_sweep("fog", "fog-paper"), model, depths=[depth]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3
+        assert peak <= frames * h * w * 3 * 8, f"peak {peak / (h * w * 3 * 8):.2f} frames"
+
     def test_config_sweep_with_images_reads_and_encodes_each_image_once(
         self, tmp_path, monkeypatch
     ):

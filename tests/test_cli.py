@@ -581,6 +581,15 @@ MALFORMED_INPUTS = {
         lambda t: _bench_argv(t, None, gmm_bic="false"),
         2,
     ),
+    "gmm_components with gmm_bic": (
+        lambda t: _bench_argv(t, None, gmm_bic=True, gmm_components=3),
+        2,
+    ),
+    "--components with --bic": (
+        lambda t: [*_fit_gmm_argv(t, "e.jsonl", b'{"id": "a", "vec": [1.0]}\n'),
+                   "--bic", "--components", "3"],
+        2,
+    ),
     "boolean tol": (
         lambda t: _bench_argv(t, None, tol=True),
         2,

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornercase.density import (
     _BLOCK_ELEMENTS,
@@ -14,6 +16,7 @@ from cornercase.density import (
     VARIANCE_FLOOR,
     GmmModel,
     KnnIndex,
+    _block_candidates,
     _kmeanspp_centers,
     _log_gaussian_matrix,
     _logsumexp_rows,
@@ -140,6 +143,35 @@ class TestFitGmm:
         with pytest.raises(FitError, match="identical"):
             fit_gmm_bic(_set_from(np.ones((10, 2))), seed=0)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+    def test_kmeanspp_centers_match_three_temporaries(self, scale):
+        # the scaled, squared differences go through one reused buffer;
+        # the draws must be the ones the temporaries gave, also where
+        # squares of unscaled differences would underflow or overflow
+        X = scale * np.random.default_rng(8).normal(size=(400, 6))
+        X[:, 2] += scale * 40.0
+        for seed in range(4):
+            got = _kmeanspp_centers(X, 5, np.random.default_rng(seed))
+            want = kmeanspp_centers_reference(X, 5, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_initial_variances_equal_column_var(self, monkeypatch, offset):
+        from cornercase import density
+
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(700, 5)) * [1.0, 1e-4, 3.0, 0.0, 1e3] + offset
+        seen = []
+
+        def spy(Xc, Xc2, means, variances):
+            seen.append(variances.copy())
+            return _log_gaussian_matrix(Xc, Xc2, means, variances)
+
+        monkeypatch.setattr(density, "_log_gaussian_matrix", spy)
+        fit_gmm(_set_from(X), components=3, seed=0, max_iters=1)
+        want = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (3, 1))
+        assert np.array_equal(seen[0], want)
+
 
 class TestScoreGmm:
     def test_standard_normal_peak(self):
@@ -240,6 +272,20 @@ def variances_two_pass_reference(X, resp, means, mass):
         diff2 = (X - means[j]) ** 2
         variances[j] = np.maximum((resp[:, j] @ diff2) / mass[j], VARIANCE_FLOOR)
     return variances
+
+
+def kmeanspp_centers_reference(X, k, rng):
+    """k-means++ with three full-size temporaries per centre, as
+    _kmeanspp_centers drew before it reused one buffer."""
+    n = X.shape[0]
+    e = np.frexp(max(X.max(), -X.min()))[1]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = (np.ldexp(X - centers[0], -e) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centers[j] = X[rng.choice(n, p=d2 / d2.sum())]
+        d2 = np.minimum(d2, (np.ldexp(X - centers[j], -e) ** 2).sum(axis=1))
+    return centers
 
 
 def fit_gmm_loop_reference(X, components, seed, max_iters=200, tol=1e-6):
@@ -488,6 +534,53 @@ class TestKnnTwoStage:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
         assert np.array_equal(got, _brute_kth(pts, queries, 50))
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_tiled_queries_match_brute_force(self, data):
+        # small blocks put a few dozen points through every path: tiles
+        # with a running k-th, tiles whose ties overflow and fall back,
+        # one tile of all points, and rows with no explicit distance to
+        # spare below the k-th; integer points make duplicates and ties
+        count = data.draw(st.integers(1, 60), label="count")
+        dim = data.draw(st.integers(1, 5), label="dim")
+        k = data.draw(st.sampled_from([1, count, data.draw(st.integers(1, count))]), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        if data.draw(st.booleans(), label="integer grid"):
+            pts = rng.integers(-2, 3, size=(count, dim)).astype(float)
+            queries = rng.integers(-2, 3, size=(data.draw(st.integers(1, 12)), dim)).astype(float)
+        else:
+            pts = np.repeat(rng.normal(size=(count, dim)), rng.integers(1, 4, size=count), axis=0)
+            queries = np.vstack([pts[:3], rng.normal(size=(5, dim))])
+        block = data.draw(st.sampled_from([8, 32, 128, 1 << 18]), label="block elements")
+        rows = data.draw(st.sampled_from([1, 3, 8, 128]), label="tile rows")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cornercase.density._BLOCK_ELEMENTS", block)
+            mp.setattr("cornercase.density._TILE_ROWS", rows)
+            self._check(pts, queries, k)
+
+    def test_tiles_fall_back_when_ties_overflow(self, monkeypatch):
+        from cornercase import density
+
+        monkeypatch.setattr(density, "_BLOCK_ELEMENTS", 2048)
+        monkeypatch.setattr(density, "_TILE_ROWS", 8)
+        found = []
+
+        def spy(block, points, *args):
+            result = _block_candidates(block, points, *args)
+            found.append(result is not None)
+            return result
+
+        monkeypatch.setattr(density, "_block_candidates", spy)
+        rng = np.random.default_rng(28)
+        # 256-point tiles, at most 256 passing pairs a row: about 12 of 600
+        # distinct points pass the first tile's 5th, while 300 copies of
+        # the nearer of two points all tie at it
+        self._check(rng.normal(size=(600, 3)), rng.normal(size=(16, 3)), k=5)
+        assert found == [True, True]
+        found.clear()
+        self._check(np.repeat(rng.normal(size=(2, 3)), 300, axis=0), rng.normal(size=(8, 3)), k=5)
+        assert found[0] is False and found[1:] and all(found[1:])
 
 
 class TestInvariants:
