@@ -576,11 +576,12 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     points, k = index.points, index.k
     count, dim = points.shape
     # For a query x and a point p, let f be the explicit distance, b the
-    # computed |p|^2 - 2 x.p and a = b + |x|^2, the sum taken exactly.
-    # Each of a and f is at most gamma_(dim+2) * (|x| + |p|)^2 away from
-    # the exact |x - p|^2: the norms and x.p take dim roundings each
-    # (scaling x by -2 is exact) and b one addition; f takes a difference
-    # (counted twice, as it is squared), a square and dim - 1 additions.
+    # computed |p|^2 - 2 x.p and a = b + |x|^2, with |x|^2 and the sum
+    # exact. Each of a and f is at most gamma_(dim+2) * (|x| + |p|)^2 away
+    # from the exact |x - p|^2: |p|^2 and x.p take dim roundings each
+    # (scaling x by -2 is exact; where it overflows, so does the bound
+    # below) and b one addition; f takes a difference (counted twice, as
+    # it is squared), a square and dim - 1 additions.
     # So |a - f| <= E with E = gamma_(2 dim + 4) * (|x| + max|p|)^2, plus
     # one `tiny` per rounding for underflow. `slack` is twice 2E, which
     # also covers the roundings of E itself and of tau -+ slack.
@@ -597,7 +598,8 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     roundings = 2 * dim + 4
     gamma = _gamma(roundings)
     floor = roundings * np.finfo(float).tiny
-    rows = max(1, min(len(X), _TILE_ROWS))
+    # a tile holds at least k points, so its k-th smallest b exists
+    rows = max(1, min(len(X), _TILE_ROWS, _BLOCK_ELEMENTS // k))
     tile = max(k, _BLOCK_ELEMENTS // rows)
     if tile >= count:
         tile, rows = count, max(1, _BLOCK_ELEMENTS // count)
