@@ -24,6 +24,7 @@ differences; see _log_gaussian_matrix and _m_step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,11 @@ class KnnIndex:
     def count(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def _sq_norms(self) -> np.ndarray:
+        """|p|^2 of every stored point, computed on the first query."""
+        return np.einsum("ij,ij->i", self.points, self.points)
+
 
 # ---------------------------------------------------------------------------
 # GMM fitting
@@ -202,7 +208,9 @@ def _log_gaussian_matrix(
         quad -= work
     limit = np.clip(quad, 1.0, np.finfo(float).max, out=work)
     limit *= _GEMM_REL_TOL
-    row, comp = np.divmod(np.flatnonzero(~(bound <= limit)), quad.shape[1])
+    # recompute where the bound fails the test, NaN included, in one mask
+    redo = np.less_equal(bound, limit)
+    row, comp = np.divmod(np.flatnonzero(np.logical_not(redo, out=redo)), quad.shape[1])
     step = max(1, _BLOCK_ELEMENTS // max(d, 1))
     for s in range(0, row.size, step):
         r, j = row[s : s + step], comp[s : s + step]
@@ -272,16 +280,15 @@ def _logsumexp_rows(logp: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp_centers(
-    X: np.ndarray, k: int, rng: np.random.Generator, scratch: np.ndarray | None = None
+    X: np.ndarray, k: int, rng: np.random.Generator, sq: np.ndarray
 ) -> np.ndarray:
-    """k initial means drawn k-means++ style from the rows of X; scratch,
-    if given, is an array like X that the squared differences overwrite."""
+    """k initial means drawn k-means++ style from the rows of X; sq, an
+    array like X, is overwritten with the squared differences."""
     n = X.shape[0]
     # Differences are scaled by 2^-e, 2^e above X's largest magnitude,
     # before they are squared. That is exact, so the draw probabilities
     # d2 / total are X's, but squares of tiny rows (1e-200) stay above 0.
     e = np.frexp(max(X.max(), -X.min()))[1]
-    sq = np.empty_like(X) if scratch is None else scratch
 
     def sq_dist(center):
         np.subtract(X, center, out=sq)
@@ -337,7 +344,8 @@ def fit_gmm(
     if n < components:
         raise FitError(f"cannot fit {components} components to {n} records")
     X = ids.matrix()
-    if np.all(X == X[0]):
+    # rows 0 and 1 differ in nearly every fit, which then skips the full pass
+    if np.array_equal(X[0], X[1]) and np.all(X == X[0]):
         raise FitError(
             "component 0 collapsed: all fitting records are identical"
         )
@@ -345,7 +353,7 @@ def fit_gmm(
     centre = X.mean(axis=0)
     # k-means++ works in the buffer that then holds Xc ** 2
     Xc2 = np.empty_like(X)
-    means = _kmeanspp_centers(X, components, rng, scratch=Xc2) - centre
+    means = _kmeanspp_centers(X, components, rng, Xc2) - centre
     Xc = X - centre
     np.multiply(Xc, Xc, out=Xc2)
     # X.var(axis=0) to the bit: numpy's var takes the same centre and sums
@@ -467,18 +475,21 @@ def _kth_in_rows(row: np.ndarray, values: np.ndarray, n: int, ranks: np.ndarray)
 
 
 def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
-    """(row, col, b) of a query block's candidate pairs, sorted by row,
-    and tau, each row's k-th smallest b; None if they outgrow the bound.
+    """(table, cols) of a query block: per row, the b of the points that
+    pass and the points' indices, the table padded with +inf; None if
+    they outgrow the bound.
 
     b = |p|^2 - 2 x.p is the expanded distance less the row's own |x|^2.
     The points are scanned in tiles of `tile`, at least k of them. Pairs
-    pass when their b is at most slack above the first tile's k-th
-    smallest b, which is never below tau; a row that keeps all points
-    passes them all. With one tile, that is the candidate set. With more,
-    the pairs that pass hold every candidate, so the k-th smallest b over
-    them is tau. None when a block of more than one tile has a row that
-    keeps all points, or one where more than _BLOCK_ELEMENTS // len(block)
-    pairs pass.
+    pass when their b is at most slack above a bound that is never below
+    tau, the row's k-th smallest b; a row that keeps all points passes
+    them all. With one tile, the bound is tau. With more, it is the k-th
+    smallest of the first tile's minima over 4k groups of its points, k
+    of which are b of distinct points, and takes no partition of the
+    whole tile. Either way the pairs that pass hold every candidate, so
+    the k-th smallest b over them is tau. None when a block of more than
+    one tile has a row that keeps all points, or one where more than
+    _BLOCK_ELEMENTS // len(block) pairs pass.
     """
     n, count = len(block), len(points)
     if tile < count and keep_all.any():
@@ -490,21 +501,28 @@ def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
         b = neg2 @ points[c0 : c0 + tile].T
         b += p_sq[c0 : c0 + tile]
         if c0 == 0:
-            tau = np.partition(b, k - 1, axis=1)[:, k - 1]
-            thr = tau + slack
+            first = b
+            if tile < count:
+                groups = min(4 * k, tile)
+                first = b[:, : groups * (tile // groups)].reshape(n, -1, groups).min(axis=1)
+            thr = np.partition(first, k - 1, axis=1)[:, k - 1] + slack
         keep = b <= thr[:, None]
         keep[keep_all] = True
         flat = np.flatnonzero(keep)
         row, col = np.divmod(flat, b.shape[1])
-        if tile >= count:
-            return row, col, b.ravel()[flat], tau
-        passed += np.bincount(row, minlength=n)
-        if passed.max() > _BLOCK_ELEMENTS // n:
+        counts = np.bincount(row, minlength=n)
+        # each pair's place in its row, after the pairs of earlier tiles
+        place = np.arange(flat.size) - (np.cumsum(counts) - counts - passed)[row]
+        passed += counts
+        if tile < count and passed.max() > _BLOCK_ELEMENTS // n:
             return None
-        found.append((row, col + c0, b.ravel()[flat]))
-    order = np.argsort(np.concatenate([f[0] for f in found]), kind="stable")
-    row, col, b = (np.concatenate(parts)[order] for parts in zip(*found))
-    return row, col, b, _kth_in_rows(row, b, n, np.full(n, k - 1))
+        found.append((row, place, col + c0, b.ravel()[flat]))
+    table = np.full((n, passed.max()), np.inf)
+    cols = np.empty(table.shape, dtype=np.intp)
+    for row, place, col, values in found:
+        table[row, place] = values
+        cols[row, place] = col
+    return table, cols
 
 
 def _kth_block(block, points, p_sq, k, slack, keep_all, tile) -> np.ndarray:
@@ -525,16 +543,19 @@ def _kth_block(block, points, p_sq, k, slack, keep_all, tile) -> np.ndarray:
                        keep_all[s : s + step], len(points))
             for s in range(0, len(block), step)
         ])
-    row, col, b, tau = found
+    table, cols = found
     n, dim = block.shape
+    tau = np.partition(table, k - 1, axis=1)[:, k - 1]
     lo, hi = tau - slack, tau + slack
     lo[keep_all], hi[keep_all] = -np.inf, np.inf
     # a pair is passed over only when it is proven below or above; an
-    # overflowing b (nan) never is
-    below = b < lo[row]
-    ranks = k - 1 - np.bincount(row[below], minlength=n)
-    band = ~(below | (b > hi[row]))
-    row, col = row[band], col[band]
+    # overflowing b (nan) never is. The +inf padding lies above hi: a row
+    # that keeps all points, the one with an infinite hi, has none.
+    below = table < lo[:, None]
+    ranks = k - 1 - np.count_nonzero(below, axis=1)
+    band = ~(below | (table > hi[:, None]))
+    row, place = np.divmod(np.flatnonzero(band), table.shape[1])
+    col = cols[row, place]
     exact = np.empty(row.size)
     step = max(1, _BLOCK_ELEMENTS // dim)
     for s in range(0, row.size, step):
@@ -606,7 +627,7 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     out = np.empty(len(X))
     # overflow in the expanded form is expected: such rows keep all points
     with np.errstate(over="ignore", invalid="ignore"):
-        p_sq = np.einsum("ij,ij->i", points, points)
+        p_sq = index._sq_norms
         p_max = np.sqrt(p_sq.max())
         for start in range(0, len(X), rows):
             block = X[start : start + rows]

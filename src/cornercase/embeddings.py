@@ -80,11 +80,12 @@ class EmbeddingSet:
             raise ValidationError("embedding vectors must be non-empty")
         if not all(isinstance(i, str) for i in ids):
             raise ValidationError("embedding ids must be strings")
-        seen = set()
-        for ident in ids:
-            if ident in seen:
-                raise ValidationError(f"duplicate embedding id {ident!r}")
-            seen.add(ident)
+        if len(set(ids)) < len(ids):
+            seen = set()
+            for ident in ids:
+                if ident in seen:
+                    raise ValidationError(f"duplicate embedding id {ident!r}")
+                seen.add(ident)
         if not _in_envelope(matrix):
             bad = ids[int(np.argmin(np.abs(matrix).max(axis=1) < MAX_MAGNITUDE))]
             raise ValidationError(
@@ -435,25 +436,25 @@ def _load_embeddings_text(path: Path) -> EmbeddingSet:
 
 def _uniform_records(path: Path, data: bytes, pos: int, dim: int, count: int):
     """The set in data, the bytes of a CCEMB1 file whose records start at
-    pos, when every id is as long as the first: ids and rows are then read
-    through one strided view of data. None for other files (or none
-    with records), which load_embeddings parses record by record."""
+    pos, when every id is ASCII and as long as the first, which is not
+    0: ids and rows are then read through one strided view of data, and
+    the ids decoded in one call. None for other files (or none with
+    records), which load_embeddings parses record by record."""
     if not count or len(data) < pos + 2:
         return None
     (id_len,) = struct.unpack_from("<H", data, pos)
     stride = 2 + id_len + 4 * dim
-    if len(data) - pos != count * stride:
+    if not id_len or len(data) - pos != count * stride:
         return None
     # record i starts at pos + i * stride if every length field before it says id_len
     lengths = np.ndarray((count,), "<u2", data, pos, (stride,))
     if (lengths != id_len).any():
         return None
-    ids = []
-    for start in range(pos + 2, len(data), stride):
-        try:
-            ids.append(data[start : start + id_len].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: record {len(ids)} id is not UTF-8 ({exc})") from exc
+    joined = np.ndarray((count,), f"V{id_len}", data, pos + 2, (stride,)).tobytes()
+    if not joined.isascii():
+        return None
+    text = joined.decode("ascii")
+    ids = [text[i : i + id_len] for i in range(0, len(text), id_len)]
     rows = np.ndarray((count, dim), "<f4", data, pos + 2 + id_len, (stride, 4))
     return _checked_set(path, ids, rows)
 

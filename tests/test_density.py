@@ -151,7 +151,7 @@ class TestFitGmm:
         X = scale * np.random.default_rng(8).normal(size=(400, 6))
         X[:, 2] += scale * 40.0
         for seed in range(4):
-            got = _kmeanspp_centers(X, 5, np.random.default_rng(seed))
+            got = _kmeanspp_centers(X, 5, np.random.default_rng(seed), np.empty_like(X))
             want = kmeanspp_centers_reference(X, 5, np.random.default_rng(seed))
             assert np.array_equal(got, want)
 
@@ -296,7 +296,7 @@ def fit_gmm_loop_reference(X, components, seed, max_iters=200, tol=1e-6):
     the uncentred loops in extended precision)."""
     n = X.shape[0]
     centre = X.mean(axis=0)
-    means = _kmeanspp_centers(X, components, np.random.default_rng(seed)) - centre
+    means = _kmeanspp_centers(X, components, np.random.default_rng(seed), np.empty_like(X)) - centre
     variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (components, 1))
     X = X - centre
     weights = np.full(components, 1.0 / components)
@@ -539,7 +539,7 @@ class TestKnnTwoStage:
     @given(data=st.data())
     def test_tiled_queries_match_brute_force(self, data):
         # small blocks put a few dozen points through every path: tiles
-        # with a running k-th, tiles whose ties overflow and fall back,
+        # bounded by group minima, tiles whose ties overflow and fall back,
         # one tile of all points, and rows with no explicit distance to
         # spare below the k-th; integer points make duplicates and ties
         count = data.draw(st.integers(1, 60), label="count")
@@ -573,9 +573,9 @@ class TestKnnTwoStage:
 
         monkeypatch.setattr(density, "_block_candidates", spy)
         rng = np.random.default_rng(28)
-        # 256-point tiles, at most 256 passing pairs a row: about 12 of 600
-        # distinct points pass the first tile's 5th, while 300 copies of
-        # the nearer of two points all tie at it
+        # 256-point tiles, at most 256 passing pairs a row: about 14 of 600
+        # distinct points pass the bound from the first tile, while 300
+        # copies of the nearer of two points all tie at it
         self._check(rng.normal(size=(600, 3)), rng.normal(size=(16, 3)), k=5)
         assert found == [True, True]
         found.clear()

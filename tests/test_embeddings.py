@@ -187,6 +187,39 @@ class TestEmbeddingFiles:
         with pytest.raises(FormatError, match="duplicate"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ["a0", "b1", "c2"],
+            ["é1", "ü2", "ab3"],  # 3 bytes each, not ASCII
+            ["x", "yy", "z"],  # lengths differ: record by record
+            [""],
+            ["", "a"],
+        ],
+    )
+    def test_binary_ids_read_as_written(self, tmp_path, ids):
+        # equal-length ids take the strided read; every file must give
+        # the ids and rows that were written, in order
+        rows = np.random.default_rng(6).normal(size=(len(ids), 3)).astype(np.float32)
+        path = tmp_path / "e.ccemb"
+        save_embeddings(EmbeddingSet(ids, rows), path, fmt="binary")
+        again = load_embeddings(path)
+        assert again.ids() == ids
+        np.testing.assert_array_equal(again.matrix(), rows)
+
+    @pytest.mark.parametrize("same_length", [True, False])
+    def test_binary_id_not_utf8_names_its_record(self, tmp_path, same_length):
+        import struct
+
+        from cornercase.embeddings import EMBED_MAGIC
+
+        names = [b"ab", b"cd", b"\xff\xfe", b"ef"] if same_length else [b"a", b"cd", b"\xff", b"e"]
+        recs = b"".join(struct.pack("<H", len(n)) + n + struct.pack("<f", 1.0) for n in names)
+        path = tmp_path / "bad.ccemb"
+        path.write_bytes(EMBED_MAGIC + struct.pack("<HIQ", 1, 1, len(names)) + recs)
+        with pytest.raises(FormatError, match="record 2 id is not UTF-8"):
+            load_embeddings(path)
+
     def test_binary_truncation_rejected(self, tmp_path):
         es = self._random_set(5, 4)
         path = tmp_path / "e.ccemb"
