@@ -143,13 +143,18 @@ class TestFitGmm:
         with pytest.raises(FitError, match="identical"):
             fit_gmm_bic(_set_from(np.ones((10, 2))), seed=0)
 
-    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
-    def test_kmeanspp_centers_match_three_temporaries(self, scale):
+    @pytest.mark.parametrize(
+        "scales", [(1e-200,), (1.0,), (1e150,), (1e-200, 1e150)],
+        ids=["1e-200", "1", "1e150", "mixed"],
+    )
+    def test_kmeanspp_centers_match_three_temporaries(self, scales):
         # the scaled, squared differences go through one reused buffer;
         # the draws must be the ones the temporaries gave, also where
-        # squares of unscaled differences would underflow or overflow
+        # squares of unscaled differences would underflow or overflow,
+        # and where rows near 1e-200 share the matrix with rows near 1e150
+        scale = np.repeat(scales, 400 // len(scales))[:, None]
         X = scale * np.random.default_rng(8).normal(size=(400, 6))
-        X[:, 2] += scale * 40.0
+        X[:, 2:3] += scale * 40.0
         for seed in range(4):
             got = _kmeanspp_centers(X, 5, np.random.default_rng(seed), np.empty_like(X))
             want = kmeanspp_centers_reference(X, 5, np.random.default_rng(seed))
