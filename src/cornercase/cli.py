@@ -3,19 +3,20 @@
 Subcommands: fit-gmm, fit-knn, score, eval, corrupt, sweep, pca, synth,
 bench, report. Exit codes: 0 success, 2 config error, 3 data error,
 4 I/O error.
+
+Each handler imports the layers it runs, so `--version` and `--help`
+load no numpy, and `sweep` and `corrupt` load corruptions and images
+only. The parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import bench as bench_mod
-from . import corruptions, density, metrics, stats
-from .embeddings import DatasetManifest, EmbeddingSet, load_embeddings
+from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
 from .errors import ConfigError, CornerCaseError, ValidationError
 from .version import TOOLKIT_VERSION
 
@@ -25,6 +26,7 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cornercase",
@@ -62,14 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # the source flags of corrupt, a sweep of one severity, and of sweep
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--images", required=True)
-    source.add_argument("--kind", choices=corruptions.CORRUPTION_KINDS, required=True)
+    source.add_argument("--kind", choices=CORRUPTION_KINDS, required=True)
     source.add_argument("--out", required=True)
     source.add_argument("--depth", help="directory of matching 16-bit depth PNGs (fog only)")
     source.add_argument("--seed", type=int, default=0)
     source.add_argument(
         "--atmospheric-light",
         type=float,
-        help=f"fog only (default {corruptions.DEFAULT_ATMOSPHERIC_LIGHT})",
+        help=f"fog only (default {DEFAULT_ATMOSPHERIC_LIGHT})",
     )
 
     p = sub.add_parser(
@@ -120,6 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit_gmm(args) -> int:
+    from . import density
+    from .embeddings import load_embeddings
+
     if args.bic and args.components is not None:
         raise ConfigError("--components is not read with --bic, which picks the count by BIC")
     es = load_embeddings(args.embeddings)
@@ -145,6 +150,9 @@ def _cmd_fit_gmm(args) -> int:
 
 
 def _cmd_fit_knn(args) -> int:
+    from . import density
+    from .embeddings import load_embeddings
+
     es = load_embeddings(args.embeddings)
     index = density.build_knn_index(es, k=args.k)
     density.persist_model(index, args.out)
@@ -153,9 +161,14 @@ def _cmd_fit_knn(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from . import density, metrics
+    from .embeddings import DatasetManifest, load_embeddings
+
     if args.maps:
+        from .bench import score_dataset_maps
+
         manifest = DatasetManifest(name="maps", role="id_test", path=args.maps)
-        ids, scores = bench_mod.score_dataset_maps(manifest)
+        ids, scores = score_dataset_maps(manifest)
     else:
         if not args.model or not args.embeddings:
             raise ConfigError("score needs --model and --embeddings, or --maps")
@@ -168,18 +181,23 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import metrics
+    from .bench import BenchReport, emit_report
+
     split = metrics.labeled_scores_from_files(*args.scores)
     rep = metrics.detection_report(split, args.tpr)
-    report = bench_mod.BenchReport(
+    report = BenchReport(
         rows=(("scores", "scores", rep),),
         provenance=(("toolkit_version", TOOLKIT_VERSION),),
     )
-    print(bench_mod.emit_report(report, args.format), end="")
+    print(emit_report(report, args.format), end="")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     """sweep, and corrupt as a sweep of the one severity [--severity]."""
+    from . import corruptions
+
     if args.command == "corrupt":
         grid = [args.severity]
     elif (args.preset is None) == (args.grid is None):
@@ -193,7 +211,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--grid expects comma-separated numbers ({exc})") from exc
     light = args.atmospheric_light
     if light is None:
-        light = corruptions.DEFAULT_ATMOSPHERIC_LIGHT
+        light = DEFAULT_ATMOSPHERIC_LIGHT
     elif args.kind != "fog":
         raise ConfigError("--atmospheric-light is read by fog only")
     specs = corruptions.severity_sweep(args.kind, grid, base_seed=args.seed, atmospheric_light=light)
@@ -206,6 +224,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pca(args) -> int:
+    import numpy as np
+
+    from . import stats
+    from .embeddings import EmbeddingSet, load_embeddings
+
     if args.k < 1:
         raise ValidationError("k must be a positive integer")
     named = []
@@ -233,7 +256,9 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    bench_mod.generate_synthetic_benchmark(
+    from .bench import generate_synthetic_benchmark
+
+    generate_synthetic_benchmark(
         dim=args.dim,
         n_train=args.n_train,
         n_test=args.n_test,
@@ -246,21 +271,25 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = bench_mod.load_config(args.config)
-    report = bench_mod.run_benchmark(cfg)
+    from . import bench
+
+    cfg = bench.load_config(args.config)
+    report = bench.run_benchmark(cfg)
     out_dir = Path(args.out) if args.out else Path(args.config).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    bench_mod.save_report_json(report, out_dir / "report.json")
+    bench.save_report_json(report, out_dir / "report.json")
     ext = "csv" if args.format == "csv" else "md"
-    rendered = bench_mod.emit_report(report, args.format)
+    rendered = bench.emit_report(report, args.format)
     (out_dir / f"report.{ext}").write_text(rendered, encoding="utf-8")
     print(rendered, end="")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    report = bench_mod.load_report_json(args.report)
-    print(bench_mod.emit_report(report, args.format), end="")
+    from .bench import emit_report, load_report_json
+
+    report = load_report_json(args.report)
+    print(emit_report(report, args.format), end="")
     return EXIT_OK
 
 

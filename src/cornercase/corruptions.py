@@ -42,13 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
 from .errors import ValidationError
 from .images import DepthMap, ImageBuffer, load_depth
 from .images import _png_file, _quantize, _read_rgb, _scanlines, _sorted_pngs
-
-CORRUPTION_KINDS = ("fog", "gaussian_noise", "white_box")
-
-DEFAULT_ATMOSPHERIC_LIGHT = 0.92
 
 # float64 values in one sweep block: b severities of an H x W image make
 # b*H*W*3 <= 2^16 (512 KiB). Blocks feed fog and noise file sweeps and

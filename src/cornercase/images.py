@@ -5,10 +5,14 @@ Only the PNG subset the toolkit needs is implemented: 8-bit RGB
 and 16-bit grayscale (depth and uncertainty maps), non-interlaced.
 Files written here use filter type 0 on every row, and a file read
 with filter 0 throughout is sliced from its inflated bytes with no work.
-Any other file, which may mix all five filter types, decodes as one
-anti-diagonal wavefront of H + W - 1 vector steps, holding one int16
-buffer of about 2 (H + W)(min(H, W) + 1) bpp bytes (bpp bytes per
-pixel), at most about four times the pixel bytes.
+None and Sub rows read no other row and are decoded directly (Sub by a
+uint8 cumsum), which is all a file without other filters needs. A file
+with Up, Average or Paeth rows decodes as one anti-diagonal wavefront of
+H + W - 1 vector steps, holding one uint8 buffer of about
+(H + W)(min(H, W) + 1) bpp bytes (bpp bytes per pixel), at most about
+twice the pixel bytes. Each step is one lookup in a uint8 table of
+(predictor - c) mod 256 over (filter, a - c, b - c): 3 x 511 x 511
+bytes (0.78 MB), built on first use.
 
 Pixel values travel through the toolkit as float64 in [0, 1]; 8-bit
 quantization uses round-half-up so file output is bit-reproducible.
@@ -16,6 +20,7 @@ quantization uses round-half-up so file output is bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -159,11 +164,37 @@ class DepthMap:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _predictor_table() -> np.ndarray:
+    """(predictor - c) mod 256 of Up, Average and Paeth, as a flat uint8
+    table indexed by (filter - 2) 511^2 + (a - c + 255) 511 + (b - c + 255):
+    each predictor less c is a function of x = a - c and y = b - c alone.
+    Built on first use, in place, with (511, 511) int16 and bool
+    temporaries only (about 0.5 MB each)."""
+    table = np.empty((3, 511, 511), dtype=np.uint8)
+    x = np.arange(-255, 256, dtype=np.int16).reshape(-1, 1)
+    y = x.reshape(1, -1)
+    up, average, paeth = table
+    up[...] = y  # b - c, stored mod 256
+    both = x + y
+    np.right_shift(both, 1, out=average, casting="unsafe")  # (a + b) >> 1 - c
+    # Paeth picks a, b or c by the distances |b - c|, |a - c|, |a + b - 2c|
+    pa, pb, pc = np.abs(y), np.abs(x), np.abs(both, out=both)
+    paeth[...] = 0
+    np.copyto(paeth, y, casting="unsafe", where=pb <= pc)
+    np.copyto(paeth, x, casting="unsafe", where=(pa <= pb) & (pa <= pc))
+    table.flags.writeable = False  # one table, shared by every decode
+    return table.reshape(-1)
+
+
 def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
     """Reverse PNG scanline filtering into a (height, stride) uint8 array
     (stride excludes the filter byte): a view of raw when every row has
-    filter 0, else one vector step per anti-diagonal d = r + c, as pixel
-    (r, c), bpp bytes, depends only on (r, c-1), (r-1, c) and (r-1, c-1)."""
+    filter 0. None and Sub rows read no other row and are decoded
+    directly, Sub by a uint8 cumsum along the row. Up, Average and Paeth
+    rows are decoded by one vector step per anti-diagonal d = r + c, as
+    pixel (r, c), bpp bytes, depends only on (r, c-1), (r-1, c) and
+    (r-1, c-1): each step is one lookup in _predictor_table."""
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
     filters = rows[:, :1]
     if np.any(filters > 4):
@@ -171,35 +202,56 @@ def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
     if not filters.any():
         return rows[:, 1:]
     width = stride // bpp
+    pixels = rows[:, 1:].reshape(height, width, bpp)
+    sub = np.flatnonzero(filters == 1)
+    if filters.max() <= 1:
+        out = pixels.copy()
+        out[sub] = np.cumsum(pixels[sub], axis=1, dtype=np.uint8)
+        return out.reshape(height, stride)
     # Pixel (r, c) sits at T[r + c + 1, k + 1], in lane k = r if H <= W
     # else c: a diagonal is a run of one row of T, whose size follows the
     # shorter side. Row 0 and column 0 stay zero, the pixels above and
-    # left of the image (c at d = 0 reads T[-1, 0]). An entry holds its
-    # filtered byte until its step adds the predictor.
+    # left of the image (c at d = 0 reads T[-1, 0]). An Up, Average or
+    # Paeth entry holds its filtered byte until its step adds the
+    # predictor; None and Sub entries hold their pixel from the start.
     by_rows = height <= width
     lanes, across = (height, width) if by_rows else (width, height)
-    T = np.zeros((height + width, lanes + 1, bpp), dtype=np.int16)
+    T = np.zeros((height + width, lanes + 1, bpp), dtype=np.uint8)
     s0, s1, s2 = T.strides
     moves = (s0 + s1, s0, s2) if by_rows else (s0, s0 + s1, s2)
     skewed = as_strided(T[1:, 1:], (height, width, bpp), moves)
-    skewed[...] = rows[:, 1:].reshape(height, width, bpp)
-    # None, Sub, Up and Average rows predict (wa a + wb b) >> avg. Lane k
-    # of a column-lane diagonal is row d - k, at H - 1 - d + k reversed.
-    avg = (filters == 3).astype(np.int16)
-    per_row = [(filters == 1) + avg, (filters == 2) + avg, avg, filters == 4]
-    wa, wb, avg, paeth_row = per_row if by_rows else [m[::-1] for m in per_row]
+    skewed[...] = pixels
+    skewed[sub] = np.cumsum(pixels[sub], axis=1, dtype=np.uint8)
+    # Each step reads the table at base + 511 a + b - 512 c, where base
+    # selects the row's filter, from intp copies of the last two rows of
+    # T. Rows of None and Sub (keep 0) look up an Up entry and add
+    # nothing. Lane k of a column-lane diagonal is row d - k, at
+    # H - 1 - d + k reversed.
+    keep = np.repeat(filters >= 2, bpp, axis=1).astype(np.uint8)
+    base = np.repeat(np.maximum(filters, 2) - 2, bpp, axis=1).astype(np.intp)
+    base *= 511**2
+    base += 255 * 512
+    base, keep = (base, keep) if by_rows else (base[::-1], keep[::-1])
+    some_direct = not keep.all()
+    table = _predictor_table()
+    prev = cur = np.zeros((lanes + 1, bpp), dtype=np.intp)
     for d in range(height + width - 1):
         lo, hi = max(0, d - across + 1), min(d, lanes - 1) + 1
         row = slice(lo, hi) if by_rows else slice(height - 1 - d + lo, height - 1 - d + hi)
-        same, prior, c = T[d, lo + 1 : hi + 1], T[d, lo:hi], T[d - 1, lo:hi]
+        same, prior = cur[lo + 1 : hi + 1], cur[lo:hi]
         a, b = (same, prior) if by_rows else (prior, same)
-        pa, pb, pc = np.abs(b - c), np.abs(a - c), np.abs(a + b - 2 * c)
-        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-        linear = (wa[row] * a + wb[row] * b) >> avg[row]
-        current = T[d + 1, lo + 1 : hi + 1]
-        current += np.where(paeth_row[row], paeth, linear)
-        current &= 0xFF
-    return skewed.astype(np.uint8, order="C").reshape(height, stride)
+        i = a * 511
+        i += b
+        j = prev[lo:hi] * -512
+        j += base[row]
+        i += j
+        p = table[i]
+        p += T[d - 1, lo:hi]
+        if some_direct:
+            p *= keep[row]
+        T[d + 1, lo + 1 : hi + 1] += p
+        prev, cur = cur, T[d + 1].astype(np.intp)
+    return np.ascontiguousarray(skewed).reshape(height, stride)
 
 
 def _png_chunks(path, data: bytes):

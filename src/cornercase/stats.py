@@ -249,10 +249,12 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
 
 def export_pca_coords(model: PcaModel, named_sets, path) -> None:
     """Write JSON-lines {"id", "dataset", "coords"} for external plotting."""
+    # "%.9g" % v is format(v, ".9g"): one %-format per row
+    row_format = ", ".join(["%.9g"] * model.components.shape[0])
     lines = []
     for name, es in named_sets:
         for ident, row in zip(es.ids(), pca_transform(model, es.matrix())):
-            coords = ", ".join(format(v, ".9g") for v in row.tolist())
+            coords = row_format % tuple(row.tolist())
             lines.append(
                 f'{{"id": {json.dumps(ident)}, "dataset": {json.dumps(name)}, '
                 f'"coords": [{coords}]}}\n'

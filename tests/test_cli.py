@@ -326,24 +326,108 @@ class TestPcaCli:
         assert pca_err == knn_err == "data error: k must be a positive integer"
 
 
-def test_cli_import_loads_no_thread_pool():
-    # sweeps import their writer pool when they run, so `cornercase
-    # --version` loads none of it
+# The names `cornercase/__init__.py` imported eagerly before it resolved
+# them on first access, by the submodule each came from.
+INIT_NAMES = {
+    "bench": "BenchConfig BenchReport SweepSettings config_digest emit_report "
+    "generate_synthetic_benchmark load_config parse_report run_benchmark run_corruption_sweep",
+    "corruptions": "CorruptionSpec apply_corruption apply_fog apply_gaussian_noise "
+    "apply_white_box default_depth_ramp severity_sweep",
+    "density": "GmmModel KnnIndex build_knn_index fit_gmm fit_gmm_bic persist_model "
+    "restore_model score_set",
+    "embeddings": "DatasetManifest EmbeddingSet FeatureMap load_embeddings load_feature_map "
+    "pool_spatial_mean save_embeddings save_feature_map toy_encode",
+    "errors": "ConfigError CornerCaseError DegenerateInputError FitError FormatError "
+    "ValidationError",
+    "images": "DepthMap ImageBuffer load_depth load_image save_depth save_image",
+    "metrics": "DetectionReport LabeledScores PixelScoreMap apply_threshold aupr auroc "
+    "calibrate_threshold detection_report fpr_at_tpr pixel_average_precision pixel_fpr_at_tpr",
+    "stats": "CorrelationResult PcaModel corr_p_value pca_fit pca_transform pearson spearman",
+    "uncertainty": "DirichletParams UncertaintyMap dirichlet_pdf dirichlet_uncertainty "
+    "mean_uncertainty",
+    "version": "TOOLKIT_VERSION",
+}
+
+MODEL_LAYERS = {"bench", "density", "embeddings", "metrics", "stats", "uncertainty", "synthetic"}
+
+
+def _fresh_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run this interpreter in a new process on the cornercase package
+    that this test process imports."""
     import cornercase
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(cornercase.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
     )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True, env=env, cwd=cwd
+    )
+
+
+def _cornercase_process_modules(*argv, cwd=None) -> tuple[str, set]:
+    """(stdout, modules loaded at exit) of `python -m cornercase *argv`
+    in a new process."""
+    snippet = (
+        "import atexit, json, runpy, sys\n"
+        "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n"
+        "sys.argv = ['cornercase', *sys.argv[1:]]\n"
+        "runpy.run_module('cornercase', run_name='__main__', alter_sys=True)\n"
+    )
+    *out, modules = _fresh_python("-c", snippet, *argv, cwd=cwd).stdout.splitlines()
+    return "\n".join(out), set(json.loads(modules))
+
+
+def test_cli_import_loads_no_thread_pool(tmp_path):
+    # sweeps import their writer pool when they run, and each subcommand
+    # its own layers, so `cornercase --version` loads neither the pool
+    # nor numpy, and a sweep process loads no model layer
     snippet = (
         "import sys\n"
         "import cornercase.cli\n"
-        "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))\n"
+        "print(sorted({'concurrent.futures', 'queue', 'numpy'} & set(sys.modules)))\n"
     )
-    loaded = subprocess.run(
-        [sys.executable, "-c", snippet], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert loaded.strip() == "[]"
+    assert _fresh_python("-c", snippet).stdout.strip() == "[]"
+
+    out, loaded = _cornercase_process_modules("--version")
+    assert out == "0.1.0"
+    assert "cornercase.cli" in loaded and "numpy" not in loaded
+
+    (tmp_path / "imgs").mkdir()
+    write_png(tmp_path / "imgs" / "a.png", np.full((6, 8, 3), 100, dtype=np.uint8))
+    out, loaded = _cornercase_process_modules(
+        "sweep", "--images", "imgs", "--kind", "white_box", "--grid", "0.1,0.2", "--out", "out",
+        cwd=tmp_path,
+    )
+    assert out == "swept 2 severities over 1 images under out"
+    assert {"numpy", "cornercase.corruptions", "cornercase.images"} <= loaded
+    assert not {f"cornercase.{name}" for name in MODEL_LAYERS} & loaded
+
+
+def test_package_names_resolve_to_their_submodules():
+    # in a fresh process, so each name is resolved by the package's
+    # __getattr__ and not read from an earlier import
+    snippet = (
+        "import importlib, json, sys\n"
+        "import cornercase\n"
+        "names = json.loads(sys.argv[1])\n"
+        "listed = set(dir(cornercase))\n"
+        "for module, attrs in names.items():\n"
+        "    for name in attrs.split():\n"
+        "        assert name in listed and name in cornercase.__all__, name\n"
+        "        value = getattr(cornercase, name)\n"
+        "        source = importlib.import_module('cornercase.' + module)\n"
+        "        assert value is getattr(source, name), name\n"
+        "assert cornercase.__version__ == cornercase.TOOLKIT_VERSION\n"
+        "assert cornercase.density is sys.modules['cornercase.density']\n"
+        "try:\n"
+        "    cornercase.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(len(cornercase.__all__))\n"
+    )
+    out = _fresh_python("-c", snippet, json.dumps(INIT_NAMES)).stdout.splitlines()
+    assert out == ["module 'cornercase' has no attribute 'no_such_name'", "71"]
 
 
 class TestExitCodes:

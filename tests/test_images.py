@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cornercase.errors import FormatError, ValidationError
 from cornercase.images import (
     DepthMap,
+    _predictor_table,
     ImageBuffer,
     load_depth,
     load_image,
@@ -203,13 +204,21 @@ class TestPngFilters:
         np.testing.assert_array_equal(read_png(path), arr)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (6, 13), (13, 6), (24, 36), (36, 24)])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 1), (1, 9), (9, 1), (2, 2), (6, 13), (13, 6), (24, 36), (36, 24),
+            # column lanes (taller than wide), and strips
+            (40, 3), (97, 5), (1, 300), (300, 1), (2, 150), (150, 2),
+        ],
+    )
     def test_mixed_filters_equal_source_and_loop_reference(self, tmp_path, layout, shape):
         rng = np.random.default_rng([LAYOUTS.index(layout), *shape])
         path = tmp_path / "f.png"
-        for _ in range(4):
+        # the last draw has None and Sub rows only, decoded with no wavefront
+        for kinds in (5, 5, 5, 2):
             arr = _random_image(layout, shape, rng)
-            filters = rng.integers(0, 5, size=shape[0]).tolist()
+            filters = rng.integers(0, kinds, size=shape[0]).tolist()
             scanlines = _filtered_scanlines(arr, filters)
             _, _, bpp, rows = _layout(arr)
             path.write_bytes(_encode_with_filters(arr, filters))
@@ -221,9 +230,9 @@ class TestPngFilters:
 
     def test_tall_narrow_decode_memory_follows_pixel_count(self, tmp_path):
         # A wavefront buffer sized by the height squared would take 800 MB
-        # here. Sized by the shorter side it is 4 bytes per pixel byte;
-        # the inflated rows, the per-row filter masks and the output add
-        # about 12 bytes per row.
+        # here. None and Sub rows are decoded with no wavefront, into the
+        # output and one copy of the Sub rows; the inflated rows and the
+        # per-row filter masks add a few bytes per row.
         height = 20000
         arr = _random_image("gray8", (height, 1), _rng())
         filters = [0] * height
@@ -238,6 +247,47 @@ class TestPngFilters:
             tracemalloc.stop()
         np.testing.assert_array_equal(decoded, arr)
         assert peak < 32 * arr.nbytes
+
+    def test_tall_narrow_wavefront_memory_follows_pixel_count(self, tmp_path):
+        # one Paeth row puts the whole image through the wavefront, whose
+        # buffer, sized by the shorter side, is about 2 bytes per pixel byte
+        height = 5000
+        arr = _random_image("gray8", (height, 1), _rng())
+        filters = [0] * height
+        filters[7] = 4
+        path = tmp_path / "tall.png"
+        path.write_bytes(_encode_with_filters(arr, filters))
+        tracemalloc.start()
+        try:
+            decoded = read_png(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(decoded, arr)
+        assert peak < 32 * arr.nbytes
+
+    def test_predictor_table_equals_scalar_predictors(self):
+        # entry (f - 2, a - c + 255, b - c + 255) is (predictor - c) mod 256
+        # of Up (f 2), Average (3) and Paeth (4) for every byte triple
+        table = _predictor_table().reshape(3, 511, 511)
+        assert table.dtype == np.uint8 and table.nbytes == 3 * 511 * 511
+        byte = np.arange(256)
+        a, b = byte[:, None], byte[None, :]
+        for c in range(256):
+            x, y = a - c + 255, b - c + 255
+            p = a + b - c
+            pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
+            paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+            for f, predictor in ((0, b + 0 * a), (1, (a + b) >> 1), (2, paeth)):
+                np.testing.assert_array_equal(table[f, x, y], (predictor - c) % 256)
+        # and the vector Paeth above is the scalar one, on every (a - c, b - c)
+        # pair some byte triple reaches (with the least such c)
+        for dx in range(-255, 256):
+            for dy in range(-255, 256):
+                c = max(0, -dx, -dy)
+                if c + max(dx, dy, 0) <= 255:
+                    want = (_paeth(c + dx, c + dy, c) - c) % 256
+                    assert table[2, dx + 255, dy + 255] == want, (dx, dy)
 
     @pytest.mark.parametrize("bad", [5, 255])
     def test_unsupported_filter_byte_rejected(self, tmp_path, bad):

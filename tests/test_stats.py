@@ -367,3 +367,31 @@ class TestPca:
         assert len(lines) == 10
         rec = json.loads(lines[0])
         assert rec["dataset"] == "train" and len(rec["coords"]) == 2
+
+    def test_export_bytes_equal_per_value_format(self, tmp_path, monkeypatch):
+        # each row is one "%.9g, ..." format; the bytes must be those of
+        # format(v, ".9g") per value, on signed zeros, subnormals and
+        # exponents near +-300
+        import json
+
+        from cornercase import stats
+
+        coords = np.array(
+            [
+                [0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e300],
+                [-1e-300, 1.2345678912345e-300, -9.87654321e299, 1.7976931348623157e308, 1.5],
+                [123456789.123, -0.1, 1 / 3, 2.5e-310, -5e-324],
+            ]
+        )
+        es = self._embedding_set(np.zeros((3, 5)))
+        model = stats.PcaModel(np.zeros(5), np.eye(5), np.ones(5))
+        monkeypatch.setattr(stats, "pca_transform", lambda model, X: coords)
+        path = tmp_path / "coords.jsonl"
+        export_pca_coords(model, [("set", es)], path)
+        expected = "".join(
+            f'{{"id": {json.dumps(ident)}, "dataset": "set", '
+            f'"coords": [{", ".join(format(v, ".9g") for v in row)}]}}\n'
+            for ident, row in zip(es.ids(), coords.tolist())
+        )
+        assert path.read_bytes() == expected.encode()
+        assert "-0, 4.94065646e-324" in expected and "e+300" in expected and "e-300" in expected
