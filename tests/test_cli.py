@@ -20,6 +20,7 @@ from cornercase.density import MODEL_MAGIC
 from cornercase.embeddings import EMBED_MAGIC, FMAP_MAGIC, EmbeddingSet, save_embeddings
 from cornercase.images import DepthMap, ImageBuffer, save_depth, save_image, write_png
 from cornercase.synthetic import WHITEBOX_FAMILY, write_scene_set
+from cornercase.version import TOOLKIT_VERSION
 
 
 def _write_embeddings(path, n=40, dim=6, offset=0.0, seed=0):
@@ -390,7 +391,7 @@ def test_cli_import_loads_no_thread_pool(tmp_path):
     assert _fresh_python("-c", snippet).stdout.strip() == "[]"
 
     out, loaded = _cornercase_process_modules("--version")
-    assert out == "0.1.0"
+    assert out == TOOLKIT_VERSION
     assert "cornercase.cli" in loaded and "numpy" not in loaded
 
     (tmp_path / "imgs").mkdir()
@@ -402,6 +403,24 @@ def test_cli_import_loads_no_thread_pool(tmp_path):
     assert out == "swept 2 severities over 1 images under out"
     assert {"numpy", "cornercase.corruptions", "cornercase.images"} <= loaded
     assert not {f"cornercase.{name}" for name in MODEL_LAYERS} & loaded
+
+
+def test_model_commands_run_in_fresh_processes(tmp_path):
+    # these handlers import their own layers and not `bench`, which loads
+    # every layer, so a handler that only works because some other import
+    # loaded a module fails here; the commands that import `bench`, and
+    # `sweep` above, load what they run the same way in and out of process
+    _write_embeddings(tmp_path / "e.ccemb")
+    commands = [
+        ("fit-gmm --embeddings e.ccemb --components 2 --out g.ccmdl", "fitted gmm (2 components"),
+        ("fit-knn --embeddings e.ccemb --k 3 --out k.ccmdl", "built knn index (k=3, 40 points)"),
+        ("score --model g.ccmdl --embeddings e.ccemb --label id --out s.jsonl", "wrote 40 scores"),
+        ("pca --embeddings a=e.ccemb --k 2 --out c.jsonl", "exported 40 records at k=2"),
+    ]
+    for argv, expected in commands:
+        out, loaded = _cornercase_process_modules(*argv.split(), cwd=tmp_path)
+        assert out.startswith(expected), argv
+        assert not {"cornercase.bench", "cornercase.synthetic"} & loaded, argv
 
 
 def test_package_names_resolve_to_their_submodules():

@@ -215,8 +215,9 @@ class TestPngFilters:
     def test_mixed_filters_equal_source_and_loop_reference(self, tmp_path, layout, shape):
         rng = np.random.default_rng([LAYOUTS.index(layout), *shape])
         path = tmp_path / "f.png"
-        # the last draw has None and Sub rows only, decoded with no wavefront
-        for kinds in (5, 5, 5, 2):
+        # four draws mix all five filters; the fifth has None and Sub rows
+        # only, decoded with no wavefront
+        for kinds in (5, 5, 5, 5, 2):
             arr = _random_image(layout, shape, rng)
             filters = rng.integers(0, kinds, size=shape[0]).tolist()
             scanlines = _filtered_scanlines(arr, filters)
