@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .corruptions import (
+    _KINDS,
     DEFAULT_ATMOSPHERIC_LIGHT,
-    _image_blocks,
-    _noise_field,
     _read_sources,
     _seeded_sources,
     _sweep_spec,
@@ -29,19 +28,12 @@ from .corruptions import (
     severity_sweep,
 )
 from .density import build_knn_index, fit_gmm, fit_gmm_bic, score_set
-from .embeddings import (
-    DatasetManifest,
-    EmbeddingSet,
-    load_embeddings,
-    save_embeddings,
-    toy_encode,
-    toy_encode_noise_sweep,
-)
+from .embeddings import DatasetManifest, EmbeddingSet, load_embeddings, save_embeddings, toy_encode
 from .errors import ConfigError, DegenerateInputError, FormatError, ValidationError
 from .images import ImageBuffer, _sorted_pngs, load_image
 from .metrics import DetectionReport, LabeledScores, detection_report
 from .stats import CorrelationResult, pearson, spearman
-from .uncertainty import load_uncertainty_map, mean_uncertainty
+from .uncertainty import score_dataset_maps
 from .version import TOOLKIT_VERSION
 
 SCHEMA_VERSION = 1
@@ -310,23 +302,6 @@ def load_dataset_embeddings(manifest: DatasetManifest, grid: int = 4) -> Embeddi
     return load_embeddings(path)
 
 
-def score_dataset_maps(manifest: DatasetManifest) -> tuple[list[str], list[float]]:
-    """(sample ids, mean_uncertainty scores) of a directory of map files,
-    each map scored as it is read, so one map is held at a time."""
-    path = Path(manifest.path)
-    if not path.is_dir():
-        raise ValidationError(
-            f"{manifest.name}: mean_uncertainty needs a directory of uncertainty "
-            f"maps, got file {path}"
-        )
-    files = sorted(
-        p for p in path.iterdir() if p.suffix.lower() in (".png", ".ccfm", ".bin")
-    )
-    if not files:
-        raise ValidationError(f"{manifest.name}: no uncertainty maps under {path}")
-    return [p.stem for p in files], [mean_uncertainty(load_uncertainty_map(p)) for p in files]
-
-
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
@@ -343,9 +318,7 @@ def _fit_method(method: str, train: EmbeddingSet, cfg: BenchConfig):
             max_iters=cfg.max_iters,
             tol=cfg.tol,
         )
-    if method == "knn":
-        return build_knn_index(train, k=cfg.knn_k)
-    return None
+    return build_knn_index(train, k=cfg.knn_k)
 
 
 def _check_dim(train: EmbeddingSet, es: EmbeddingSet, name: str):
@@ -412,8 +385,8 @@ def run_corruption_sweep(
     clean_images is a sequence of (sample_id, ImageBuffer); depths, when
     given, aligns with it. The ID side of every severity report is the
     toy encoding of the clean images. Each image is encoded clean, then
-    corrupted: noise from per-image sums (toy_encode_noise_sweep), the
-    other kinds from the sweep engine's blocks. Returns (sweep_rows,
+    corrupted by its kind's rows (noise from per-image sums, the other
+    kinds from the sweep engine's blocks). Returns (sweep_rows,
     correlations).
     """
     clean_images = list(clean_images)
@@ -431,19 +404,12 @@ def _toy_sweep(ids, sources, specs, model, grid, tpr_target, id_set=None) -> tup
     consumed once; id_set, if given, is their clean toy encoding."""
     specs = list(specs)
     spec, severities = _sweep_spec(specs)
+    toy_rows = _KINDS[spec.kind].rows
     clean, feats = [], []
     for _, seed, img, depth in _seeded_sources(sources, spec):
         if id_set is None:
             clean.append(toy_encode(img, grid=grid))
-        if spec.kind == "gaussian_noise":
-            field = _noise_field(seed, img.pixels.shape)
-            feats.append(toy_encode_noise_sweep(img, field, severities, grid=grid))
-        else:
-            rows = []
-            for _, block in _image_blocks(img, depth, seed, spec, severities):
-                rows.append(toy_encode(block, grid=grid))
-                del block  # free the float stack before the next one is made
-            feats.append(np.concatenate(rows))
+        feats.append(toy_rows(img, depth, seed, spec, severities, grid))
     if id_set is None:
         id_set = EmbeddingSet(ids, clean)
     severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in np.stack(feats, axis=1))

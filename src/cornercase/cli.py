@@ -161,17 +161,19 @@ def _cmd_fit_knn(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from . import density, metrics
+    from . import metrics
     from .embeddings import DatasetManifest, load_embeddings
 
     if args.maps:
-        from .bench import score_dataset_maps
+        from .uncertainty import score_dataset_maps
 
         manifest = DatasetManifest(name="maps", role="id_test", path=args.maps)
         ids, scores = score_dataset_maps(manifest)
     else:
         if not args.model or not args.embeddings:
             raise ConfigError("score needs --model and --embeddings, or --maps")
+        from . import density
+
         model = density.restore_model(args.model)
         es = load_embeddings(args.embeddings)
         ids, scores = es.ids(), density.score_set(model, es)

@@ -12,10 +12,10 @@ seed, so sweeps replay bit-identically.
 
 The sweep engine's unit is one image, corrupted a block of severities at
 a time (_image_blocks). Each sweep driver is one loop over sources read
-one at a time (_read_sources; depth maps for fog only): run_sweep writes
-files, bench's toy sweep scores them. Beside the engine, each has one
-fast path: white-box files from the uint8 source (_box_outputs), noise
-scores from per-image sums (embeddings.toy_encode_noise_sweep).
+one at a time (_read_sources): run_sweep writes files, bench's toy sweep
+scores them. Each looks up once its kind's record in _KINDS, which says
+how the kind corrupts, writes and scores an image, and whether it reads
+depth maps (fog only).
 
 run_sweep overlaps its work: the main thread makes each output's PNG
 job, while a pool of _PNG_WRITERS threads finishes the deflate and
@@ -39,13 +39,14 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
 from .errors import ValidationError
 from .images import DepthMap, ImageBuffer, load_depth
-from .images import _png_file, _quantize, _read_rgb, _scanlines, _sorted_pngs
+from .images import _encode_png, _quantize, _read_rgb, _scanlines, _sorted_pngs
 
 # float64 values in one sweep block: b severities of an H x W image make
 # b*H*W*3 <= 2^16 (512 KiB). Blocks feed fog and noise file sweeps and
@@ -164,14 +165,14 @@ def apply_white_box(img: ImageBuffer, area_fraction: float, seed: int = 0) -> Im
 def apply_corruption(
     img: ImageBuffer, spec: CorruptionSpec, depth: DepthMap | None = None
 ) -> ImageBuffer:
-    """Corrupt one image under one spec: a sweep of one image at one
+    """Corrupt one image under one spec: its kind's stack at the one
     severity, so `corrupt`, `sweep` and this function share every formula."""
-    ((_, _, _, block),) = sweep_images([(img, depth)], [spec])
-    return ImageBuffer(block[0])
+    corrupt = _KINDS[spec.kind].bind(img, depth, spec.seed, spec)
+    return ImageBuffer(corrupt(np.array([spec.severity]))[0])
 
 
 # Each function below corrupts one (H, W, 3) image at b severities and
-# returns the (b, H, W, 3) stack; _image_blocks picks one per kind.
+# returns the (b, H, W, 3) stack; a kind's bind fixes all but the severities.
 
 
 def _fog_stack(pixels, depth, atmospheric_light, betas):
@@ -197,6 +198,18 @@ def _box_stack(pixels, seed, fractions):
         top, left, side = _box(h, w, seed, fraction)
         out[k, top : top + side, left : left + side, :] = 1.0
     return out
+
+
+def _bind_fog(img, depth, seed, spec):
+    return partial(_fog_stack, img.pixels, _resolved_depth(img, depth), spec.atmospheric_light)
+
+
+def _bind_noise(img, depth, seed, spec):
+    return partial(_noise_stack, img.pixels, _noise_field(seed, img.pixels.shape))
+
+
+def _bind_box(img, depth, seed, spec):
+    return partial(_box_stack, img.pixels, seed)
 
 
 def _box(h, w, seed, fraction):
@@ -266,29 +279,6 @@ def severity_dirname(severity: float) -> str:
     return format(severity, ".6g")
 
 
-def sweep_images(sources, specs):
-    """Corrupt every source image under every spec, one image at a time.
-
-    The specs share one kind, seed and atmospheric light and differ in
-    severity only; they are checked here, before any image is read.
-    sources yields (ImageBuffer, DepthMap | None) pairs and is consumed
-    once, in order, so a lazy source reads each file once. Image i gets
-    the noise/box seed spec.seed + i at every severity (one noise field
-    per image, scaled per sigma), as apply_corruption with that seed.
-
-    Returns an iterator of (image index, first spec index j, seed,
-    block): block is the (b, H, W, 3) float64 stack of the image under
-    specs[j : j + b], with b * H * W * 3 <= _SWEEP_BLOCK_ELEMENTS, or b = 1
-    for larger images.
-    """
-    spec, severities = _sweep_spec(specs)
-    return (
-        (idx, j, seed, block)
-        for idx, seed, img, depth in _seeded_sources(sources, spec)
-        for j, block in _image_blocks(img, depth, seed, spec, severities)
-    )
-
-
 def _sweep_spec(specs):
     """The first of a sweep's specs and the severities of all of them,
     after checking that they share kind, seed and atmospheric light."""
@@ -316,30 +306,43 @@ def _seeded_sources(sources, spec):
 
 
 def _read_sources(paths, depth_dir, kind):
-    """(uint8 pixels, DepthMap | None) per path; only fog reads depth_dir/<name>."""
-    fog_depth = depth_dir is not None and kind == "fog"
+    """(uint8 pixels, DepthMap | None) per path, depth_dir/<name> if the kind reads depth."""
+    depths = depth_dir is not None and _KINDS[kind].reads_depth
     for path in paths:
-        yield _read_rgb(path), load_depth(Path(depth_dir) / path.name) if fog_depth else None
+        yield _read_rgb(path), load_depth(Path(depth_dir) / path.name) if depths else None
 
 
 def _image_blocks(img, depth, seed, spec, severities):
     """(first severity index j, block) per block of one image's sweep:
     block is the (b, H, W, 3) stack of img under severities[j : j + b]."""
-    px = img.pixels
-    if spec.kind == "fog":
-        corrupt = partial(_fog_stack, px, _resolved_depth(img, depth), spec.atmospheric_light)
-    elif spec.kind == "gaussian_noise":
-        corrupt = partial(_noise_stack, px, _noise_field(seed, px.shape))
-    else:
-        corrupt = partial(_box_stack, px, seed)
-    step = max(1, _SWEEP_BLOCK_ELEMENTS // px.size)
+    corrupt = _KINDS[spec.kind].bind(img, depth, seed, spec)
+    step = max(1, _SWEEP_BLOCK_ELEMENTS // img.pixels.size)
     for j in range(0, len(severities), step):
         yield j, corrupt(severities[j : j + step])
 
 
-def _frame_outputs(img, depth, seed, spec, severities):
-    """(k, PNG job) per severity k of img, quantized from the engine's
-    blocks: an empty head, a fresh compressor and all the frame's rows."""
+def _block_rows(img, depth, seed, spec, severities, grid):
+    """The (K, dim) toy rows of img at every severity, from the engine's blocks."""
+    from .embeddings import toy_encode  # here, so a sweep process loads no model layer
+
+    rows = []
+    for _, block in _image_blocks(img, depth, seed, spec, severities):
+        rows.append(toy_encode(block, grid=grid))
+        del block  # free the float stack before the next one is made
+    return np.concatenate(rows)
+
+
+def _noise_rows(img, depth, seed, spec, severities, grid):
+    """The (K, dim) toy rows of img under noise at every sigma, from sums."""
+    from .embeddings import toy_encode_noise_sweep
+
+    return toy_encode_noise_sweep(img, _noise_field(seed, img.pixels.shape), severities, grid=grid)
+
+
+def _frame_outputs(pixels, depth, seed, spec, severities):
+    """(k, PNG job) per severity k of the uint8 pixels, quantized from the
+    engine's blocks: an empty head, a fresh compressor and all the rows."""
+    img = ImageBuffer.from_uint8(pixels)
     for first, block in _image_blocks(img, depth, seed, spec, severities):
         # corrupted values lie in [0, 1], so no ImageBuffer check is needed
         frames = _quantize(block)
@@ -349,7 +352,7 @@ def _frame_outputs(img, depth, seed, spec, severities):
             yield j, (header, (), zlib.compressobj(6), rows)
 
 
-def _box_outputs(pixels, seed, fractions):
+def _box_outputs(pixels, depth, seed, spec, fractions):
     """(k, PNG job) per box fraction k of the uint8 image pixels, in
     box-top order. Every row above a box is the source's, so one
     compressor takes in the source's scanlines top down, and each job
@@ -376,13 +379,6 @@ def _write_output(path, header, head, compressor, tail):
     # runs on a writer thread, so it calls only private functions: a tracer
     # that wraps the public ones keeps one span stack, not thread-safe
     path.write_bytes(_encode_png(header, head, compressor, tail))
-
-
-def _encode_png(header, head, compressor, tail):
-    """The PNG file whose IDAT is head, then compressor's deflate of
-    tail and its flush: the bytes of zlib.compress(rows, 6) when a fresh
-    compressobj(6) emitted head from the rows above tail."""
-    return _png_file(header, b"".join((*head, compressor.compress(tail), compressor.flush())))
 
 
 def _wait_written(pool, future):
@@ -415,7 +411,7 @@ def run_sweep(
     sources = _sorted_pngs(Path(images_dir))
     specs = list(specs)
     spec, severities = _sweep_spec(specs)
-    kind = spec.kind
+    kind, record = spec.kind, _KINDS[spec.kind]
     depth_policy = "default_ramp" if depth_dir is None else "provided"
     sev_dirs = [out_dir / kind / severity_dirname(s.severity) for s in specs]
     for sev_dir in sev_dirs:
@@ -432,11 +428,7 @@ def run_sweep(
         for idx, seed, pixels, depth in _seeded_sources(read, spec):
             if depth is not None and not depth.valid.all():
                 depth_policy = "provided_with_median_fill"
-            if kind == "white_box":
-                jobs = _box_outputs(pixels, seed, severities)
-            else:
-                jobs = _frame_outputs(ImageBuffer.from_uint8(pixels), depth, seed, spec, severities)
-            for j, job in jobs:
+            for j, job in record.files(pixels, depth, seed, spec, severities):
                 dst = sev_dirs[j] / sources[idx].name
                 pending.append(pool.submit(_write_output, dst, *job))
                 if len(pending) > _PNG_WRITERS:
@@ -447,11 +439,27 @@ def run_sweep(
             _wait_written(pool, future)
     manifest = {
         "kind": kind,
-        "depth_policy": depth_policy if kind == "fog" else "not_applicable",
+        "depth_policy": "not_applicable",
         "entries": [entry for per_spec in entries for entry in per_spec],
     }
-    if kind == "fog":
-        manifest["atmospheric_light"] = spec.atmospheric_light
+    if record.reads_depth:
+        manifest.update(depth_policy=depth_policy, atmospheric_light=spec.atmospheric_light)
     manifest_path = out_dir / kind / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
+
+
+class _Kind(NamedTuple):
+    """What sets a corruption kind apart; depth is None for a kind that does not read it."""
+
+    bind: Callable  # (img, depth, seed, spec) -> severities -> (b, H, W, 3) stack
+    files: Callable  # (uint8 pixels, depth, seed, spec, severities) -> (k, PNG job)s
+    rows: Callable  # (img, depth, seed, spec, severities, grid) -> (K, dim) toy rows
+    reads_depth: bool = False  # sweeps read depth maps; the manifest records policy and light
+
+
+_KINDS = {
+    "fog": _Kind(_bind_fog, _frame_outputs, _block_rows, reads_depth=True),
+    "gaussian_noise": _Kind(_bind_noise, _frame_outputs, _noise_rows),
+    "white_box": _Kind(_bind_box, _box_outputs, _block_rows),
+}

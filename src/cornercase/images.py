@@ -342,13 +342,15 @@ def write_png(path, arr: np.ndarray) -> None:
     Accepts (H, W, 3) uint8 (RGB), (H, W) uint8 (gray) or (H, W)
     uint16 (16-bit gray). Rows are written with filter type 0.
     """
-    Path(path).write_bytes(_png_bytes(np.asarray(arr)))
+    header, scanlines = _scanlines(np.asarray(arr))
+    Path(path).write_bytes(_encode_png(header, (), zlib.compressobj(6), scanlines))
 
 
-def _png_bytes(arr: np.ndarray) -> bytes:
-    """The PNG file write_png writes for arr."""
-    header, scanlines = _scanlines(arr)
-    return _png_file(header, zlib.compress(scanlines, 6))
+def _encode_png(header, head, compressor, tail) -> bytes:
+    """The PNG file whose IDAT is head, then compressor's deflate of
+    tail and its flush: the bytes of zlib.compress(rows, 6) when a fresh
+    compressobj(6) emitted head from the rows above tail."""
+    return _png_file(header, b"".join((*head, compressor.compress(tail), compressor.flush())))
 
 
 def _scanlines(arr: np.ndarray) -> tuple[bytes, np.ndarray]:

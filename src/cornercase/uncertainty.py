@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import FMAP_MAGIC, load_feature_map
+from .embeddings import FMAP_MAGIC, DatasetManifest, load_feature_map
 from .errors import FormatError, ValidationError
 from .images import _adopt, _frozen_array, _keep_unit, read_png
 
@@ -134,3 +134,18 @@ def load_uncertainty_map(path) -> UncertaintyMap:
         raise FormatError(f"{path}: expected a 16-bit single-channel PNG")
     # one float pass, bit for bit arr.astype(float) / 65535
     return _adopt(UncertaintyMap, arr / _SIXTEEN_BIT_MAX)
+
+
+def score_dataset_maps(manifest: DatasetManifest) -> tuple[list[str], list[float]]:
+    """(sample ids, mean_uncertainty scores) of a directory of map files,
+    each map scored as it is read, so one map is held at a time."""
+    path = Path(manifest.path)
+    if not path.is_dir():
+        raise ValidationError(
+            f"{manifest.name}: mean_uncertainty needs a directory of uncertainty "
+            f"maps, got file {path}"
+        )
+    files = sorted(p for p in path.iterdir() if p.suffix.lower() in (".png", ".ccfm", ".bin"))
+    if not files:
+        raise ValidationError(f"{manifest.name}: no uncertainty maps under {path}")
+    return [p.stem for p in files], [mean_uncertainty(load_uncertainty_map(p)) for p in files]

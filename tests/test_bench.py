@@ -25,8 +25,14 @@ from cornercase.bench import (
     run_corruption_sweep,
     save_report_json,
 )
-from cornercase.corruptions import CorruptionSpec, severity_sweep, sweep_images
-from cornercase.density import fit_gmm
+from cornercase.corruptions import (
+    CorruptionSpec,
+    _image_blocks,
+    _seeded_sources,
+    _sweep_spec,
+    severity_sweep,
+)
+from cornercase.density import fit_gmm, fit_gmm_bic, score_set
 from cornercase.embeddings import (
     DatasetManifest,
     EmbeddingSet,
@@ -41,6 +47,7 @@ from cornercase.images import ImageBuffer, read_png, write_png
 from cornercase.metrics import DetectionReport, LabeledScores, detection_report, save_scores
 from cornercase.stats import CorrelationResult
 from cornercase.synthetic import NOISE_FAMILY, scene_set
+from cornercase.uncertainty import score_dataset_maps
 
 
 def _write_sets(tmp_path, dim=8, n=60, shift=8.0, seed=0):
@@ -116,6 +123,17 @@ class TestRunBenchmark:
         r1, r2 = run_benchmark(cfg), run_benchmark(cfg)
         assert emit_report(r1, "csv") == emit_report(r2, "csv")
         assert emit_report(r1, "markdown") == emit_report(r2, "markdown")
+        # a BIC-selected mixture: the same bytes again, from fit_gmm_bic's model
+        bic = _basic_config(paths, methods=("gmm",), gmm_bic=True)
+        r1, r2 = run_benchmark(bic), run_benchmark(bic)
+        assert emit_report(r1, "csv") == emit_report(r2, "csv")
+        train = load_embeddings(paths["id_train"])
+        model = fit_gmm_bic(train, seed=bic.seed, max_iters=bic.max_iters, tol=bic.tol)
+        id_scores, ood_scores = (
+            score_set(model, load_embeddings(paths[name])) for name in ("id_test", "ood")
+        )
+        want = detection_report(LabeledScores(id_scores, ood_scores), bic.tpr_target)
+        assert r1.rows == (("gmm", "shifted", want),)
 
     def test_method_isolation(self, tmp_path):
         paths = _write_sets(tmp_path)
@@ -250,7 +268,7 @@ class TestScoreDatasetMaps:
             manifest = DatasetManifest(name="maps", role="id_test", path=str(maps))
             tracemalloc.start()
             try:
-                ids, scores = bench_module.score_dataset_maps(manifest)
+                ids, scores = score_dataset_maps(manifest)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -384,8 +402,10 @@ class TestSweepRoutes:
         rows, correlations = run_corruption_sweep(list(zip(ids, scenes)), specs, model)
         # the block path: toy_encode of the sweep engine's corrupted stacks
         feats = np.empty((len(specs), len(scenes), 3 * 16 + 3))
-        for i, j, _, block in sweep_images(((img, None) for img in scenes), specs):
-            feats[j : j + len(block), i] = toy_encode(block)
+        spec, severities = _sweep_spec(specs)
+        for i, seed, img, _ in _seeded_sources(((scene, None) for scene in scenes), spec):
+            for j, block in _image_blocks(img, None, seed, spec, severities):
+                feats[j : j + len(block), i] = toy_encode(block)
         id_set = EmbeddingSet(ids, [toy_encode(img) for img in scenes])
         severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in feats)
         want = bench_module._score_sweep(model, id_set, severity_sets, specs, 0.95)
@@ -412,7 +432,7 @@ class TestSweepRoutes:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             run_corruption_sweep(named, specs, model)
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            sweep_images([], specs)
+            _sweep_spec(specs)
 
     def test_depths_must_align_with_images(self):
         from cornercase.corruptions import default_depth_ramp
@@ -477,7 +497,9 @@ class TestSweepRoutes:
             shapes.append(np.shape(images.pixels if isinstance(images, ImageBuffer) else images))
             return toy_encode(images, grid=grid)
 
+        # the clean images are encoded in bench, the corrupted stacks by the kind's rows
         monkeypatch.setattr(bench_module, "toy_encode", counting_toy_encode)
+        monkeypatch.setattr("cornercase.embeddings.toy_encode", counting_toy_encode)
         sweep = SweepSettings(kind=kind, grid=(0.01, 0.05, 0.2))
         report = run_benchmark(self._image_dir_config(tmp_path, sweep))
         # one call per image of id_train, id_test and the OOD set: the sweep's

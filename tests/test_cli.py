@@ -411,8 +411,13 @@ def test_model_commands_run_in_fresh_processes(tmp_path):
     # loaded a module fails here; the commands that import `bench`, and
     # `sweep` above, load what they run the same way in and out of process
     _write_embeddings(tmp_path / "e.ccemb")
+    (tmp_path / "maps").mkdir()
+    for i in range(2):
+        write_png(tmp_path / "maps" / f"m{i}.png", np.full((4, 6), 20000 * i, dtype=np.uint16))
+    never = {"cornercase.bench", "cornercase.synthetic"}
     commands = [
         ("fit-gmm --embeddings e.ccemb --components 2 --out g.ccmdl", "fitted gmm (2 components"),
+        ("fit-gmm --embeddings e.ccemb --bic --out b.ccmdl", "fitted gmm (1 components, dim 6"),
         ("fit-knn --embeddings e.ccemb --k 3 --out k.ccmdl", "built knn index (k=3, 40 points)"),
         ("score --model g.ccmdl --embeddings e.ccemb --label id --out s.jsonl", "wrote 40 scores"),
         ("pca --embeddings a=e.ccemb --k 2 --out c.jsonl", "exported 40 records at k=2"),
@@ -420,7 +425,12 @@ def test_model_commands_run_in_fresh_processes(tmp_path):
     for argv, expected in commands:
         out, loaded = _cornercase_process_modules(*argv.split(), cwd=tmp_path)
         assert out.startswith(expected), argv
-        assert not {"cornercase.bench", "cornercase.synthetic"} & loaded, argv
+        assert not never & loaded, argv
+    # mean uncertainty needs no density model and no corruption
+    out, loaded = _cornercase_process_modules("score", "--maps", "maps", "--out", "m.jsonl",
+                                              cwd=tmp_path)
+    assert out.startswith("wrote 2 scores")
+    assert not (never | {"cornercase.density", "cornercase.corruptions"}) & loaded
 
 
 def test_package_names_resolve_to_their_submodules():

@@ -21,11 +21,13 @@ from cornercase.corruptions import (
     CorruptionSpec,
     _box,
     _box_stack,
-    _encode_png,
     _fog_stack,
+    _image_blocks,
     _noise_field,
     _noise_stack,
     _resolved_depth,
+    _seeded_sources,
+    _sweep_spec,
     apply_corruption,
     apply_fog,
     apply_gaussian_noise,
@@ -34,24 +36,36 @@ from cornercase.corruptions import (
     run_sweep,
     severity_dirname,
     severity_sweep,
-    sweep_images,
 )
 from cornercase.embeddings import toy_encode, toy_encode_noise_sweep
 from cornercase.errors import ValidationError
 from cornercase.images import (
     DepthMap,
     ImageBuffer,
-    _png_bytes,
+    _encode_png,
     _quantize,
     _read_rgb,
     load_image,
     save_image,
+    write_png,
 )
 
 
 def _random_image(seed=0, h=12, w=16):
     rng = np.random.default_rng(seed)
     return ImageBuffer(rng.uniform(size=(h, w, 3)))
+
+
+def _sweep_blocks(sources, specs):
+    """(image index, first spec index j, seed, block) per engine block of
+    each (ImageBuffer, depth) source under specs, which are checked first;
+    sources is consumed lazily, one image at a time."""
+    spec, severities = _sweep_spec(specs)
+    return (
+        (idx, j, seed, block)
+        for idx, seed, img, depth in _seeded_sources(sources, spec)
+        for j, block in _image_blocks(img, depth, seed, spec, severities)
+    )
 
 
 # The single-image functions as they stood before each became a one-image
@@ -101,7 +115,7 @@ def _reference_sweep_outputs(images_dir, specs, out_dir):
     """run_sweep's output loop as it stood before the writer threads: one
     ImageBuffer and one save_image per output, in order."""
     sources = sorted(Path(images_dir).glob("*.png"))
-    blocks = sweep_images(((load_image(src), None) for src in sources), specs)
+    blocks = _sweep_blocks(((load_image(src), None) for src in sources), specs)
     for idx, first, _, block in blocks:
         for j, pixels in enumerate(block, start=first):
             sev_dir = Path(out_dir) / specs[j].kind / severity_dirname(specs[j].severity)
@@ -461,10 +475,11 @@ class TestRunSweep:
             clean = load_image(src / f"img-{i}.png")  # the 8-bit source the sweep reads
             for spec in specs:
                 out = apply_corruption(clean, CorruptionSpec("white_box", spec.severity, seed=6 + i))
+                write_png(tmp_path / "want.png", _quantize(out.pixels.copy()))
                 rel = Path("white_box", severity_dirname(spec.severity), f"img-{i}.png")
-                assert (tmp_path / "o" / rel).read_bytes() == _png_bytes(
-                    _quantize(out.pixels.copy())
-                ), rel
+                assert (tmp_path / "o" / rel).read_bytes() == (
+                    tmp_path / "want.png"
+                ).read_bytes(), rel
 
     def test_white_box_sweep_memory_bounded(self, tmp_path):
         # numpy and zlib report their buffers to tracemalloc. Corrupting
@@ -521,7 +536,7 @@ class TestSweepBlocks:
         images = [_random_image(60 + i, h=64, w=96) for i in range(3)]
         specs = severity_sweep(kind, SWEEP_GRIDS[kind], base_seed=4)
         seen = []
-        for i, j, seed, block in sweep_images([(img, None) for img in images], specs):
+        for i, j, seed, block in _sweep_blocks([(img, None) for img in images], specs):
             assert seed == 4 + i
             assert block.shape[0] * block[0].size <= _SWEEP_BLOCK_ELEMENTS
             for k, pixels in enumerate(block):
@@ -594,7 +609,7 @@ class TestSweepBlocks:
         feats = np.empty((len(specs), 3 * 16 + 3))
         tracemalloc.start()
         try:
-            for _, j, _, block in sweep_images([(img, None)], specs):
+            for _, j, _, block in _sweep_blocks([(img, None)], specs):
                 feats[j : j + len(block)] = toy_encode(block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -626,7 +641,7 @@ class TestSweepBlocks:
             CorruptionSpec("gaussian_noise", 0.2, seed=1),
         ]
         with pytest.raises(ValidationError):
-            sweep_images([], specs)
+            _sweep_spec(specs)
 
 
 class TestSpecValidation:

@@ -586,6 +586,14 @@ class TestKnnTwoStage:
         found.clear()
         self._check(np.repeat(rng.normal(size=(2, 3)), 300, axis=0), rng.normal(size=(8, 3)), k=5)
         assert found[0] is False and found[1:] and all(found[1:])
+        found.clear()
+        # a query near 1e154: its distances stay finite, but the bound
+        # 4 (|x| + max|p|)^2 overflows, so the row keeps all 600 points,
+        # more than a tile holds
+        queries = rng.normal(size=(8, 3))
+        queries[3, 0] = 1e154
+        self._check(rng.normal(size=(600, 3)), queries, k=5)
+        assert found[0] is False and found[1:] and all(found[1:])
 
 
 class TestInvariants:

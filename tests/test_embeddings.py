@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from cornercase.corruptions import (
     CorruptionSpec,
+    _image_blocks,
     _noise_field,
+    _sweep_spec,
     apply_fog,
     severity_sweep,
-    sweep_images,
 )
 from cornercase.embeddings import (
     _CLIP_BLOCK_ELEMENTS,
@@ -377,7 +378,8 @@ def noise_sweep_block_reference(img, sigmas, grid, seed):
     """toy_encode of the sweep engine's corrupted blocks, one row per sigma."""
     specs = [CorruptionSpec("gaussian_noise", float(s), seed=seed) for s in sigmas]
     feats = np.empty((len(specs), 3 * grid * grid + 3))
-    for _, j, _, block in sweep_images([(img, None)], specs):
+    spec, severities = _sweep_spec(specs)
+    for j, block in _image_blocks(img, None, seed, spec, severities):
         feats[j : j + len(block)] = toy_encode(block, grid=grid)
     return feats
 

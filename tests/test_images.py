@@ -401,6 +401,10 @@ class TestPngErrors:
         path.write_bytes(_png_file(1, 1, 0, zlib.compress(b"\x00\x07")[:-4]))
         with pytest.raises(FormatError):
             read_png(path)
+        # a CRC-valid IDAT that is no zlib stream at all
+        path.write_bytes(_png_file(1, 1, 0, b"\x00\x01\x02\x03"))
+        with pytest.raises(FormatError, match="corrupt PNG image data"):
+            read_png(path)
 
     def test_unsupported_dtype(self, tmp_path):
         with pytest.raises(ValidationError):
