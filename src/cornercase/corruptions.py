@@ -19,22 +19,21 @@ depth maps (fog only).
 
 run_sweep overlaps its work: the main thread makes each output's PNG
 job, while a pool of _PNG_WRITERS threads finishes the deflate and
-writes the files. A job is an IHDR payload, the compressed head of the
-IDAT, a zlib compressor that made that head from the rows above, and
-the remaining (tail) filter-0 scanlines. White-box outputs share one
-head per source, made by one compressor in box-top order; fog and noise
-outputs get an empty head, a fresh compressor and all their rows. The
-main thread waits for the oldest output whenever more than _PNG_WRITERS
-are unwritten, so at most _PNG_WRITERS + 1 jobs, each one compressor
-copy, one head and one tail of at most a frame, are handed off at a
-time, and the files and manifest are byte-identical to writing the
-outputs one by one.
+writes the files. A job is (IHDR payload, filter-0 scanlines, done):
+done[b] holds the deflated bytes of the scanlines' band b (see
+images._BAND_BYTES) when they are already made, else None, and done
+itself is None when no band is. A white-box job carries its source's
+bands, deflated once per source, and None only for the bands its box
+overlaps; fog and noise jobs carry none. The main thread waits for the
+oldest output whenever more than _PNG_WRITERS are unwritten, so at most
+_PNG_WRITERS + 1 jobs, each one frame of scanlines and at most one
+frame's deflated bands, are handed off at a time, and the files and
+manifest are byte-identical to writing the outputs one by one.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -46,7 +45,8 @@ import numpy as np
 from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
 from .errors import ValidationError
 from .images import DepthMap, ImageBuffer, load_depth
-from .images import _encode_png, _quantize, _read_rgb, _scanlines, _sorted_pngs
+from .images import _bands_over, _deflated_bands, _encode_png, _quantize, _read_rgb, _scanlines
+from .images import _sorted_pngs, _write_file
 
 # float64 values in one sweep block: b severities of an H x W image make
 # b*H*W*3 <= 2^16 (512 KiB). Blocks feed fog and noise file sweeps and
@@ -341,44 +341,38 @@ def _noise_rows(img, depth, seed, spec, severities, grid):
 
 def _frame_outputs(pixels, depth, seed, spec, severities):
     """(k, PNG job) per severity k of the uint8 pixels, quantized from the
-    engine's blocks: an empty head, a fresh compressor and all the rows."""
+    engine's blocks, with no band deflated yet."""
     img = ImageBuffer.from_uint8(pixels)
     for first, block in _image_blocks(img, depth, seed, spec, severities):
         # corrupted values lie in [0, 1], so no ImageBuffer check is needed
         frames = _quantize(block)
         del block  # free the float stack before the next one is made
         for j, frame in enumerate(frames, start=first):
-            header, rows = _scanlines(frame)
-            yield j, (header, (), zlib.compressobj(6), rows)
+            yield j, (*_scanlines(frame), None)
 
 
 def _box_outputs(pixels, depth, seed, spec, fractions):
-    """(k, PNG job) per box fraction k of the uint8 image pixels, in
-    box-top order. Every row above a box is the source's, so one
-    compressor takes in the source's scanlines top down, and each job
-    gets the head it has emitted so far, a copy of it, and the rows from
-    the box's top down with the box painted 255."""
+    """(k, PNG job) per box fraction k of the uint8 image pixels. A band
+    of rows that a box misses is the source's, so the source's bands are
+    deflated once, and each job gets the scanlines with the box painted
+    255 and those bands' bytes, None for the bands the box overlaps."""
     h, w = pixels.shape[:2]
     header, rows = _scanlines(pixels)
-    boxes = [_box(h, w, seed, fraction) for fraction in fractions]
-    compressor = zlib.compressobj(6)
-    head, done = [], 0
-    # in top order one compressor serves every box; a snapshot per box, in
-    # severity order, held about 256 KB of zlib state each
-    for k in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
-        top, left, side = boxes[k]
-        if top > done:
-            head.append(compressor.compress(rows[done:top]))
-            done = top
-        tail = rows[top:].copy()
-        tail[:side, 1 + 3 * left : 1 + 3 * (left + side)] = 255
-        yield k, (header, tuple(head), compressor.copy(), tail)
+    source = _deflated_bands(rows)
+    for k, fraction in enumerate(fractions):
+        top, left, side = _box(h, w, seed, fraction)
+        painted = rows.copy()
+        painted[top : top + side, 1 + 3 * left : 1 + 3 * (left + side)] = 255
+        done = list(source)
+        for b in _bands_over(rows, top, top + side):
+            done[b] = None
+        yield k, (header, painted, done)
 
 
-def _write_output(path, header, head, compressor, tail):
+def _write_output(path, header, scanlines, done):
     # runs on a writer thread, so it calls only private functions: a tracer
     # that wraps the public ones keeps one span stack, not thread-safe
-    path.write_bytes(_encode_png(header, head, compressor, tail))
+    _write_file(path, _encode_png(header, scanlines, done))
 
 
 def _wait_written(pool, future):

@@ -161,6 +161,25 @@ class TestCorruptSweepCli:
         assert main([*argv, "--depth", str(tmp_path / "no-depth")]) == 0
         assert _tree_bytes(tmp_path / "o") == without
 
+    # PNG requires a width and a height of at least 1
+    def test_zero_size_sources_exit_3(self, tmp_path, capsys):
+        for width, height in ((0, 4), (4, 0)):
+            imgs = tmp_path / f"{width}x{height}"
+            imgs.mkdir()
+            ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
+            (imgs / "a.png").write_bytes(
+                b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", ihdr)
+                + _png_chunk(b"IDAT", zlib.compress(bytes(height))) + _png_chunk(b"IEND", b"")
+            )
+            argv = ["sweep", "--images", str(imgs), "--kind", "white_box",
+                    "--grid", "0.01,0.02", "--out", str(tmp_path / "o")]
+            assert _main_within(argv) == 3
+            assert capsys.readouterr().err == (
+                f"data error: {imgs / 'a.png'}: PNG is {width}x{height}; "
+                "width and height must be at least 1\n"
+            )
+        assert not list((tmp_path / "o").rglob("*.png"))
+
     # a white-box sweep reads its sources as uint8, not through load_image
     @pytest.mark.parametrize("kind", ["white_box", "fog"])
     def test_grayscale_source_exits_3(self, tmp_path, capsys, kind):

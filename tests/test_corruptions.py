@@ -324,14 +324,23 @@ class TestSeveritySweep:
 
 # (image shapes, grid, whether image 0 has tied box tops): severity 0
 # (top = H), fraction 1.0 (a box across the short side), tied tops, 1xN
-# and Nx1 images (every box one pixel), and several images of different
-# shapes in one sweep
+# and Nx1 images (every box one pixel), several images of different
+# shapes in one sweep, and frames of several 8 KiB deflate bands. There,
+# at 20 and 17 rows per band, image 0's fourth box fills rows 40-79 (two
+# whole bands), image 1's boxes of side 1 and 2 lie in its last band
+# (rows 136-151) and its fifth box runs from the band edge at row 17 to
+# the bottom; fraction 1.0 covers both squares whole.
 WHITE_BOX_CASES = {
     "zero and full": ([(12, 16)], [0.0, 0.3, 1.0], False),
     "tied tops": ([(24, 16)], [0.02, 0.05, 0.1, 0.2, 0.4], True),
     "1xN": ([(1, 37)], [0.0, 0.01, 0.5, 1.0], True),
     "Nx1": ([(37, 1)], [0.0, 0.01, 0.5, 1.0], True),
     "several images": ([(12, 16), (1, 37), (37, 1), (64, 96)], [0.0, 0.01, 0.05, 0.2, 1.0], False),
+    "band edges": (
+        [(130, 130), (152, 152), (96, 200)],
+        [0.0, 1 / 152**2, 4 / 152**2, 40**2 / 130**2, 135**2 / 152**2, 1.0],
+        True,
+    ),
 }
 
 
@@ -485,7 +494,8 @@ class TestRunSweep:
         # numpy and zlib report their buffers to tracemalloc. Corrupting
         # the frame in float64 costs 16 times its uint8 bytes for the image
         # and one output; a 256x512 paper sweep peaked at 12.3 MiB that
-        # way, and at 4.0 MiB writing every output from the uint8 source.
+        # way, at 4.0 MiB writing every output from the uint8 source over a
+        # shared deflate prefix, and at 3.7 MiB from the source's deflate bands.
         h, w = 256, 512
         (tmp_path / "clean").mkdir()
         save_image(_random_image(95, h=h, w=w), tmp_path / "clean" / "a.png")

@@ -13,8 +13,13 @@ from hypothesis import strategies as st
 
 from cornercase.errors import FormatError, ValidationError
 from cornercase.images import (
+    _BAND_BYTES,
     DepthMap,
+    _deflate_band,
+    _encode_png,
+    _png_chunks,
     _predictor_table,
+    _scanlines,
     ImageBuffer,
     load_depth,
     load_image,
@@ -312,28 +317,89 @@ class TestPngWriterBytes:
         assert path.read_bytes() == _png_file(shape[1], shape[0], color_type, idat, bit_depth)
 
 
-class TestDeflateFromPrefix:
-    # A white-box sweep deflates a source's rows once and finishes each
-    # output from a copy of that compressor taken at its box's top; the
-    # writer relies on zlib giving the bytes of one compress call that way.
+def banded_idat_loop_reference(scanlines: bytes, stride: int) -> bytes:
+    """The zlib stream of scanlines cut into bands of whole rows, as many
+    as fit in 8 KiB and at least one: each band raw-deflated at level 6 by
+    its own compressor, a full flush after every band but the last and
+    the stream's finish after the last, behind the header 78 9c and
+    before the adler32 of all the scanlines."""
+    band = max(1, 8192 // stride) * stride
+    out = [b"\x78\x9c"]
+    for start in range(0, len(scanlines), band):
+        compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
+        out.append(compressor.compress(scanlines[start : start + band]))
+        last = start + band >= len(scanlines)
+        out.append(compressor.flush(zlib.Z_FINISH if last else zlib.Z_FULL_FLUSH))
+    out.append(struct.pack(">I", zlib.adler32(scanlines)))
+    return b"".join(out)
+
+
+class TestPngWriterBands:
+    # (layout, shape, bands): scanlines of exactly one band and one byte
+    # over, one row longer than a band, a tall strip, 16-bit gray, and a
+    # sweep-sized scene
+    @pytest.mark.parametrize(
+        "layout, shape, bands",
+        [
+            ("gray8", (64, 127), 1),
+            ("gray8", (3, 2730), 2),
+            ("rgb8", (1, 3000), 1),
+            ("rgb8", (20000, 1), 10),
+            ("gray16", (100, 90), 3),
+            ("rgb8", (64, 96), 3),
+        ],
+    )
+    def test_bytes_equal_banded_loop_reference(self, tmp_path, layout, shape, bands):
+        arr = _random_image(layout, shape, _rng())
+        color_type, bit_depth, _, rows = _layout(arr)
+        scanlines = scanlines_loop_reference(rows.tobytes(), shape[0])
+        stride = len(scanlines) // shape[0]
+        assert _BAND_BYTES == 8192 and -(-shape[0] // max(1, 8192 // stride)) == bands
+        idat = banded_idat_loop_reference(scanlines, stride)
+        if bands == 1:
+            assert idat == zlib.compress(scanlines, 6)
+        path = tmp_path / "w.png"
+        write_png(path, arr)
+        assert path.read_bytes() == _png_file(shape[1], shape[0], color_type, idat, bit_depth)
+        got = read_png(path)
+        assert got.dtype == arr.dtype
+        np.testing.assert_array_equal(got, arr)
+
+
+class TestBandLocality:
+    # A white-box sweep output takes the source's deflated bytes for every
+    # band its box misses; the writer relies on a band's bytes depending
+    # on that band's rows alone.
     @given(
         seed=st.integers(0, 2**32 - 1),
-        height=st.integers(1, 24),
-        row_bytes=st.integers(1, 2000),
+        stride=st.integers(2, 3000),
+        bands=st.integers(1, 6),
+        changed=st.integers(0, 5),
         levels=st.sampled_from([1, 3, 256]),
     )
     @settings(max_examples=20, deadline=None)
-    def test_prefix_copy_then_suffix_equals_one_compress(self, seed, height, row_bytes, levels):
-        rows = np.random.default_rng(seed).integers(0, levels, (height, row_bytes), dtype=np.uint8)
-        want = zlib.compress(rows, 6)
-        # one live compressor, copied at every split before it goes on
-        compressor, head, copies = zlib.compressobj(6), b"", []
-        for split in range(height + 1):
-            copies.append((head, compressor.copy()))
-            if split < height:
-                head += compressor.compress(rows[split])
-        for split, (prefix, copy) in enumerate(copies):
-            assert prefix + copy.compress(rows[split:]) + copy.flush() == want, split
+    def test_changing_one_band_changes_only_its_slice(self, seed, stride, bands, changed, levels):
+        rng = np.random.default_rng(seed)
+        step = max(1, _BAND_BYTES // stride)
+        height = (bands - 1) * step + int(rng.integers(1, step + 1))
+        before = rng.integers(0, levels, (height, stride - 1), dtype=np.uint8)
+        b = changed % bands
+        after = before.copy()
+        after[b * step : (b + 1) * step] ^= 0xFF
+        # the bytes write_png writes, with the file's IDAT cut out
+        files = [b"".join(_encode_png(*_scanlines(pixels))) for pixels in (before, after)]
+        idats = [bytes(_png_chunks("x", data)[1]) for data in files]
+
+        def band(pixels, i):
+            return _deflate_band(_scanlines(pixels[i * step : (i + 1) * step])[1], i == bands - 1)
+
+        # the other bands deflate the same rows in both files
+        above = 2 + sum(len(band(before, i)) for i in range(b))
+        below = 4 + sum(len(band(before, i)) for i in range(b + 1, bands))
+        x, y = idats
+        assert x[:above] == y[:above] and x[-below:-4] == y[-below:-4]
+        assert x[above:-below] == band(before, b) and y[above:-below] == band(after, b)
+        assert x[above:-below] != y[above:-below]
 
 
 class TestPngErrors:
@@ -409,6 +475,16 @@ class TestPngErrors:
     def test_unsupported_dtype(self, tmp_path):
         with pytest.raises(ValidationError):
             write_png(tmp_path / "x.png", np.zeros((4, 4), dtype=np.float64))
+
+    # PNG requires a width and a height of at least 1
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0)])
+    def test_zero_size_rejected(self, tmp_path, width, height):
+        path = tmp_path / "x.png"
+        path.write_bytes(_png_file(width, height, 2, zlib.compress(bytes(height))))
+        with pytest.raises(FormatError, match=f"PNG is {width}x{height}; width and height"):
+            read_png(path)
+        with pytest.raises(ValidationError, match="cannot encode an empty array"):
+            write_png(tmp_path / "y.png", np.zeros((height, width, 3), dtype=np.uint8))
 
 
 class TestImageBuffer:
