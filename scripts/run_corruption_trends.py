@@ -32,13 +32,13 @@ def run_kind(kind: str, n_train: int, n_test: int, seed: int, verbose_rows: bool
     )
     model = fit_gmm(train, components=4, seed=seed)
     clean = [(f"s{i}", img) for i, img in enumerate(test_scenes)]
-    specs = severity_sweep(kind, PRESETS[kind], base_seed=seed)
+    sweep = severity_sweep(kind, PRESETS[kind], base_seed=seed)
 
     start = time.time()
-    rows, correlations = run_corruption_sweep(clean, specs, model)
+    rows, correlations = run_corruption_sweep(clean, sweep, model)
     elapsed = time.time() - start
 
-    print(f"\n== {kind} ({len(specs)} severities, {elapsed:.1f}s) ==")
+    print(f"\n== {kind} ({len(sweep.severities)} severities, {elapsed:.1f}s) ==")
     shown = rows if verbose_rows else [rows[0], rows[len(rows) // 2], rows[-1]]
     print(f"{'severity':>10} {'fpr@95':>8} {'auroc':>8} {'aupr_in':>8} {'aupr_out':>9}")
     for severity, rep in shown:

@@ -29,6 +29,7 @@ _EXPORTS = {
     ),
     "corruptions": (
         "CorruptionSpec",
+        "Sweep",
         "apply_corruption",
         "apply_fog",
         "apply_gaussian_noise",

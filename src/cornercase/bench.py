@@ -21,15 +21,15 @@ import numpy as np
 from .corruptions import (
     _KINDS,
     DEFAULT_ATMOSPHERIC_LIGHT,
+    Sweep,
     _read_sources,
     _seeded_sources,
-    _sweep_spec,
     severity_dirname,
     severity_sweep,
 )
 from .density import build_knn_index, fit_gmm, fit_gmm_bic, score_set
 from .embeddings import DatasetManifest, EmbeddingSet, load_embeddings, save_embeddings, toy_encode
-from .errors import ConfigError, DegenerateInputError, FormatError, ValidationError
+from .errors import ConfigError, DegenerateInputError, FormatError, ValidationError, check_seed
 from .images import ImageBuffer, _sorted_pngs, load_image
 from .metrics import DetectionReport, LabeledScores, detection_report
 from .stats import CorrelationResult, pearson, spearman
@@ -76,15 +76,15 @@ class SweepSettings:
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         object.__setattr__(self, "severity_embeddings", tuple(self.severity_embeddings))
         try:
-            specs = _sweep_specs(self, seed=0)
+            count = len(_sweep_of(self, seed=0).severities)
         except ValidationError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
         if self.kind != "fog" and self.atmospheric_light != DEFAULT_ATMOSPHERIC_LIGHT:
             raise ConfigError("atmospheric_light is read by fog only")
-        if self.encoder == "external" and len(self.severity_embeddings) != len(specs):
+        if self.encoder == "external" and len(self.severity_embeddings) != count:
             raise ConfigError(
                 "external sweep needs one embedding file per severity "
-                f"({len(specs)} severities, {len(self.severity_embeddings)} files)"
+                f"({count} severities, {len(self.severity_embeddings)} files)"
             )
 
 
@@ -106,6 +106,7 @@ class BenchConfig:
     sweep: SweepSettings | None = None
 
     def __post_init__(self):
+        check_seed(self.seed, ConfigError)
         methods = tuple(self.methods)
         if not methods:
             raise ConfigError("config needs at least one method")
@@ -328,11 +329,9 @@ def _check_dim(train: EmbeddingSet, es: EmbeddingSet, name: str):
         )
 
 
-def _sweep_specs(sweep: SweepSettings, seed: int) -> list:
-    grid_arg = sweep.preset if sweep.preset is not None else sweep.grid
-    return severity_sweep(
-        sweep.kind, grid_arg, base_seed=seed, atmospheric_light=sweep.atmospheric_light
-    )
+def _sweep_of(settings: SweepSettings, seed: int) -> Sweep:
+    grid = settings.preset if settings.preset is not None else settings.grid
+    return severity_sweep(settings.kind, grid, seed, settings.atmospheric_light)
 
 
 def _sweep_correlations(severities, sweep_reports) -> tuple:
@@ -359,13 +358,12 @@ def _reports(id_scores, ood_scores, tpr_target) -> list:
     return [detection_report(LabeledScores(id_scores, s), tpr_target) for s in ood_scores]
 
 
-def _score_sweep(model, id_set: EmbeddingSet, severity_sets, specs, tpr_target) -> tuple:
-    """Score the ID side once and each spec's severity set against it.
+def _score_sweep(model, id_set: EmbeddingSet, severity_sets, severities, tpr_target) -> tuple:
+    """Score the ID side once and each severity's set against it.
 
-    severity_sets aligns with specs and is consumed lazily, one set at a
-    time. Returns (sweep_rows, correlations).
+    severity_sets aligns with severities and is consumed lazily, one set
+    at a time. Returns (sweep_rows, correlations).
     """
-    severities = [spec.severity for spec in specs]
     ood_scores = (score_set(model, es) for es in severity_sets)
     reports = _reports(score_set(model, id_set), ood_scores, tpr_target)
     return tuple(zip(severities, reports)), _sweep_correlations(severities, reports)
@@ -373,7 +371,7 @@ def _score_sweep(model, id_set: EmbeddingSet, severity_sets, specs, tpr_target) 
 
 def run_corruption_sweep(
     clean_images,
-    specs,
+    sweep: Sweep,
     model,
     *,
     grid: int = 4,
@@ -396,48 +394,46 @@ def run_corruption_sweep(
     if len(depths) != len(clean_images):
         raise ValidationError(f"{len(depths)} depth maps for {len(clean_images)} images")
     ids, images = zip(*clean_images)
-    return _toy_sweep(list(ids), zip(images, depths), specs, model, grid, tpr_target)
+    return _toy_sweep(list(ids), zip(images, depths), sweep, model, grid, tpr_target)
 
 
-def _toy_sweep(ids, sources, specs, model, grid, tpr_target, id_set=None) -> tuple:
+def _toy_sweep(ids, sources, sweep: Sweep, model, grid, tpr_target, id_set=None) -> tuple:
     """run_corruption_sweep of the (ImageBuffer, depth) sources named by ids,
     consumed once; id_set, if given, is their clean toy encoding."""
-    specs = list(specs)
-    spec, severities = _sweep_spec(specs)
-    toy_rows = _KINDS[spec.kind].rows
+    toy_rows = _KINDS[sweep.kind].rows
     clean, feats = [], []
-    for _, seed, img, depth in _seeded_sources(sources, spec):
+    for _, seed, img, depth in _seeded_sources(sources, sweep.seed):
         if id_set is None:
             clean.append(toy_encode(img, grid=grid))
-        feats.append(toy_rows(img, depth, seed, spec, severities, grid))
+        feats.append(toy_rows(img, depth, seed, sweep, grid))
     if id_set is None:
         id_set = EmbeddingSet(ids, clean)
-    severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in np.stack(feats, axis=1))
-    return _score_sweep(model, id_set, severity_sets, specs, tpr_target)
+    severity_sets = (EmbeddingSet(ids, per_severity) for per_severity in np.stack(feats, axis=1))
+    return _score_sweep(model, id_set, severity_sets, sweep.severities, tpr_target)
 
 
 def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_test, model) -> tuple:
-    sweep = cfg.sweep
-    specs = _sweep_specs(sweep, cfg.seed)
-    if sweep.encoder == "external":
+    settings = cfg.sweep
+    sweep = _sweep_of(settings, cfg.seed)
+    if settings.encoder == "external":
         def severity_sets():
-            for spec, emb_path in zip(specs, sweep.severity_embeddings):
+            for severity, emb_path in zip(sweep.severities, settings.severity_embeddings):
                 es = load_embeddings(emb_path)
-                _check_dim(train, es, f"sweep severity {severity_dirname(spec.severity)}")
+                _check_dim(train, es, f"sweep severity {severity_dirname(severity)}")
                 yield es
 
-        return _score_sweep(model, id_test, severity_sets(), specs, cfg.tpr_target)
+        return _score_sweep(model, id_test, severity_sets(), sweep.severities, cfg.tpr_target)
 
-    images_dir = sweep.images or cfg.id_test.path
-    if sweep.images is None and not Path(images_dir).is_dir():
+    images_dir = settings.images or cfg.id_test.path
+    if settings.images is None and not Path(images_dir).is_dir():
         raise ConfigError("toy-encoder sweep needs sweep.images or an image-directory id_test")
     pngs = _sorted_pngs(Path(images_dir))
-    read = _read_sources(pngs, sweep.depth, sweep.kind)
+    read = _read_sources(pngs, settings.depth, sweep.kind)
     sources = ((ImageBuffer.from_uint8(pixels), depth) for pixels, depth in read)
     # without sweep.images, the clean images are id_test's, encoded with this grid
-    id_set = id_test if sweep.images is None else None
+    id_set = id_test if settings.images is None else None
     ids = [p.stem for p in pngs]
-    return _toy_sweep(ids, sources, specs, model, sweep.encoder_grid, cfg.tpr_target, id_set)
+    return _toy_sweep(ids, sources, sweep, model, settings.encoder_grid, cfg.tpr_target, id_set)
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
@@ -513,6 +509,7 @@ def generate_synthetic_benchmark(
         raise ValidationError("n_train and n_test must be at least 2")
     if shift < 0 or not np.isfinite(shift):
         raise ValidationError("shift must be a non-negative real")
+    check_seed(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

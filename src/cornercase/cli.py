@@ -216,12 +216,10 @@ def _cmd_sweep(args) -> int:
         light = DEFAULT_ATMOSPHERIC_LIGHT
     elif args.kind != "fog":
         raise ConfigError("--atmospheric-light is read by fog only")
-    specs = corruptions.severity_sweep(args.kind, grid, base_seed=args.seed, atmospheric_light=light)
-    manifest = corruptions.run_sweep(args.images, specs, args.out, depth_dir=args.depth)
-    print(
-        f"swept {len(specs)} severities over "
-        f"{len(manifest['entries']) // len(specs)} images under {args.out}"
-    )
+    sweep = corruptions.severity_sweep(args.kind, grid, base_seed=args.seed, atmospheric_light=light)
+    manifest = corruptions.run_sweep(args.images, sweep, args.out, depth_dir=args.depth)
+    images = len(manifest["entries"]) // len(sweep.severities)
+    print(f"swept {len(sweep.severities)} severities over {images} images under {args.out}")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ a time (_image_blocks). Each sweep driver is one loop over sources read
 one at a time (_read_sources): run_sweep writes files, bench's toy sweep
 scores them. Each looks up once its kind's record in _KINDS, which says
 how the kind corrupts, writes and scores an image, and whether it reads
-depth maps (fog only).
+depth maps (fog only). A sweep itself is one checked record, Sweep.
 
 run_sweep overlaps its work: the main thread makes each output's PNG
 job, while a pool of _PNG_WRITERS threads finishes the deflate and
@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 from .images import DepthMap, ImageBuffer, load_depth
 from .images import _bands_over, _deflated_bands, _encode_png, _quantize, _read_rgb, _scanlines
 from .images import _sorted_pngs, _write_file
@@ -95,6 +95,37 @@ class CorruptionSpec:
             raise ValidationError("white_box area fraction must be <= 1")
         if not 0.0 <= self.atmospheric_light <= 1.0:
             raise ValidationError("atmospheric_light must lie in [0, 1]")
+        check_seed(self.seed)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One kind, seed and atmospheric light over a strictly increasing grid
+    of severities with distinct output directories. Image i of the sweep
+    gets the noise/box seed seed + i at every severity."""
+
+    kind: str
+    severities: tuple
+    seed: int = 0
+    atmospheric_light: float = DEFAULT_ATMOSPHERIC_LIGHT
+
+    def __post_init__(self):
+        severities = tuple(float(v) for v in self.severities)
+        for severity in severities:
+            CorruptionSpec(self.kind, severity, self.seed, self.atmospheric_light)
+        if not severities:
+            raise ValidationError("severity grid must be non-empty")
+        # severity_dirname rounds monotonically, so in an increasing grid the
+        # severities that would share an output directory are neighbours
+        for a, b in zip(severities, severities[1:]):
+            if b <= a:
+                raise ValidationError("severity grid must be strictly increasing")
+            if severity_dirname(a) == severity_dirname(b):
+                raise ValidationError(
+                    f"severities {a!r} and {b!r} share the output directory "
+                    f"{severity_dirname(a)!r}"
+                )
+        object.__setattr__(self, "severities", severities)
 
 
 def _ramp_column(height: int) -> np.ndarray:
@@ -167,7 +198,7 @@ def apply_corruption(
 ) -> ImageBuffer:
     """Corrupt one image under one spec: its kind's stack at the one
     severity, so `corrupt`, `sweep` and this function share every formula."""
-    corrupt = _KINDS[spec.kind].bind(img, depth, spec.seed, spec)
+    corrupt = _KINDS[spec.kind].bind(img, depth, spec.seed, spec.atmospheric_light)
     return ImageBuffer(corrupt(np.array([spec.severity]))[0])
 
 
@@ -200,15 +231,15 @@ def _box_stack(pixels, seed, fractions):
     return out
 
 
-def _bind_fog(img, depth, seed, spec):
-    return partial(_fog_stack, img.pixels, _resolved_depth(img, depth), spec.atmospheric_light)
+def _bind_fog(img, depth, seed, light):
+    return partial(_fog_stack, img.pixels, _resolved_depth(img, depth), light)
 
 
-def _bind_noise(img, depth, seed, spec):
+def _bind_noise(img, depth, seed, light):
     return partial(_noise_stack, img.pixels, _noise_field(seed, img.pixels.shape))
 
 
-def _bind_box(img, depth, seed, spec):
+def _bind_box(img, depth, seed, light):
     return partial(_box_stack, img.pixels, seed)
 
 
@@ -229,13 +260,12 @@ def severity_sweep(
     grid,
     base_seed: int = 0,
     atmospheric_light: float = DEFAULT_ATMOSPHERIC_LIGHT,
-) -> list[CorruptionSpec]:
-    """Expand a severity grid or a named preset into corruption specs.
+) -> Sweep:
+    """The Sweep of a severity grid or a named preset, seeded base_seed.
 
     Presets: fog-paper (3 fog levels), noise-paper (50 equally spaced
     sigmas in [0.001, 0.01]), whitebox-paper (20 area fractions equally
-    spaced in [0.007, 0.119]). Every spec carries base_seed: a sweep
-    gives image i the seed base_seed + i at every severity.
+    spaced in [0.007, 0.119]).
     """
     if isinstance(grid, str):
         if grid not in SWEEP_PRESETS:
@@ -245,29 +275,8 @@ def severity_sweep(
         preset_kind, severities = SWEEP_PRESETS[grid]
         if preset_kind != kind:
             raise ValidationError(f"preset {grid!r} is for kind {preset_kind!r}, not {kind!r}")
-    else:
-        severities = tuple(float(v) for v in grid)
-        if not severities:
-            raise ValidationError("severity grid must be non-empty")
-    # severity_dirname rounds monotonically, so in an increasing grid the
-    # severities that would share an output directory are neighbours
-    for a, b in zip(severities, severities[1:]):
-        if b <= a:
-            raise ValidationError("severity grid must be strictly increasing")
-        if severity_dirname(a) == severity_dirname(b):
-            raise ValidationError(
-                f"severities {a!r} and {b!r} share the output directory "
-                f"{severity_dirname(a)!r}"
-            )
-    return [
-        CorruptionSpec(
-            kind=kind,
-            severity=float(sev),
-            seed=base_seed,
-            atmospheric_light=atmospheric_light,
-        )
-        for sev in severities
-    ]
+        grid = severities
+    return Sweep(kind, grid, base_seed, atmospheric_light)
 
 
 # ---------------------------------------------------------------------------
@@ -279,30 +288,16 @@ def severity_dirname(severity: float) -> str:
     return format(severity, ".6g")
 
 
-def _sweep_spec(specs):
-    """The first of a sweep's specs and the severities of all of them,
-    after checking that they share kind, seed and atmospheric light."""
-    specs = list(specs)
-    if not specs:
-        raise ValidationError("no corruption specs supplied")
-    shared = {(s.kind, s.seed, s.atmospheric_light) for s in specs}
-    if len(shared) > 1:
-        raise ValidationError(
-            "all specs in one sweep must share a corruption kind, seed and atmospheric light"
-        )
-    return specs[0], np.array([s.severity for s in specs])
-
-
 def _noise_field(seed: int, shape) -> np.ndarray:
     """The standard normal field that noise of every sigma scales, for
     the image whose sweep seed is seed."""
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def _seeded_sources(sources, spec):
-    """(i, seed, image, depth) per source: image i's noise/box seed is spec.seed + i."""
+def _seeded_sources(sources, seed):
+    """(i, seed, image, depth) per source: image i's noise/box seed is seed + i."""
     for idx, (img, depth) in enumerate(sources):
-        yield idx, spec.seed + idx, img, depth
+        yield idx, seed + idx, img, depth
 
 
 def _read_sources(paths, depth_dir, kind):
@@ -312,38 +307,39 @@ def _read_sources(paths, depth_dir, kind):
         yield _read_rgb(path), load_depth(Path(depth_dir) / path.name) if depths else None
 
 
-def _image_blocks(img, depth, seed, spec, severities):
+def _image_blocks(img, depth, seed, sweep):
     """(first severity index j, block) per block of one image's sweep:
-    block is the (b, H, W, 3) stack of img under severities[j : j + b]."""
-    corrupt = _KINDS[spec.kind].bind(img, depth, seed, spec)
+    block is the (b, H, W, 3) stack of img under sweep.severities[j : j + b]."""
+    corrupt = _KINDS[sweep.kind].bind(img, depth, seed, sweep.atmospheric_light)
     step = max(1, _SWEEP_BLOCK_ELEMENTS // img.pixels.size)
-    for j in range(0, len(severities), step):
-        yield j, corrupt(severities[j : j + step])
+    for j in range(0, len(sweep.severities), step):
+        yield j, corrupt(np.array(sweep.severities[j : j + step]))
 
 
-def _block_rows(img, depth, seed, spec, severities, grid):
+def _block_rows(img, depth, seed, sweep, grid):
     """The (K, dim) toy rows of img at every severity, from the engine's blocks."""
     from .embeddings import toy_encode  # here, so a sweep process loads no model layer
 
     rows = []
-    for _, block in _image_blocks(img, depth, seed, spec, severities):
+    for _, block in _image_blocks(img, depth, seed, sweep):
         rows.append(toy_encode(block, grid=grid))
         del block  # free the float stack before the next one is made
     return np.concatenate(rows)
 
 
-def _noise_rows(img, depth, seed, spec, severities, grid):
+def _noise_rows(img, depth, seed, sweep, grid):
     """The (K, dim) toy rows of img under noise at every sigma, from sums."""
     from .embeddings import toy_encode_noise_sweep
 
-    return toy_encode_noise_sweep(img, _noise_field(seed, img.pixels.shape), severities, grid=grid)
+    field = _noise_field(seed, img.pixels.shape)
+    return toy_encode_noise_sweep(img, field, sweep.severities, grid=grid)
 
 
-def _frame_outputs(pixels, depth, seed, spec, severities):
+def _frame_outputs(pixels, depth, seed, sweep):
     """(k, PNG job) per severity k of the uint8 pixels, quantized from the
     engine's blocks, with no band deflated yet."""
     img = ImageBuffer.from_uint8(pixels)
-    for first, block in _image_blocks(img, depth, seed, spec, severities):
+    for first, block in _image_blocks(img, depth, seed, sweep):
         # corrupted values lie in [0, 1], so no ImageBuffer check is needed
         frames = _quantize(block)
         del block  # free the float stack before the next one is made
@@ -351,7 +347,7 @@ def _frame_outputs(pixels, depth, seed, spec, severities):
             yield j, (*_scanlines(frame), None)
 
 
-def _box_outputs(pixels, depth, seed, spec, fractions):
+def _box_outputs(pixels, depth, seed, sweep):
     """(k, PNG job) per box fraction k of the uint8 image pixels. A band
     of rows that a box misses is the source's, so the source's bands are
     deflated once, and each job gets the scanlines with the box painted
@@ -359,7 +355,7 @@ def _box_outputs(pixels, depth, seed, spec, fractions):
     h, w = pixels.shape[:2]
     header, rows = _scanlines(pixels)
     source = _deflated_bands(rows)
-    for k, fraction in enumerate(fractions):
+    for k, fraction in enumerate(sweep.severities):
         top, left, side = _box(h, w, seed, fraction)
         painted = rows.copy()
         painted[top : top + side, 1 + 3 * left : 1 + 3 * (left + side)] = 255
@@ -387,30 +383,28 @@ def _wait_written(pool, future):
 
 def run_sweep(
     images_dir,
-    specs,
+    sweep: Sweep,
     out_dir,
     depth_dir=None,
 ) -> dict:
-    """Corrupt every PNG under images_dir once per spec.
+    """Corrupt every PNG under images_dir once per severity of the sweep.
 
     Output layout is <out>/<kind>/<severity>/<original-filename>, plus
-    a manifest.json listing (source, spec, output) triples, spec by
-    spec, and the depth policy actually used. A fog sweep matches depth
-    maps, when given, to images by filename in depth_dir; no other kind
-    reads them. Each source image and depth map is read once. Image i
-    (sorted filename order) gets the noise/box seed spec.seed + i at
-    every severity, recorded in the manifest.
+    a manifest.json listing (source, severity, seed, output) entries,
+    severity by severity, and the depth policy actually used. A fog
+    sweep matches depth maps, when given, to images by filename in
+    depth_dir; no other kind reads them. Each source image and depth map
+    is read once. Image i (sorted filename order) gets the noise/box
+    seed sweep.seed + i at every severity, recorded in the manifest.
     """
     out_dir = Path(out_dir)
     sources = _sorted_pngs(Path(images_dir))
-    specs = list(specs)
-    spec, severities = _sweep_spec(specs)
-    kind, record = spec.kind, _KINDS[spec.kind]
+    kind, record = sweep.kind, _KINDS[sweep.kind]
     depth_policy = "default_ramp" if depth_dir is None else "provided"
-    sev_dirs = [out_dir / kind / severity_dirname(s.severity) for s in specs]
+    sev_dirs = [out_dir / kind / severity_dirname(s) for s in sweep.severities]
     for sev_dir in sev_dirs:
         sev_dir.mkdir(parents=True, exist_ok=True)
-    entries = [[] for _ in specs]
+    entries = [[] for _ in sev_dirs]
     # here, so `cornercase --version` does not load it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -419,25 +413,25 @@ def run_sweep(
     # the with block joins the writers on every exit; after an error in
     # the main thread they first write the outputs already handed off
     with ThreadPoolExecutor(_PNG_WRITERS, thread_name_prefix="png-writer") as pool:
-        for idx, seed, pixels, depth in _seeded_sources(read, spec):
+        for idx, seed, pixels, depth in _seeded_sources(read, sweep.seed):
             if depth is not None and not depth.valid.all():
                 depth_policy = "provided_with_median_fill"
-            for j, job in record.files(pixels, depth, seed, spec, severities):
+            for j, job in record.files(pixels, depth, seed, sweep):
                 dst = sev_dirs[j] / sources[idx].name
                 pending.append(pool.submit(_write_output, dst, *job))
                 if len(pending) > _PNG_WRITERS:
                     _wait_written(pool, pending.popleft())
                 entries[j].append({"source": str(sources[idx]), "output": str(dst),
-                                   "severity": specs[j].severity, "seed": seed})
+                                   "severity": sweep.severities[j], "seed": seed})
         for future in pending:
             _wait_written(pool, future)
     manifest = {
         "kind": kind,
         "depth_policy": "not_applicable",
-        "entries": [entry for per_spec in entries for entry in per_spec],
+        "entries": [entry for per_severity in entries for entry in per_severity],
     }
     if record.reads_depth:
-        manifest.update(depth_policy=depth_policy, atmospheric_light=spec.atmospheric_light)
+        manifest.update(depth_policy=depth_policy, atmospheric_light=sweep.atmospheric_light)
     manifest_path = out_dir / kind / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
@@ -446,9 +440,9 @@ def run_sweep(
 class _Kind(NamedTuple):
     """What sets a corruption kind apart; depth is None for a kind that does not read it."""
 
-    bind: Callable  # (img, depth, seed, spec) -> severities -> (b, H, W, 3) stack
-    files: Callable  # (uint8 pixels, depth, seed, spec, severities) -> (k, PNG job)s
-    rows: Callable  # (img, depth, seed, spec, severities, grid) -> (K, dim) toy rows
+    bind: Callable  # (img, depth, seed, light) -> severities -> (b, H, W, 3) stack
+    files: Callable  # (uint8 pixels, depth, seed, sweep) -> (k, PNG job) per severity k
+    rows: Callable  # (img, depth, seed, sweep, grid) -> (K, dim) toy rows
     reads_depth: bool = False  # sweeps read depth maps; the manifest records policy and light
 
 

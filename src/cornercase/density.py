@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingSet, read_container, write_container
-from .errors import FitError, FormatError, ValidationError
+from .errors import FitError, FormatError, ValidationError, check_seed
 from .images import MAX_MAGNITUDE, _frozen_array, _in_envelope
 
 MODEL_MAGIC = b"CCMDL1"
@@ -336,8 +336,9 @@ def fit_gmm(
     """
     if components < 1:
         raise FitError("components must be a positive integer")
-    if max_iters < 1 or tol <= 0:
-        raise FitError("max_iters must be >= 1 and tol > 0")
+    if max_iters < 1 or not 0 < tol < np.inf:
+        raise FitError("max_iters must be >= 1 and tol a finite number > 0")
+    check_seed(seed, FitError)
     n = len(ids)
     if n < 2:
         raise FitError(f"need at least 2 records to fit, got {n}")

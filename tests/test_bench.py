@@ -26,10 +26,9 @@ from cornercase.bench import (
     save_report_json,
 )
 from cornercase.corruptions import (
-    CorruptionSpec,
+    Sweep,
     _image_blocks,
     _seeded_sources,
-    _sweep_spec,
     severity_sweep,
 )
 from cornercase.density import fit_gmm, fit_gmm_bic, score_set
@@ -106,6 +105,12 @@ class TestSyntheticBenchmark:
     def test_bad_counts_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             generate_synthetic_benchmark(8, 1, 20, 3.0, seed=0, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_outside_its_range_rejected(self, tmp_path, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer in"):
+            generate_synthetic_benchmark(8, 20, 20, 3.0, seed=seed, out_dir=tmp_path / "s")
+        assert not (tmp_path / "s").exists()
 
 
 class TestRunBenchmark:
@@ -374,8 +379,8 @@ class TestSweepRoutes:
             [sid for sid, _ in named], [toy_encode(img, 4) for img in scenes]
         )
         model = fit_gmm(train, components=2, seed=0)
-        specs = severity_sweep("gaussian_noise", [0.01, 0.05, 0.2], base_seed=0)
-        sweep_rows, correlations = run_corruption_sweep(named, specs, model)
+        sweep = severity_sweep("gaussian_noise", [0.01, 0.05, 0.2], base_seed=0)
+        sweep_rows, correlations = run_corruption_sweep(named, sweep, model)
         assert len(sweep_rows) == 3
         aurocs = [rep.auroc for _, rep in sweep_rows]
         assert aurocs[-1] > aurocs[0]  # strong noise is easier to detect
@@ -398,41 +403,25 @@ class TestSweepRoutes:
             components=2,
             seed=0,
         )
-        specs = severity_sweep("gaussian_noise", grid, base_seed=5)
-        rows, correlations = run_corruption_sweep(list(zip(ids, scenes)), specs, model)
+        sweep = severity_sweep("gaussian_noise", grid, base_seed=5)
+        rows, correlations = run_corruption_sweep(list(zip(ids, scenes)), sweep, model)
         # the block path: toy_encode of the sweep engine's corrupted stacks
-        feats = np.empty((len(specs), len(scenes), 3 * 16 + 3))
-        spec, severities = _sweep_spec(specs)
-        for i, seed, img, _ in _seeded_sources(((scene, None) for scene in scenes), spec):
-            for j, block in _image_blocks(img, None, seed, spec, severities):
+        feats = np.empty((len(sweep.severities), len(scenes), 3 * 16 + 3))
+        for i, seed, img, _ in _seeded_sources(((scene, None) for scene in scenes), sweep.seed):
+            for j, block in _image_blocks(img, None, seed, sweep):
                 feats[j : j + len(block), i] = toy_encode(block)
         id_set = EmbeddingSet(ids, [toy_encode(img) for img in scenes])
-        severity_sets = (EmbeddingSet(ids, per_spec) for per_spec in feats)
-        want = bench_module._score_sweep(model, id_set, severity_sets, specs, 0.95)
+        severity_sets = (EmbeddingSet(ids, per_severity) for per_severity in feats)
+        want = bench_module._score_sweep(model, id_set, severity_sets, sweep.severities, 0.95)
         assert (rows, correlations) == want
 
-    @pytest.mark.parametrize(
-        "specs,message",
-        [
-            ([], "no corruption specs supplied"),
-            (
-                [
-                    CorruptionSpec("gaussian_noise", 0.1, seed=0),
-                    CorruptionSpec("gaussian_noise", 0.2, seed=1),
-                ],
-                "all specs in one sweep must share a corruption kind, seed and atmospheric light",
-            ),
-        ],
-    )
-    def test_noise_sweep_spec_checks_shared_with_engine(self, specs, message):
-        scenes = scene_set(NOISE_FAMILY, 3, seed=0)
-        named = [(f"s{i}", img) for i, img in enumerate(scenes)]
-        train = EmbeddingSet([sid for sid, _ in named], [toy_encode(img) for img in scenes])
-        model = fit_gmm(train, components=1, seed=0)
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            run_corruption_sweep(named, specs, model)
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            _sweep_spec(specs)
+    def test_noise_sweep_spec_checks_shared_with_engine(self):
+        # the record holds the one empty-grid check, so no sweep sees an empty grid
+        message = "^severity grid must be non-empty$"
+        with pytest.raises(ValidationError, match=message):
+            severity_sweep("gaussian_noise", [])
+        with pytest.raises(ValidationError, match=message):
+            Sweep("gaussian_noise", ())
 
     def test_depths_must_align_with_images(self):
         from cornercase.corruptions import default_depth_ramp
@@ -443,9 +432,9 @@ class TestSweepRoutes:
             [sid for sid, _ in named], [toy_encode(img, 4) for img in scenes]
         )
         model = fit_gmm(train, components=1, seed=0)
-        specs = severity_sweep("fog", [0.01])
+        sweep = severity_sweep("fog", [0.01])
         with pytest.raises(ValidationError, match="1 depth maps for 3 images"):
-            run_corruption_sweep(named, specs, model, depths=[default_depth_ramp(64, 96)])
+            run_corruption_sweep(named, sweep, model, depths=[default_depth_ramp(64, 96)])
 
     def test_config_driven_toy_sweep_on_image_dirs(self, tmp_path):
         from cornercase.synthetic import FOG_FAMILY, write_scene_set

@@ -346,12 +346,12 @@ class TestPcaCli:
         assert pca_err == knn_err == "data error: k must be a positive integer"
 
 
-# The names `cornercase/__init__.py` imported eagerly before it resolved
-# them on first access, by the submodule each came from.
+# The public names of `cornercase/__init__.py`, which it resolves on first
+# access, by the submodule each comes from.
 INIT_NAMES = {
     "bench": "BenchConfig BenchReport SweepSettings config_digest emit_report "
     "generate_synthetic_benchmark load_config parse_report run_benchmark run_corruption_sweep",
-    "corruptions": "CorruptionSpec apply_corruption apply_fog apply_gaussian_noise "
+    "corruptions": "CorruptionSpec Sweep apply_corruption apply_fog apply_gaussian_noise "
     "apply_white_box default_depth_ramp severity_sweep",
     "density": "GmmModel KnnIndex build_knn_index fit_gmm fit_gmm_bic persist_model "
     "restore_model score_set",
@@ -452,6 +452,14 @@ def test_model_commands_run_in_fresh_processes(tmp_path):
     assert not (never | {"cornercase.density", "cornercase.corruptions"}) & loaded
 
 
+def test_corruption_trends_script_runs_every_kind():
+    # the experiment script at the size CI runs it; a nonzero exit raises
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_corruption_trends.py"
+    out = _fresh_python(str(script), "--n-train", "40", "--n-test", "20").stdout
+    headers = [line.split(" (")[0] for line in out.splitlines() if line.startswith("== ")]
+    assert headers == ["== fog", "== gaussian_noise", "== white_box"]
+
+
 def test_package_names_resolve_to_their_submodules():
     # in a fresh process, so each name is resolved by the package's
     # __getattr__ and not read from an earlier import
@@ -475,7 +483,7 @@ def test_package_names_resolve_to_their_submodules():
         "print(len(cornercase.__all__))\n"
     )
     out = _fresh_python("-c", snippet, json.dumps(INIT_NAMES)).stdout.splitlines()
-    assert out == ["module 'cornercase' has no attribute 'no_such_name'", "71"]
+    assert out == ["module 'cornercase' has no attribute 'no_such_name'", "72"]
 
 
 class TestExitCodes:
@@ -611,10 +619,21 @@ def _bench_argv(tmp_path, sweep, **fields):
     return ["bench", "--config", str(tmp_path / "c.json")]
 
 
-def _sweep_grid_argv(tmp_path, grid):
+def _sweep_grid_argv(tmp_path, grid, kind="gaussian_noise"):
     write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 1, seed=0)
-    return ["sweep", "--images", str(tmp_path / "imgs"), "--kind", "gaussian_noise",
+    return ["sweep", "--images", str(tmp_path / "imgs"), "--kind", kind,
             "--grid", grid, "--out", str(tmp_path / "o")]
+
+
+def _fit_gmm_flags_argv(tmp_path, *flags):
+    _write_embeddings(tmp_path / "e.ccemb")
+    return ["fit-gmm", "--embeddings", str(tmp_path / "e.ccemb"),
+            "--out", str(tmp_path / "m"), *flags]
+
+
+def _bench_seed_argv(tmp_path, seed):
+    _write_embeddings(tmp_path / "x.ccemb")  # so the run would reach the fit
+    return _bench_argv(tmp_path, None, seed=seed)
 
 
 def _eval_argv(tmp_path, *lines):
@@ -959,6 +978,27 @@ MALFORMED_INPUTS = {
                    "--out", str(t / "o")],
         2,
     ),
+    **{
+        f"sweep --kind {kind} with a negative seed": (
+            lambda t, kind=kind: [*_sweep_grid_argv(t, "0.01", kind), "--seed", "-3"],
+            3,
+        )
+        for kind in ("fog", "gaussian_noise", "white_box")
+    },
+    "synth with a negative seed": (
+        lambda t: ["synth", "--dim", "2", "--n-train", "4", "--n-test", "4", "--seed", "-1",
+                   "--out", str(t / "s")],
+        3,
+    ),
+    "fit-gmm with a negative seed": (lambda t: _fit_gmm_flags_argv(t, "--seed", "-2"), 3),
+    "fit-gmm with a seed too large for a model file": (
+        lambda t: _fit_gmm_flags_argv(t, "--seed", str(2**63)),
+        3,
+    ),
+    "fit-gmm --tol nan": (lambda t: _fit_gmm_flags_argv(t, "--tol", "nan"), 3),
+    "fit-gmm --tol inf": (lambda t: _fit_gmm_flags_argv(t, "--tol", "inf"), 3),
+    "config with a negative seed": (lambda t: _bench_seed_argv(t, -1), 2),
+    "config with a seed too large for a model file": (lambda t: _bench_seed_argv(t, 2**63), 2),
     "pca --k 0": (lambda t: _pca_k_argv(t, 0), 3),
     "pca --k -3": (lambda t: _pca_k_argv(t, -3), 3),
     **{

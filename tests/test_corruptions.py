@@ -19,6 +19,7 @@ from cornercase.corruptions import (
     DEFAULT_ATMOSPHERIC_LIGHT,
     SWEEP_PRESETS,
     CorruptionSpec,
+    Sweep,
     _box,
     _box_stack,
     _fog_stack,
@@ -27,7 +28,6 @@ from cornercase.corruptions import (
     _noise_stack,
     _resolved_depth,
     _seeded_sources,
-    _sweep_spec,
     apply_corruption,
     apply_fog,
     apply_gaussian_noise,
@@ -56,15 +56,14 @@ def _random_image(seed=0, h=12, w=16):
     return ImageBuffer(rng.uniform(size=(h, w, 3)))
 
 
-def _sweep_blocks(sources, specs):
-    """(image index, first spec index j, seed, block) per engine block of
-    each (ImageBuffer, depth) source under specs, which are checked first;
-    sources is consumed lazily, one image at a time."""
-    spec, severities = _sweep_spec(specs)
+def _sweep_blocks(sources, sweep):
+    """(image index, first severity index j, seed, block) per engine block
+    of each (ImageBuffer, depth) source under the sweep; sources is
+    consumed lazily, one image at a time."""
     return (
         (idx, j, seed, block)
-        for idx, seed, img, depth in _seeded_sources(sources, spec)
-        for j, block in _image_blocks(img, depth, seed, spec, severities)
+        for idx, seed, img, depth in _seeded_sources(sources, sweep.seed)
+        for j, block in _image_blocks(img, depth, seed, sweep)
     )
 
 
@@ -111,14 +110,14 @@ def _reference_corruption(img, spec, depth=None):
     return _reference_white_box(img, spec.severity, spec.seed)
 
 
-def _reference_sweep_outputs(images_dir, specs, out_dir):
+def _reference_sweep_outputs(images_dir, sweep, out_dir):
     """run_sweep's output loop as it stood before the writer threads: one
     ImageBuffer and one save_image per output, in order."""
     sources = sorted(Path(images_dir).glob("*.png"))
-    blocks = _sweep_blocks(((load_image(src), None) for src in sources), specs)
+    blocks = _sweep_blocks(((load_image(src), None) for src in sources), sweep)
     for idx, first, _, block in blocks:
         for j, pixels in enumerate(block, start=first):
-            sev_dir = Path(out_dir) / specs[j].kind / severity_dirname(specs[j].severity)
+            sev_dir = Path(out_dir) / sweep.kind / severity_dirname(sweep.severities[j])
             sev_dir.mkdir(parents=True, exist_ok=True)
             save_image(ImageBuffer(pixels), sev_dir / sources[idx].name)
 
@@ -272,27 +271,27 @@ class TestWhiteBox:
 
 class TestSeveritySweep:
     def test_fog_preset(self):
-        specs = severity_sweep("fog", "fog-paper", base_seed=100)
-        assert [s.severity for s in specs] == [0.005, 0.01, 0.02]
-        assert [s.seed for s in specs] == [100, 100, 100]
+        sweep = severity_sweep("fog", "fog-paper", base_seed=100)
+        assert list(sweep.severities) == [0.005, 0.01, 0.02]
+        assert sweep.seed == 100
 
     def test_noise_preset(self):
-        specs = severity_sweep("gaussian_noise", "noise-paper")
-        assert len(specs) == 50
-        assert specs[0].severity == pytest.approx(0.001)
-        assert specs[-1].severity == pytest.approx(0.01)
-        gaps = np.diff([s.severity for s in specs])
+        severities = severity_sweep("gaussian_noise", "noise-paper").severities
+        assert len(severities) == 50
+        assert severities[0] == pytest.approx(0.001)
+        assert severities[-1] == pytest.approx(0.01)
+        gaps = np.diff(severities)
         np.testing.assert_allclose(gaps, gaps[0], rtol=1e-9)
 
     def test_whitebox_preset(self):
-        specs = severity_sweep("white_box", "whitebox-paper")
-        assert len(specs) == 20
-        assert specs[0].severity == pytest.approx(0.007)
-        assert specs[-1].severity == pytest.approx(0.119)
+        severities = severity_sweep("white_box", "whitebox-paper").severities
+        assert len(severities) == 20
+        assert severities[0] == pytest.approx(0.007)
+        assert severities[-1] == pytest.approx(0.119)
 
     def test_explicit_single_value(self):
-        specs = severity_sweep("fog", [0.1])
-        assert len(specs) == 1 and specs[0].severity == 0.1
+        severities = severity_sweep("fog", [0.1]).severities
+        assert len(severities) == 1 and severities[0] == 0.1
 
     def test_non_monotone_grid_rejected(self):
         with pytest.raises(ValidationError):
@@ -310,8 +309,12 @@ class TestSeveritySweep:
     @pytest.mark.parametrize("preset", sorted(SWEEP_PRESETS))
     def test_preset_output_directories_distinct(self, preset):
         kind, severities = SWEEP_PRESETS[preset]
-        specs = severity_sweep(kind, preset)
-        assert len({severity_dirname(s.severity) for s in specs}) == len(severities)
+        sweep = severity_sweep(kind, preset)
+        assert len({severity_dirname(s) for s in sweep.severities}) == len(severities)
+
+    def test_returns_the_record(self):
+        sweep = severity_sweep("fog", [0.005, 0.01], base_seed=3, atmospheric_light=0.8)
+        assert sweep == Sweep("fog", (0.005, 0.01), seed=3, atmospheric_light=0.8)
 
     def test_composition_order_matters(self):
         img = _random_image(11)
@@ -320,6 +323,48 @@ class TestSeveritySweep:
         a = apply_corruption(apply_corruption(img, fog_spec), noise_spec)
         b = apply_corruption(apply_corruption(img, noise_spec), fog_spec)
         assert not np.array_equal(a.pixels, b.pixels)
+
+
+class TestSweepRecord:
+    @pytest.mark.parametrize(
+        "kind, severities, light, message",
+        [
+            ("fog", (), DEFAULT_ATMOSPHERIC_LIGHT, "severity grid must be non-empty"),
+            ("fog", (0.02, 0.01), DEFAULT_ATMOSPHERIC_LIGHT, "strictly increasing"),
+            ("fog", (0.01, 0.01), DEFAULT_ATMOSPHERIC_LIGHT, "strictly increasing"),
+            ("white_box", (0.5, 1.5), DEFAULT_ATMOSPHERIC_LIGHT, "area fraction must be <= 1"),
+            ("fog", (0.01,), 1.5, "atmospheric_light must lie in"),
+            ("fog", (0.01,), math.nan, "atmospheric_light must lie in"),
+            ("rain", (0.1,), DEFAULT_ATMOSPHERIC_LIGHT, "unknown corruption kind"),
+            ("gaussian_noise", (0.1, math.inf), DEFAULT_ATMOSPHERIC_LIGHT, "non-negative real"),
+            ("gaussian_noise", (0.1, 0.1000001), DEFAULT_ATMOSPHERIC_LIGHT,
+             "share the output directory '0.1'"),
+        ],
+    )
+    def test_each_rule_rejects_a_direct_record(self, kind, severities, light, message):
+        with pytest.raises(ValidationError, match=message):
+            Sweep(kind, severities, atmospheric_light=light)
+
+    def test_grid_whose_severities_share_a_directory_rejected(self):
+        # 0.1 and 0.1000001 both name the directory 0.1, so a sweep over
+        # this grid would write two outputs to one path
+        with pytest.raises(ValidationError):
+            Sweep("white_box", (0.1, 0.3, 0.1000001))
+
+    @pytest.mark.parametrize("seed", [-3, 2**63, 1.5, True, "7"])
+    def test_seed_outside_its_range_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer in"):
+            Sweep("gaussian_noise", (0.1,), seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an integer in"):
+            CorruptionSpec("gaussian_noise", 0.1, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert Sweep("white_box", (0.1,), seed=2**63 - 1).seed == 2**63 - 1
+
+    def test_severities_kept_as_python_floats(self):
+        sweep = Sweep("fog", np.linspace(0.01, 0.02, 3))
+        assert sweep.severities == (0.01, 0.015, 0.02)
+        assert all(type(s) is float for s in sweep.severities)
 
 
 # (image shapes, grid, whether image 0 has tied box tops): severity 0
@@ -350,9 +395,9 @@ class TestRunSweep:
         src.mkdir()
         for i in range(3):
             save_image(_random_image(20 + i, h=8, w=8), src / f"img-{i}.png")
-        specs = severity_sweep("fog", [0.005, 0.02], base_seed=0)
+        sweep = severity_sweep("fog", [0.005, 0.02], base_seed=0)
         out = tmp_path / "out"
-        manifest = run_sweep(src, specs, out)
+        manifest = run_sweep(src, sweep, out)
         for sev in ("0.005", "0.02"):
             for i in range(3):
                 assert (out / "fog" / sev / f"img-{i}.png").exists()
@@ -366,10 +411,10 @@ class TestRunSweep:
         src = tmp_path / "clean"
         src.mkdir()
         save_image(_random_image(30, h=8, w=8), src / "a.png")
-        specs = severity_sweep("gaussian_noise", [0.05], base_seed=7)
+        sweep = severity_sweep("gaussian_noise", [0.05], base_seed=7)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        run_sweep(src, specs, out1)
-        run_sweep(src, specs, out2)
+        run_sweep(src, sweep, out1)
+        run_sweep(src, sweep, out2)
         f1 = out1 / "gaussian_noise" / "0.05" / "a.png"
         f2 = out2 / "gaussian_noise" / "0.05" / "a.png"
         assert f1.read_bytes() == f2.read_bytes()
@@ -397,12 +442,13 @@ class TestRunSweep:
             return _read_rgb(path)
 
         monkeypatch.setattr(corruptions, "_read_rgb", counting_read_rgb)
-        specs = severity_sweep("white_box", [0.05, 0.1, 0.2, 0.4], base_seed=10)
-        manifest = run_sweep(src, specs, tmp_path / "o")
+        sweep = severity_sweep("white_box", [0.05, 0.1, 0.2, 0.4], base_seed=10)
+        manifest = run_sweep(src, sweep, tmp_path / "o")
         assert len(reads) == 3
-        # manifest stays spec-major; image i has seed 10 + i under every spec
+        # manifest stays severity-major; image i has seed 10 + i at every severity
         assert [(e["severity"], e["seed"], Path(e["source"]).name) for e in manifest["entries"]] == [
-            (spec.severity, spec.seed + i, f"img-{i}.png") for spec in specs for i in range(3)
+            (severity, sweep.seed + i, f"img-{i}.png")
+            for severity in sweep.severities for i in range(3)
         ]
 
     def test_empty_dir_rejected(self, tmp_path):
@@ -451,9 +497,9 @@ class TestRunSweep:
         monkeypatch.setattr(corruptions, "_encode_png", blocked_encode_png)
         monkeypatch.setattr(corruptions, "_read_rgb", counting_read_rgb)
         # one severity: each source read makes one frame, handed off at once
-        specs = severity_sweep("white_box", [0.1])
+        sweep = severity_sweep("white_box", [0.1])
         sweep = threading.Thread(
-            target=run_sweep, args=(src, specs, tmp_path / "o"), daemon=True
+            target=run_sweep, args=(src, sweep, tmp_path / "o"), daemon=True
         )
         sweep.start()
         try:
@@ -475,17 +521,17 @@ class TestRunSweep:
         src.mkdir()
         for i, (h, w) in enumerate(shapes):
             save_image(_random_image(90 + i, h=h, w=w), src / f"img-{i}.png")
-        specs = severity_sweep("white_box", grid, base_seed=6)
+        sweep = severity_sweep("white_box", grid, base_seed=6)
         h, w = shapes[0]
-        tops = [_box(h, w, 6, spec.severity)[0] for spec in specs]
+        tops = [_box(h, w, 6, severity)[0] for severity in sweep.severities]
         assert (len(set(tops)) < len(tops)) == tied
-        run_sweep(src, specs, tmp_path / "o")
+        run_sweep(src, sweep, tmp_path / "o")
         for i in range(len(shapes)):
             clean = load_image(src / f"img-{i}.png")  # the 8-bit source the sweep reads
-            for spec in specs:
-                out = apply_corruption(clean, CorruptionSpec("white_box", spec.severity, seed=6 + i))
+            for severity in sweep.severities:
+                out = apply_corruption(clean, CorruptionSpec("white_box", severity, seed=6 + i))
                 write_png(tmp_path / "want.png", _quantize(out.pixels.copy()))
-                rel = Path("white_box", severity_dirname(spec.severity), f"img-{i}.png")
+                rel = Path("white_box", severity_dirname(severity), f"img-{i}.png")
                 assert (tmp_path / "o" / rel).read_bytes() == (
                     tmp_path / "want.png"
                 ).read_bytes(), rel
@@ -499,15 +545,15 @@ class TestRunSweep:
         h, w = 256, 512
         (tmp_path / "clean").mkdir()
         save_image(_random_image(95, h=h, w=w), tmp_path / "clean" / "a.png")
-        specs = severity_sweep("white_box", "whitebox-paper")
+        sweep = severity_sweep("white_box", "whitebox-paper")
         tracemalloc.start()
         try:
-            run_sweep(tmp_path / "clean", specs, tmp_path / "o")
+            run_sweep(tmp_path / "clean", sweep, tmp_path / "o")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * h * w * 3, f"peak {peak / 2**20:.2f} MiB"
-        assert len(list((tmp_path / "o").rglob("*.png"))) == len(specs)
+        assert len(list((tmp_path / "o").rglob("*.png"))) == len(sweep.severities)
 
     def test_fog_sweep_with_provided_depth(self, tmp_path):
         from cornercase.images import save_depth
@@ -520,9 +566,9 @@ class TestRunSweep:
         save_image(img, src / "a.png")
         near = DepthMap(depth=np.full((8, 8), 10.0), valid=np.ones((8, 8), dtype=bool))
         save_depth(near, depth_dir / "a.png", meters_per_unit=0.01)
-        specs = severity_sweep("fog", [0.02])
-        with_depth = run_sweep(src, specs, tmp_path / "o1", depth_dir=depth_dir)
-        without = run_sweep(src, specs, tmp_path / "o2")
+        sweep = severity_sweep("fog", [0.02])
+        with_depth = run_sweep(src, sweep, tmp_path / "o1", depth_dir=depth_dir)
+        without = run_sweep(src, sweep, tmp_path / "o2")
         assert with_depth["depth_policy"] == "provided"
         assert without["depth_policy"] == "default_ramp"
         # a uniformly near scene fogs far less than the 300m-top ramp
@@ -544,13 +590,13 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("kind", sorted(SWEEP_GRIDS))
     def test_blocks_equal_single_image_corruption(self, kind):
         images = [_random_image(60 + i, h=64, w=96) for i in range(3)]
-        specs = severity_sweep(kind, SWEEP_GRIDS[kind], base_seed=4)
+        sweep = severity_sweep(kind, SWEEP_GRIDS[kind], base_seed=4)
         seen = []
-        for i, j, seed, block in _sweep_blocks([(img, None) for img in images], specs):
+        for i, j, seed, block in _sweep_blocks([(img, None) for img in images], sweep):
             assert seed == 4 + i
             assert block.shape[0] * block[0].size <= _SWEEP_BLOCK_ELEMENTS
             for k, pixels in enumerate(block):
-                spec = CorruptionSpec(kind, specs[j + k].severity, seed=seed)
+                spec = CorruptionSpec(kind, sweep.severities[j + k], seed=seed)
                 want = _reference_corruption(images[i], spec).pixels
                 assert pixels.tobytes() == want.tobytes()
                 seen.append((i, j + k))
@@ -584,12 +630,12 @@ class TestSweepBlocks:
         src.mkdir()
         for i in range(3):
             save_image(_random_image(75 + i, h=h, w=w), src / f"img-{i}.png")
-        specs = severity_sweep(kind, SWEEP_GRIDS[kind], base_seed=2)
-        run_sweep(src, specs, tmp_path / "sweep")
-        _reference_sweep_outputs(src, specs, tmp_path / "reference")
+        sweep = severity_sweep(kind, SWEEP_GRIDS[kind], base_seed=2)
+        run_sweep(src, sweep, tmp_path / "sweep")
+        _reference_sweep_outputs(src, sweep, tmp_path / "reference")
         written = sorted(p.relative_to(tmp_path / "reference")
                          for p in (tmp_path / "reference").rglob("*.png"))
-        assert len(written) == 3 * len(specs)
+        assert len(written) == 3 * len(sweep.severities)
         assert sorted(p.relative_to(tmp_path / "sweep")
                       for p in (tmp_path / "sweep").rglob("*.png")) == written
         for rel in written:
@@ -615,11 +661,11 @@ class TestSweepBlocks:
         # numpy reports its buffers to tracemalloc; the 50 corrupted
         # images at once would be 7.4 MB
         img = _random_image(80, h=64, w=96)
-        specs = severity_sweep("gaussian_noise", "noise-paper", base_seed=0)
-        feats = np.empty((len(specs), 3 * 16 + 3))
+        sweep = severity_sweep("gaussian_noise", "noise-paper", base_seed=0)
+        feats = np.empty((len(sweep.severities), 3 * 16 + 3))
         tracemalloc.start()
         try:
-            for _, j, _, block in _sweep_blocks([(img, None)], specs):
+            for _, j, _, block in _sweep_blocks([(img, None)], sweep):
                 feats[j : j + len(block)] = toy_encode(block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -634,8 +680,8 @@ class TestSweepBlocks:
         # 9216 candidates alone is 3.5 MiB.
         rng = np.random.default_rng(81)
         img = ImageBuffer((rng.uniform(size=(64, 96, 3)) < 0.5).astype(float))
-        specs = severity_sweep("gaussian_noise", "noise-paper", base_seed=0)
-        sigmas = [spec.severity for spec in specs]
+        sweep = severity_sweep("gaussian_noise", "noise-paper", base_seed=0)
+        sigmas = list(sweep.severities)
         tracemalloc.start()
         try:
             feats = toy_encode_noise_sweep(img, _noise_field(0, img.pixels.shape), sigmas)
@@ -643,15 +689,7 @@ class TestSweepBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
-        assert feats.shape == (len(specs), 3 * 16 + 3)
-
-    def test_mixed_seeds_rejected(self):
-        specs = [
-            CorruptionSpec("gaussian_noise", 0.1, seed=0),
-            CorruptionSpec("gaussian_noise", 0.2, seed=1),
-        ]
-        with pytest.raises(ValidationError):
-            _sweep_spec(specs)
+        assert feats.shape == (len(sweep.severities), 3 * 16 + 3)
 
 
 class TestSpecValidation:

@@ -100,6 +100,16 @@ class TestFitGmm:
         with pytest.raises(FitError):
             fit_gmm(es, components=4)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_tol_outside_its_range_rejected(self, tol):
+        with pytest.raises(FitError, match="tol a finite number > 0"):
+            fit_gmm(_set_from(np.eye(3)), components=1, tol=tol)
+
+    @pytest.mark.parametrize("seed", [-2, 2**63, 0.5, False])
+    def test_seed_outside_its_range_rejected(self, seed):
+        with pytest.raises(FitError, match="seed must be an integer in"):
+            fit_gmm(_set_from(np.eye(3)), components=1, seed=seed)
+
     def test_all_identical_data(self):
         es = _set_from(np.ones((10, 2)))
         with pytest.raises(FitError, match="collapsed"):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cornercase.corruptions import (
-    CorruptionSpec,
+    Sweep,
     _image_blocks,
     _noise_field,
-    _sweep_spec,
     apply_fog,
     severity_sweep,
 )
@@ -375,17 +374,18 @@ class TestToyEncoder:
 
 
 def noise_sweep_block_reference(img, sigmas, grid, seed):
-    """toy_encode of the sweep engine's corrupted blocks, one row per sigma."""
-    specs = [CorruptionSpec("gaussian_noise", float(s), seed=seed) for s in sigmas]
-    feats = np.empty((len(specs), 3 * grid * grid + 3))
-    spec, severities = _sweep_spec(specs)
-    for j, block in _image_blocks(img, None, seed, spec, severities):
+    """toy_encode of the sweep engine's corrupted blocks, one row per sigma
+    in the order given: the sweep runs over the distinct sigmas, ascending."""
+    distinct, order = np.unique(sigmas, return_inverse=True)
+    sweep = Sweep("gaussian_noise", distinct, seed=seed)
+    feats = np.empty((len(distinct), 3 * grid * grid + 3))
+    for j, block in _image_blocks(img, None, seed, sweep):
         feats[j : j + len(block)] = toy_encode(block, grid=grid)
-    return feats
+    return feats[order]
 
 
 NOISE_SIGMA_GRIDS = {
-    "noise-paper": [s.severity for s in severity_sweep("gaussian_noise", "noise-paper")],
+    "noise-paper": list(severity_sweep("gaussian_noise", "noise-paper").severities),
     "three": [0.0, 0.05, 0.3],
     "one": [0.2],
 }
