@@ -28,7 +28,6 @@ _EXPORTS = {
         "run_corruption_sweep",
     ),
     "corruptions": (
-        "CorruptionSpec",
         "Sweep",
         "apply_corruption",
         "apply_fog",

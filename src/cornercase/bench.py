@@ -129,6 +129,8 @@ class BenchConfig:
             raise ConfigError("gmm_components and knn_k must be positive")
         if self.gmm_bic and self.gmm_components != BenchConfig.gmm_components:
             raise ConfigError("gmm_components is not read with gmm_bic, which picks the count by BIC")
+        if self.max_iters < 1 or not 0.0 < self.tol < np.inf:
+            raise ConfigError("max_iters must be >= 1 and tol a finite number > 0")
         if not 0.0 < self.tpr_target <= 1.0:
             raise ConfigError("tpr_target must lie in (0, 1]")
         if self.sweep is not None and methods[0] == "mean_uncertainty":

@@ -7,15 +7,15 @@ so each output pixel is a convex combination of the scene radiance and
 the atmospheric light A. With A above the scene radiance the output is
 monotone non-decreasing in beta pixel by pixel.
 
-Every operation is a pure function of (input, spec) including the
-seed, so sweeps replay bit-identically.
+Every operation is a pure function of the input and one Sweep record
+(kind, severities, seed, light), so sweeps replay bit-identically.
 
 The sweep engine's unit is one image, corrupted a block of severities at
-a time (_image_blocks). Each sweep driver is one loop over sources read
-one at a time (_read_sources): run_sweep writes files, bench's toy sweep
-scores them. Each looks up once its kind's record in _KINDS, which says
-how the kind corrupts, writes and scores an image, and whether it reads
-depth maps (fog only). A sweep itself is one checked record, Sweep.
+a time (_image_blocks), which apply_corruption returns too. Each sweep
+driver is one loop over sources read one at a time (_read_sources):
+run_sweep writes files, bench's toy sweep scores them. Each looks up
+once its kind's record in _KINDS, which says how the kind corrupts,
+writes and scores an image, and whether it reads depth maps (fog only).
 
 run_sweep overlaps its work: the main thread makes each output's PNG
 job, while a pool of _PNG_WRITERS threads finishes the deflate and
@@ -44,7 +44,7 @@ import numpy as np
 
 from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
 from .errors import ValidationError, check_seed
-from .images import DepthMap, ImageBuffer, load_depth
+from .images import DepthMap, ImageBuffer, _adopt, load_depth
 from .images import _bands_over, _deflated_bands, _encode_png, _quantize, _read_rgb, _scanlines
 from .images import _sorted_pngs, _write_file
 
@@ -77,28 +77,6 @@ SWEEP_PRESETS = {
 
 
 @dataclass(frozen=True)
-class CorruptionSpec:
-    """One corruption setting: beta for fog, sigma for noise, area
-    fraction for white_box."""
-
-    kind: str
-    severity: float
-    seed: int = 0
-    atmospheric_light: float = DEFAULT_ATMOSPHERIC_LIGHT
-
-    def __post_init__(self):
-        if self.kind not in CORRUPTION_KINDS:
-            raise ValidationError(f"unknown corruption kind {self.kind!r}")
-        if not np.isfinite(self.severity) or self.severity < 0:
-            raise ValidationError("severity must be a non-negative real")
-        if self.kind == "white_box" and self.severity > 1.0:
-            raise ValidationError("white_box area fraction must be <= 1")
-        if not 0.0 <= self.atmospheric_light <= 1.0:
-            raise ValidationError("atmospheric_light must lie in [0, 1]")
-        check_seed(self.seed)
-
-
-@dataclass(frozen=True)
 class Sweep:
     """One kind, seed and atmospheric light over a strictly increasing grid
     of severities with distinct output directories. Image i of the sweep
@@ -111,8 +89,15 @@ class Sweep:
 
     def __post_init__(self):
         severities = tuple(float(v) for v in self.severities)
-        for severity in severities:
-            CorruptionSpec(self.kind, severity, self.seed, self.atmospheric_light)
+        if self.kind not in CORRUPTION_KINDS:
+            raise ValidationError(f"unknown corruption kind {self.kind!r}")
+        if not all(0.0 <= s < np.inf for s in severities):  # NaN fails too
+            raise ValidationError("severity must be a non-negative real")
+        if self.kind == "white_box" and max(severities, default=0.0) > 1.0:
+            raise ValidationError("white_box area fraction must be <= 1")
+        if not 0.0 <= self.atmospheric_light <= 1.0:
+            raise ValidationError("atmospheric_light must lie in [0, 1]")
+        check_seed(self.seed)
         if not severities:
             raise ValidationError("severity grid must be non-empty")
         # severity_dirname rounds monotonically, so in an increasing grid the
@@ -171,8 +156,7 @@ def apply_fog(
     Invalid-depth pixels use the median of the valid depths; a missing
     depth map falls back to the default vertical ramp.
     """
-    spec = CorruptionSpec("fog", beta, atmospheric_light=atmospheric_light)
-    return apply_corruption(img, spec, depth)
+    return apply_corruption(img, Sweep("fog", (beta,), 0, atmospheric_light), depth)[0]
 
 
 def apply_gaussian_noise(img: ImageBuffer, sigma: float, seed: int = 0) -> ImageBuffer:
@@ -181,7 +165,7 @@ def apply_gaussian_noise(img: ImageBuffer, sigma: float, seed: int = 0) -> Image
     The noise is sigma times the standard normal field drawn from
     default_rng(seed), so one field serves every sigma of a sweep.
     """
-    return apply_corruption(img, CorruptionSpec("gaussian_noise", sigma, seed=seed))
+    return apply_corruption(img, Sweep("gaussian_noise", (sigma,), seed))[0]
 
 
 def apply_white_box(img: ImageBuffer, area_fraction: float, seed: int = 0) -> ImageBuffer:
@@ -190,16 +174,15 @@ def apply_white_box(img: ImageBuffer, area_fraction: float, seed: int = 0) -> Im
     The side is round(sqrt(f * H * W)) clamped to the image bounds; the
     box position is drawn uniformly from the seeded generator.
     """
-    return apply_corruption(img, CorruptionSpec("white_box", area_fraction, seed=seed))
+    return apply_corruption(img, Sweep("white_box", (area_fraction,), seed))[0]
 
 
-def apply_corruption(
-    img: ImageBuffer, spec: CorruptionSpec, depth: DepthMap | None = None
-) -> ImageBuffer:
-    """Corrupt one image under one spec: its kind's stack at the one
-    severity, so `corrupt`, `sweep` and this function share every formula."""
-    corrupt = _KINDS[spec.kind].bind(img, depth, spec.seed, spec.atmospheric_light)
-    return ImageBuffer(corrupt(np.array([spec.severity]))[0])
+def apply_corruption(img: ImageBuffer, sweep: Sweep, depth: DepthMap | None = None) -> list:
+    """img under each severity of the sweep, seeded sweep.seed: ImageBuffers
+    over the engine's blocks, checked and read-only but not copied, so
+    `corrupt`, `sweep` and this function share every formula."""
+    blocks = _image_blocks(img, depth, sweep.seed, sweep)
+    return [_adopt(ImageBuffer, pixels) for _, block in blocks for pixels in block]
 
 
 # Each function below corrupts one (H, W, 3) image at b severities and
@@ -440,7 +423,7 @@ def run_sweep(
 class _Kind(NamedTuple):
     """What sets a corruption kind apart; depth is None for a kind that does not read it."""
 
-    bind: Callable  # (img, depth, seed, light) -> severities -> (b, H, W, 3) stack
+    bind: Callable  # (img, depth, seed, light) -> severities -> stack; _image_blocks only
     files: Callable  # (uint8 pixels, depth, seed, sweep) -> (k, PNG job) per severity k
     rows: Callable  # (img, depth, seed, sweep, grid) -> (K, dim) toy rows
     reads_depth: bool = False  # sweeps read depth maps; the manifest records policy and light

@@ -10,15 +10,15 @@ Log density rather than raw density is used for the GMM score because
 raw densities underflow in high dimension; the monotone transform
 leaves every rank-based detection metric unchanged.
 
-EM runs on the fitting rows centred on their column mean (Xc), and the
-scorer centres queries on the model mean. The E-step's quadratic term
-is Xc2 @ (1/var).T - 2 Xc @ (mu/var).T + sum(mu^2/var) and the M-step
-variance (R.T @ Xc2) / mass - mu^2: a few matrix products in place of
-a loop over components. Both expanded forms can cancel (tight clusters
+EM runs on the fitting rows centred on their column mean (Xc). The
+E-step's quadratic term is Xc2 @ (1/var).T - 2 Xc @ (mu/var).T +
+sum(mu^2/var) and the M-step variance (R.T @ Xc2) / mass - mu^2: a few
+matrix products in place of a loop over components. Both expanded forms can cancel (tight clusters
 far from the centre), so every entry carries a proven rounding bound
 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and one
 whose bound exceeds 1e-9 * max(1, |value|) is recomputed by explicit
-differences; see _log_gaussian_matrix and _m_step.
+differences; see _log_gaussian_matrix and _m_step. The scorer sums the
+explicit differences, so scores, unlike fits, do not depend on the BLAS.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ _MODEL_LAYOUTS = {
 
 VARIANCE_FLOOR = 1e-6
 
-# Largest temporary a kNN query block, or a block of GMM entries
-# recomputed by explicit differences, may allocate, in float64 values
-# (2 MiB), apart from one row of distances per kNN query.
+# Largest temporary a kNN query block, a block of GMM entries recomputed
+# by explicit differences or a block of GMM score rows may allocate, in
+# float64 values (2 MiB), apart from one row of distances per kNN query.
 _BLOCK_ELEMENTS = 1 << 18
 
 # Query rows per kNN block when the stored points are tiled: enough rows
@@ -435,22 +435,25 @@ def fit_gmm_bic(
 
 
 def gmm_log_density(model: GmmModel, X: np.ndarray) -> np.ndarray:
-    """Log mixture density for each row of X, via log-sum-exp.
-
-    Rows are centred on the model mean, weights @ means (for a fitted
-    model, the fitting data's mean), as in fit_gmm.
-    """
+    """Log mixture density for each row of X, via log-sum-exp. Each
+    quadratic term sums (x - mu)^2 / var explicitly, in row blocks of at
+    most _BLOCK_ELEMENTS values: no matrix product, so no BLAS, decides
+    the bits."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ValidationError(
             f"query dim {X.shape[-1] if X.ndim else '?'} does not match model dim {model.dim}"
         )
-    centre = model.weights @ model.means
-    Xc = X - centre
+    quad = np.empty((len(X), model.components))
+    step = max(1, _BLOCK_ELEMENTS // model.dim)
+    # an explicit sum past the float64 range is inf: density 0
+    with np.errstate(over="ignore"):
+        for s in range(0, len(X), step):
+            for j, (mean, var) in enumerate(zip(model.means, model.variances)):
+                quad[s : s + step, j] = ((X[s : s + step] - mean) ** 2 / var).sum(axis=1)
+    const = -0.5 * np.log(2.0 * np.pi * model.variances).sum(axis=1)  # (K,)
     with np.errstate(divide="ignore"):
-        log_joint = np.log(model.weights)[None, :] + _log_gaussian_matrix(
-            Xc, Xc * Xc, model.means - centre, model.variances
-        )
+        log_joint = np.log(model.weights) + (const - 0.5 * quad)
     bad = np.flatnonzero(~np.isfinite(log_joint.max(axis=1)))
     if bad.size:
         raise ValidationError(f"query row {bad[0]}: log density is not finite in float64")

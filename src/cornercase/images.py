@@ -291,6 +291,12 @@ def _png_chunks(path, data: bytes):
     return header, idat[0] if len(idat) == 1 else b"".join(idat)
 
 
+# Most pixels a PNG header may claim, 16 paper frames of 1024x2048: a decode
+# takes about 30 B per claimed pixel (a 16-bit 4000x4000 map in 120 KB reached
+# 456 MB max RSS), and IHDR allows 2^31-1 a side. A constant, not a setting.
+_MAX_PNG_PIXELS = 1 << 25
+
+
 def read_png(path) -> np.ndarray:
     """Decode a PNG file.
 
@@ -299,6 +305,8 @@ def read_png(path) -> np.ndarray:
     """
     header, idat = _png_chunks(path, Path(path).read_bytes())
     width, height, bit_depth, color_type, compression, filter_method, interlace = header
+    if width * height > _MAX_PNG_PIXELS:
+        raise FormatError(f"{path}: PNG is {width}x{height}, above the {_MAX_PNG_PIXELS} px budget")
     if compression != 0 or filter_method != 0:
         raise FormatError(f"{path}: unsupported PNG compression/filter method")
     if interlace != 0:

@@ -351,7 +351,7 @@ class TestPcaCli:
 INIT_NAMES = {
     "bench": "BenchConfig BenchReport SweepSettings config_digest emit_report "
     "generate_synthetic_benchmark load_config parse_report run_benchmark run_corruption_sweep",
-    "corruptions": "CorruptionSpec Sweep apply_corruption apply_fog apply_gaussian_noise "
+    "corruptions": "Sweep apply_corruption apply_fog apply_gaussian_noise "
     "apply_white_box default_depth_ramp severity_sweep",
     "density": "GmmModel KnnIndex build_knn_index fit_gmm fit_gmm_bic persist_model "
     "restore_model score_set",
@@ -483,7 +483,7 @@ def test_package_names_resolve_to_their_submodules():
         "print(len(cornercase.__all__))\n"
     )
     out = _fresh_python("-c", snippet, json.dumps(INIT_NAMES)).stdout.splitlines()
-    assert out == ["module 'cornercase' has no attribute 'no_such_name'", "72"]
+    assert out == ["module 'cornercase' has no attribute 'no_such_name'", "71"]
 
 
 class TestExitCodes:
@@ -743,6 +743,22 @@ MALFORMED_INPUTS = {
     ),
     "boolean tol": (
         lambda t: _bench_argv(t, None, tol=True),
+        2,
+    ),
+    "max_iters 0": (
+        lambda t: _bench_argv(t, None, max_iters=0),
+        2,
+    ),
+    "negative max_iters": (
+        lambda t: _bench_argv(t, None, max_iters=-5),
+        2,
+    ),
+    "tol 0": (
+        lambda t: _bench_argv(t, None, tol=0),
+        2,
+    ),
+    "negative tol": (
+        lambda t: _bench_argv(t, None, tol=-1e-6),
         2,
     ),
     "string tpr_target": (

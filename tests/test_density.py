@@ -1,9 +1,13 @@
 """GMM fitting, k-NN scoring and model persistence tests."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from cornercase.density import (
     restore_model,
     score_set,
 )
-from cornercase.embeddings import EmbeddingSet
+from cornercase.embeddings import EmbeddingSet, save_embeddings
 from cornercase.errors import FitError, FormatError, ValidationError
 
 
@@ -383,8 +387,9 @@ def _assert_close(got, want):
 
 
 class TestGmmGemmReference:
-    """The GEMM E-step, M-step and scorer against the loops they replaced,
-    to 1e-9 * max(1, |value|) (the rounding bound each path enforces)."""
+    """The GEMM E-step and M-step against the loops they replaced, to
+    1e-9 * max(1, |value|) (the rounding bound each path enforces), and
+    the scorer, which sums explicit differences, bit for bit."""
 
     @pytest.mark.parametrize("kind", GMM_DRAWS)
     def test_e_step_and_scores(self, kind):
@@ -395,9 +400,9 @@ class TestGmmGemmReference:
         _assert_close(
             _log_gaussian_matrix(Xc, Xc * Xc, model.means - centre, model.variances), want
         )
-        _assert_close(
-            gmm_log_density(model, X), _logsumexp_rows(np.log(model.weights) + want)
-        )
+        # the perfbench draw's 8000 rows of 128 span four row blocks
+        got = gmm_log_density(model, X)
+        assert got.tobytes() == _logsumexp_rows(np.log(model.weights) + want).tobytes()
 
     @pytest.mark.parametrize("kind", GMM_DRAWS)
     def test_m_step(self, kind):
@@ -423,6 +428,47 @@ class TestGmmGemmReference:
         _assert_close(got.weights, weights)
         _assert_close(got.means, means)
         _assert_close(got.variances, variances)
+
+
+# OpenBLAS kernels for three CPU generations; SkylakeX needs AVX-512.
+# Another BLAS ignores the variable, and the scores match trivially.
+def _core_types():
+    try:
+        flags = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        flags = ""
+    return ("Haswell", "Sandybridge", "SkylakeX") if " avx512f" in flags else (
+        "Haswell", "Sandybridge")
+
+
+def test_scores_of_a_model_equal_under_every_blas_core_type(tmp_path):
+    # A GEMM-scored model's score files differed from the 50th character
+    # on between these core types, since each kernel sums in its own order.
+    import cornercase
+
+    rng = np.random.default_rng(17)
+    model = GmmModel(
+        weights=rng.dirichlet(np.ones(4)),
+        means=rng.normal(scale=0.5, size=(4, 128)),
+        variances=rng.uniform(0.5, 2.0, size=(4, 128)),
+        trained_on=8000,
+        seed=0,
+    )
+    persist_model(model, tmp_path / "gmm.ccmdl")
+    save_embeddings(_set_from(rng.standard_normal((500, 128)), "q"), tmp_path / "q.ccemb")
+    src = str(Path(cornercase.__file__).resolve().parents[1])
+    outputs = []
+    for core in _core_types():
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"{core}.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "cornercase", "score", "--model", str(tmp_path / "gmm.ccmdl"),
+             "--embeddings", str(tmp_path / "q.ccemb"), "--label", "id", "--out", str(out)],
+            check=True, env=env, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 class TestKnn:

@@ -12,7 +12,9 @@ values.
 
 import json
 import struct
+import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ from cornercase.cli import main
 from cornercase.density import GmmModel, KnnIndex, persist_model, restore_model
 from cornercase.embeddings import EmbeddingSet, FeatureMap, load_embeddings, save_embeddings
 from cornercase.embeddings import save_feature_map
-from cornercase.errors import CornerCaseError
-from cornercase.images import DepthMap, load_depth, load_image, save_depth, write_png
-from cornercase.metrics import load_score_lines, save_scores
+from cornercase.errors import CornerCaseError, FormatError
+from cornercase.images import _MAX_PNG_PIXELS, DepthMap, load_depth, load_image, save_depth
+from cornercase.images import write_png
+from cornercase.metrics import load_pixel_ground_truth, load_score_lines, save_scores
 from cornercase.uncertainty import load_uncertainty_map
 
 
@@ -234,3 +237,65 @@ def test_wide_floats_end_in_typed_errors(inputs, means, variances, rows):
         for reads, argv in commands:
             allowed = (0, 2, 3, 4) if all(loaded[f] for f in reads) else (2, 3, 4)
             assert main(argv) in allowed, argv
+
+
+def _claiming_png(width, height, bit_depth, color_type) -> bytes:
+    """A PNG whose IHDR claims width x height pixels and whose image data
+    is one deflated byte."""
+
+    def chunk(ctype, payload):
+        crc = zlib.crc32(ctype + payload) & 0xFFFFFFFF
+        return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
+
+    ihdr = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(b"\x00")) + chunk(b"IEND", b""))
+
+
+SIDE = 2**31 - 1  # the largest side IHDR allows
+
+# file under test -> (bit depth, color type, its loader, the command that
+# reads it, or None for ground truth, which no command reads)
+CLAIMS = {
+    "imgs/a.png": (8, 2, load_image, CASES["imgs/a.png"][1]),
+    "depth/a.png": (16, 0, load_depth, CASES["depth/a.png"][1]),
+    "pmaps/m.png": (16, 0, load_uncertainty_map, _score_maps),
+    "gt.png": (8, 0, load_pixel_ground_truth, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLAIMS))
+@pytest.mark.parametrize(
+    "width, height",
+    [(SIDE, SIDE), (SIDE, 1), (1, SIDE), (8192, 4097), (4096, 8193)],
+)
+def test_png_claiming_more_pixels_than_the_budget_is_a_format_error(
+    tmp_path, capsys, case, width, height
+):
+    assert width * height > _MAX_PNG_PIXELS
+    _write_inputs(tmp_path)
+    bit_depth, color_type, load, argv = CLAIMS[case]
+    path = tmp_path / case
+    path.write_bytes(_claiming_png(width, height, bit_depth, color_type))
+    tracemalloc.start()
+    try:
+        budget = f"{width}x{height}, above the {_MAX_PNG_PIXELS} px budget"
+        with pytest.raises(FormatError, match=budget):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    if argv is not None:
+        assert main(argv(tmp_path, path)) == 3
+        assert "px budget" in capsys.readouterr().err
+
+
+def test_png_at_the_budget_is_inflated(tmp_path):
+    # a claim of exactly the budget passes the check, and its one-byte
+    # image data is then too short
+    path = tmp_path / "a.png"
+    path.write_bytes(_claiming_png(8192, 4096, 8, 0))
+    assert 8192 * 4096 == _MAX_PNG_PIXELS
+    with pytest.raises(FormatError, match="wrong size"):
+        load_pixel_ground_truth(path)
