@@ -438,6 +438,11 @@ def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_test, model)
     return _toy_sweep(ids, sources, sweep, model, settings.encoder_grid, cfg.tpr_target, id_set)
 
 
+def _tpr_provenance(tpr_target: float) -> tuple:
+    """The provenance naming the TPR of the fpr_at_95 column, if not 95%."""
+    return () if tpr_target == 0.95 else (("tpr_target", str(tpr_target)),)
+
+
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Fit every configured method on id_train, score id_test and each
     ood_set, and attach the optional corruption sweep.
@@ -472,6 +477,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         ("config_sha256", config_digest(cfg)),
         ("seed", str(cfg.seed)),
         ("toolkit_version", TOOLKIT_VERSION),
+        *_tpr_provenance(cfg.tpr_target),
     )
     if cfg.sweep is None:
         return BenchReport(rows=tuple(rows), provenance=provenance)

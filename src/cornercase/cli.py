@@ -184,13 +184,13 @@ def _cmd_score(args) -> int:
 
 def _cmd_eval(args) -> int:
     from . import metrics
-    from .bench import BenchReport, emit_report
+    from .bench import BenchReport, _tpr_provenance, emit_report
 
     split = metrics.labeled_scores_from_files(*args.scores)
     rep = metrics.detection_report(split, args.tpr)
     report = BenchReport(
         rows=(("scores", "scores", rep),),
-        provenance=(("toolkit_version", TOOLKIT_VERSION),),
+        provenance=(("toolkit_version", TOOLKIT_VERSION), *_tpr_provenance(args.tpr)),
     )
     print(emit_report(report, args.format), end="")
     return EXIT_OK

@@ -3,21 +3,21 @@
 Positive-class conventions are pinned here once: TPR is measured on
 in-distribution samples; FPR@95 is the OOD false-positive rate at the
 threshold retaining 95% ID TPR; AUPR-IN treats ID as positive and
-AUPR-OUT treats OOD as positive with negated scores. AUROC gives half
+AUPR-OUT treats OOD as positive, lowest score first. AUROC gives half
 credit to ties and PR curves group tied scores at a single threshold,
 so no metric depends on input order. All results are percentages.
+Every metric reads one table: positives and total per tie group,
+highest score first. A LabeledScores split caches its table from one
+stable sort, so its four metrics share one ranking.
 
-Pixel AP and FPR95 over 16-bit uncertainty maps (every valid score
-k/65535 for an integer k in 0..65535) are computed from value counts:
-an exact grid test and np.bincount over 65536 values, block by block,
-replace the sort over pooled pixels, so no temporary grows with the
-pixel count. A PixelScoreMap counts once and caches the counts, so AP
-and FPR95 of one map share a single pass. Any other float map (CCFMP1
-feature-map scores, negated or rescaled scores) takes the sort path: AP
-sorts the valid pixels, and FPR95 selects the positives and counts the
-negatives at or above the threshold block by block, so it holds only
-the positive scores. Both paths use the same integers, so they give
-identical results.
+Pixel AP and FPR95 of a 16-bit uncertainty map (every valid score
+k/65535) build the table from a count of the 65536 values, block by
+block, so no temporary grows with the pixel count; a PixelScoreMap
+caches the counts, so its AP and FPR95 share one pass. Any other float
+map (CCFMP1 features, negated or rescaled scores) is sorted for AP,
+while FPR95 keeps only the positive scores and counts the negatives at
+or above the threshold block by block. Both paths use the same
+integers, so they give identical results.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .embeddings import json_lines
 from .errors import FormatError, ValidationError
 from .images import _frozen_array, read_png
-from .stats import _tie_ends, midranks
+from .stats import _tie_ends
 from .uncertainty import _SIXTEEN_BIT_MAX
 
 # pixels per block of the 16-bit count path (1 MiB of float64)
@@ -55,9 +55,14 @@ class LabeledScores:
         object.__setattr__(self, "id_scores", _frozen_array(id_scores))
         object.__setattr__(self, "ood_scores", _frozen_array(ood_scores))
 
-    def _require_both_sides(self):
+    @cached_property
+    def _counts(self):
+        """_tie_counts with ID positive; cached, as the scores are frozen.
+        Every metric reads it, so each checks here that both sides exist."""
         if self.id_scores.size == 0 or self.ood_scores.size == 0:
             raise ValidationError("metric needs both ID and OOD scores")
+        scores = np.concatenate([self.id_scores, self.ood_scores])
+        return _tie_counts(scores, np.arange(scores.size) < self.id_scores.size)
 
 
 @dataclass(frozen=True)
@@ -138,11 +143,11 @@ def auroc(s: LabeledScores) -> float:
     Equals the Mann-Whitney statistic: the fraction of (ID, OOD) pairs
     where the ID sample outranks the OOD sample, ties counted half.
     """
-    s._require_both_sides()
-    n_id, n_ood = s.id_scores.size, s.ood_scores.size
-    ranks = midranks(np.concatenate([s.id_scores, s.ood_scores]))
-    u = ranks[:n_id].sum() - n_id * (n_id + 1) / 2.0
-    return 100.0 * u / (n_id * n_ood)
+    pos, total = s._counts
+    # 2U sums, per OOD sample, 2 per ID sample above its group and 1 per
+    # ID sample in it: an integer, so u is exact
+    u = float(np.dot(total - pos, 2 * np.cumsum(pos) - pos)) / 2.0
+    return 100.0 * u / (s.id_scores.size * s.ood_scores.size)
 
 
 def calibrate_threshold(id_scores, tpr_target: float = 0.95) -> float:
@@ -167,11 +172,21 @@ def _kth_lowest(n: int, tpr_target: float) -> int:
     return n - math.ceil(tpr_target * n)
 
 
+def _fpr_from_counts(pos: np.ndarray, total: np.ndarray, tpr_target: float) -> float:
+    """FPR (%) at calibrate_threshold of the positives, from a _tie_counts
+    table. The threshold's group is the first by which n_pos - kth
+    positives are seen; every negative from the top through it scores
+    >= the threshold."""
+    tp = np.cumsum(pos)
+    n_pos = int(tp[-1])
+    group = np.searchsorted(tp, n_pos - _kth_lowest(n_pos, tpr_target)) + 1
+    above = int(total[:group].sum()) - int(tp[group - 1])
+    return 100.0 * float(above) / (int(total.sum()) - n_pos)
+
+
 def fpr_at_tpr(s: LabeledScores, tpr_target: float = 0.95) -> float:
     """OOD false-positive rate (%) at the ID-calibrated threshold."""
-    s._require_both_sides()
-    lam = calibrate_threshold(s.id_scores, tpr_target)
-    return 100.0 * float((s.ood_scores >= lam).sum()) / s.ood_scores.size
+    return _fpr_from_counts(*s._counts, tpr_target)
 
 
 def apply_threshold(score: float, lam: float) -> str:
@@ -181,46 +196,38 @@ def apply_threshold(score: float, lam: float) -> str:
     return "ID" if score >= lam else "OOD"
 
 
-def _ap_from_counts(pos: np.ndarray, total: np.ndarray) -> float:
-    """AP = sum over descending-threshold groups of (R_n - R_{n-1}) * P_n.
+def _tie_counts(scores: np.ndarray, positive: np.ndarray) -> tuple:
+    """The tie-group table: (positive, total) counts per group of tied
+    scores, highest score first, from one stable sort."""
+    order = np.argsort(-scores, kind="stable")
+    ends = _tie_ends(scores[order])
+    tp = np.searchsorted(np.flatnonzero(positive[order]), ends)
+    return np.diff(tp, prepend=0), np.diff(ends, prepend=0)
 
-    pos and total count the positives and all scores of each group of
-    tied scores, groups in descending score order. The terms are added
-    one at a time in threshold order; np.sum would add them pairwise and
-    change the last bits.
-    """
+
+def _ap_from_counts(pos: np.ndarray, total: np.ndarray) -> float:
+    """AP = sum over descending-threshold groups of (R_n - R_{n-1}) * P_n,
+    from a _tie_counts table. The terms are added one at a time in
+    threshold order; np.sum would add them pairwise and change the last
+    bits."""
     tp = np.cumsum(pos)
     recall = tp / tp[-1]
     precision = tp / np.cumsum(total)
     return float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def _average_precision(scores: np.ndarray, positive: np.ndarray) -> float:
-    """AP with tied scores grouped at a single threshold, group counts
-    taken from a sort of all scores."""
-    order = np.argsort(-scores, kind="stable")
-    ends = _tie_ends(scores[order])
-    tp = np.searchsorted(np.flatnonzero(positive[order]), ends)
-    return _ap_from_counts(np.diff(tp, prepend=0), np.diff(ends, prepend=0))
-
-
 def aupr(s: LabeledScores, positive: str = "in") -> float:
     """Average precision (%) with the chosen positive class.
 
-    positive='in' ranks by score with ID positive; positive='out'
-    negates scores so the OOD class is ranked first.
+    positive='in' ranks by score with ID positive; positive='out' ranks
+    the same tie groups lowest score first with OOD positive.
     """
-    s._require_both_sides()
+    pos, total = s._counts
     if positive not in ("in", "out"):
         raise ValidationError(f"positive must be 'in' or 'out', got {positive!r}")
-    scores = np.concatenate([s.id_scores, s.ood_scores])
-    labels = np.concatenate(
-        [np.ones(s.id_scores.size, dtype=bool), np.zeros(s.ood_scores.size, dtype=bool)]
-    )
     if positive == "out":
-        scores = -scores
-        labels = ~labels
-    return 100.0 * _average_precision(scores, labels)
+        return 100.0 * _ap_from_counts((total - pos)[::-1], total[::-1])
+    return 100.0 * _ap_from_counts(pos, total)
 
 
 def detection_report(s: LabeledScores, tpr_target: float = 0.95) -> DetectionReport:
@@ -253,16 +260,12 @@ def pixel_average_precision(m: PixelScoreMap) -> float:
     Scores on the 16-bit grid are counted per value; others are sorted.
     """
     counts = m._grid_counts
-    if counts is not None:
-        pos, total = counts
-        if pos.any():
-            return 100.0 * _ap_from_counts(pos, total)
-    else:
+    if counts is None:
         valid = m.valid_mask.ravel()
-        scores, positives = m.scores.ravel()[valid], m.ground_truth.ravel()[valid]
-        if positives.any():
-            return 100.0 * _average_precision(scores, positives)
-    raise ValidationError("pixel map has no valid positive pixel")
+        counts = _tie_counts(m.scores.ravel()[valid], m.ground_truth.ravel()[valid])
+    if not counts[0].any():
+        raise ValidationError("pixel map has no valid positive pixel")
+    return 100.0 * _ap_from_counts(*counts)
 
 
 def pixel_fpr_at_tpr(m: PixelScoreMap, tpr_target: float = 0.95) -> float:
@@ -275,26 +278,16 @@ def pixel_fpr_at_tpr(m: PixelScoreMap, tpr_target: float = 0.95) -> float:
     counts = m._grid_counts
     if counts is None:
         positives = np.concatenate([s[truth] for s, truth in _valid_blocks(m)] or [np.empty(0)])
-        n_pos = positives.size
-        n_neg = np.count_nonzero(m.valid_mask) - n_pos
-    else:
-        pos, total = counts
-        n_pos = int(pos.sum())
-        n_neg = int(total.sum()) - n_pos
-    if not (n_pos and n_neg):
-        raise ValidationError("pixel map needs valid positive and negative pixels")
-    kth = _kth_lowest(n_pos, tpr_target)
-    if counts is None:
-        positives.partition(kth)
-        lam = positives[kth]
-        above = sum(np.count_nonzero(s[~truth] >= lam) for s, truth in _valid_blocks(m))
-    else:
-        # the threshold's tie group is the first, highest first, by which
-        # n_pos - kth positives have been seen; every negative from the
-        # top through that group scores >= the threshold
-        group = np.searchsorted(np.cumsum(pos), n_pos - kth) + 1
-        above = int(total[:group].sum() - pos[:group].sum())
-    return 100.0 * float(above) / n_neg
+        n_neg = np.count_nonzero(m.valid_mask) - positives.size
+        if positives.size and n_neg:
+            kth = _kth_lowest(positives.size, tpr_target)
+            positives.partition(kth)
+            lam = positives[kth]
+            above = sum(np.count_nonzero(s[~truth] >= lam) for s, truth in _valid_blocks(m))
+            return 100.0 * float(above) / n_neg
+    elif 0 < counts[0].sum() < counts[1].sum():
+        return _fpr_from_counts(*counts, tpr_target)
+    raise ValidationError("pixel map needs valid positive and negative pixels")
 
 
 def load_pixel_ground_truth(path) -> tuple[np.ndarray, np.ndarray]:

@@ -128,14 +128,14 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def corr_p_value(r: float, n: int) -> float:
     """Two-sided p-value for H0: rho = 0 given a sample coefficient.
 
-    Uses t = r*sqrt(n-2)/sqrt(1-r^2) against Student-t with n-2
-    degrees of freedom; |r| = 1 gives p = 0 by convention.
+    Uses t = r*sqrt(n-2)/sqrt(1-r^2) against Student-t with n-2 degrees
+    of freedom; with none (n < 3) p = 1, else |r| = 1 gives p = 0.
     """
-    if abs(r) >= 1.0:
-        return 0.0
     df = n - 2
     if df < 1:
         return 1.0
+    if abs(r) >= 1.0:
+        return 0.0
     t2 = r * r * df / (1.0 - r * r)
     return regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t2))
 

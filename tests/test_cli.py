@@ -597,6 +597,46 @@ def _config_bytes_argv(tmp_path, blob):
     return ["bench", "--config", str(tmp_path / "c.json")]
 
 
+class TestTprTargetProvenance:
+    """A report whose FPR column is at a TPR other than 95% names that
+    TPR in its provenance; a report at 95% is unchanged."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_bench_target_survives_report_json(self, tmp_path, capsys, fmt):
+        from cornercase.bench import parse_report
+
+        out = tmp_path / "bench"
+        assert main(["synth", "--dim", "6", "--n-train", "40", "--n-test", "40",
+                     "--shift", "2", "--seed", "4", "--out", str(out)]) == 0
+        config = json.loads((out / "config.json").read_text())
+        (out / "config80.json").write_text(json.dumps({**config, "tpr_target": 0.8}))
+        for name, run in (("config.json", "r95"), ("config80.json", "r80")):
+            assert main(["bench", "--config", str(out / name), "--out", str(tmp_path / run),
+                         "--format", fmt]) == 0
+        stored = {r: json.loads((tmp_path / r / "report.json").read_text()) for r in ("r95", "r80")}
+        assert "tpr_target" not in stored["r95"]["provenance"]
+        assert stored["r80"]["provenance"]["tpr_target"] == "0.8"
+        ext = "csv" if fmt == "csv" else "md"
+        for run, want in (("r95", None), ("r80", "0.8")):
+            capsys.readouterr()
+            assert main(["report", "--report", str(tmp_path / run / "report.json"),
+                         "--format", fmt]) == 0
+            rendered = capsys.readouterr().out
+            assert rendered == (tmp_path / run / f"report.{ext}").read_text()
+            assert parse_report(rendered, fmt)["provenance"].get("tpr_target") == want
+
+    def test_eval_names_a_target_other_than_95(self, tmp_path, capsys):
+        from cornercase.bench import parse_report
+
+        argv = _eval_argv(tmp_path, _ID_SCORE, b'{"id": "b", "score": 0.5, "label": "ood"}')
+        for flags, want in (([], None), (["--tpr", "0.95"], None), (["--tpr", "0.5"], "0.5")):
+            capsys.readouterr()
+            assert main([*argv, *flags]) == 0
+            rendered = capsys.readouterr().out
+            assert parse_report(rendered)["provenance"].get("tpr_target") == want
+            assert ("# tpr_target=" in rendered) == (want is not None)
+
+
 # what follows the magic in a one-record CCEMB1 file (dim 1, id "a"), and a
 # one-point CCMDL1 knn index (dim 1, k 1)
 _CCEMB1_BODY = struct.pack("<HIQ", 1, 1, 1) + struct.pack("<H", 1) + b"a" + struct.pack("<f", 1.0)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cornercase import metrics
@@ -17,7 +17,8 @@ from cornercase.metrics import (
     DetectionReport,
     LabeledScores,
     PixelScoreMap,
-    _average_precision,
+    _ap_from_counts,
+    _tie_counts,
     apply_threshold,
     aupr,
     auroc,
@@ -30,6 +31,7 @@ from cornercase.metrics import (
     pixel_fpr_at_tpr,
     save_scores,
 )
+from cornercase.stats import midranks
 from cornercase.uncertainty import load_uncertainty_map
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,8 @@ def _random_split(rng, tie_heavy=False, max_n=200):
 
 
 def average_precision_loop_reference(scores, positive) -> float:
-    """Tie-walking loop that _average_precision must equal bit for bit."""
+    """Tie-walking loop that AP from a _tie_counts table must equal bit
+    for bit."""
     n_pos = int(positive.sum())
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
@@ -335,6 +338,106 @@ class TestDetectionReport:
             DetectionReport(fpr_at_95=-1.0, auroc=50.0, aupr_in=50.0, aupr_out=50.0)
 
 
+def auroc_midrank_reference(s: LabeledScores) -> float:
+    """AUROC as U from the midranks of the pooled scores."""
+    n_id, n_ood = s.id_scores.size, s.ood_scores.size
+    ranks = midranks(np.concatenate([s.id_scores, s.ood_scores]))
+    u = ranks[:n_id].sum() - n_id * (n_id + 1) / 2.0
+    return 100.0 * u / (n_id * n_ood)
+
+
+def fpr_threshold_reference(s: LabeledScores, tpr_target: float) -> float:
+    """FPR as the share of OOD scores >= calibrate_threshold of the ID side."""
+    lam = calibrate_threshold(s.id_scores, tpr_target)
+    return 100.0 * float((s.ood_scores >= lam).sum()) / s.ood_scores.size
+
+
+def aupr_negated_reference(s: LabeledScores, positive: str) -> float:
+    """AUPR from the loop reference, AUPR-OUT over negated scores."""
+    scores = np.concatenate([s.id_scores, s.ood_scores])
+    labels = np.arange(scores.size) < s.id_scores.size
+    if positive == "out":
+        scores, labels = -scores, ~labels
+    return 100.0 * average_precision_loop_reference(scores, labels)
+
+
+# a few exactly representable values, signed zeros among them, so draws tie
+_TIED = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0])
+_SIDE = st.lists(_TIED | st.floats(-1e3, 1e3), min_size=1, max_size=40)
+
+
+class TestOneTieTable:
+    """All four detection metrics read one cached table per split; each
+    equals its reference formula under ==."""
+
+    @given(id_s=_SIDE, ood_s=_SIDE, target=st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+    @example(id_s=[0.0], ood_s=[-0.0], target=0.95)
+    @example(id_s=[2.0], ood_s=[-0.0, 0.0, 2.0], target=1.0)
+    @example(id_s=[-0.0, 0.0, 0.25], ood_s=[1.0], target=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_reference_formulas(self, id_s, ood_s, target):
+        s = LabeledScores(id_scores=id_s, ood_scores=ood_s)
+        want = (
+            fpr_threshold_reference(s, target),
+            auroc_midrank_reference(s),
+            aupr_negated_reference(s, "in"),
+            aupr_negated_reference(s, "out"),
+        )
+        assert (fpr_at_tpr(s, target), auroc(s), aupr(s, "in"), aupr(s, "out")) == want
+        fresh = LabeledScores(id_scores=id_s, ood_scores=ood_s)
+        assert detection_report(fresh, target) == DetectionReport(*want)
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        # records each ranking of a split, so a test can count them
+        sizes = []
+
+        def spy(scores, positive):
+            sizes.append(scores.size)
+            return _tie_counts(scores, positive)
+
+        monkeypatch.setattr(metrics, "_tie_counts", spy)
+        return sizes
+
+    def test_detection_report_ranks_once(self, sorts):
+        s = _random_split(np.random.default_rng(40), tie_heavy=True)
+        detection_report(s, 0.8)
+        assert sorts == [s.id_scores.size + s.ood_scores.size]
+
+    def test_public_calls_on_one_split_rank_once(self, sorts):
+        s = _random_split(np.random.default_rng(41))
+        first = (auroc(s), fpr_at_tpr(s), fpr_at_tpr(s, 0.5), aupr(s, "in"), aupr(s, "out"))
+        again = (auroc(s), fpr_at_tpr(s), fpr_at_tpr(s, 0.5), aupr(s, "in"), aupr(s, "out"))
+        assert first == again
+        assert len(sorts) == 1
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s: auroc(s), "both ID and OOD"),
+            (lambda s: fpr_at_tpr(s, 0.0), "both ID and OOD"),
+            (lambda s: aupr(s, "neither"), "both ID and OOD"),
+            (lambda s: detection_report(s, 1.5), "both ID and OOD"),
+        ],
+    )
+    @pytest.mark.parametrize("sides", [([], [1.0]), ([1.0], []), ([], [])])
+    def test_sides_checked_first(self, sides, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call(LabeledScores(*sides))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s: fpr_at_tpr(s, 1.5), r"tpr_target must lie in \(0, 1\], got 1.5"),
+            (lambda s: detection_report(s, 0.0), r"tpr_target must lie in \(0, 1\], got 0.0"),
+            (lambda s: aupr(s, "neither"), "positive must be 'in' or 'out', got 'neither'"),
+        ],
+    )
+    def test_then_target_then_positive(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call(LabeledScores(id_scores=[1.0, 0.5], ood_scores=[0.5]))
+
+
 class TestPixelMetrics:
     def _map_from(self, scores, gt, valid=None):
         scores = np.asarray(scores, dtype=float)
@@ -403,7 +506,7 @@ class TestAveragePrecisionReference:
             scores = SCORE_DRAWS[kind](rng, n)
             positive = rng.uniform(size=n) < rng.uniform(0.01, 0.99)
             positive[rng.integers(n)] = True
-            assert _average_precision(scores, positive) == (
+            assert _ap_from_counts(*_tie_counts(scores, positive)) == (
                 average_precision_loop_reference(scores, positive)
             )
 
@@ -441,9 +544,9 @@ class TestPixelApPaths:
 
         def spy(scores, positive):
             sizes.append(scores.size)
-            return _average_precision(scores, positive)
+            return _tie_counts(scores, positive)
 
-        monkeypatch.setattr(metrics, "_average_precision", spy)
+        monkeypatch.setattr(metrics, "_tie_counts", spy)
         return sizes
 
     def _check(self, scores, gt, valid, sorted_sizes, sort_path):
@@ -451,7 +554,7 @@ class TestPixelApPaths:
         got = pixel_average_precision(m)
         assert sorted_sizes == ([int(valid.sum())] if sort_path else [])
         flat, positive = m.scores[m.valid_mask], m.ground_truth[m.valid_mask]
-        assert got == 100.0 * _average_precision(flat, positive)
+        assert got == 100.0 * _ap_from_counts(*_tie_counts(flat, positive))
         assert got == 100.0 * average_precision_loop_reference(flat, positive)
         return got
 

@@ -188,6 +188,20 @@ class TestPearson:
         assert r1 == pytest.approx(r0, abs=1e-12)
         assert r2 == pytest.approx(r0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", [pearson, spearman])
+    @pytest.mark.parametrize("y", [[3.0, 5.0], [5.0, 3.0]])
+    def test_two_points_carry_no_significance(self, kind, y):
+        # two distinct points always give r = +-1, with 0 degrees of freedom
+        res = kind([1.0, 2.0], y)
+        assert abs(res.coefficient) == 1.0
+        assert res.p_value == 1.0
+
+    def test_no_degrees_of_freedom_checked_before_perfect_r(self):
+        assert corr_p_value(1.0, 2) == 1.0
+        assert corr_p_value(-1.0, 2) == 1.0
+        assert corr_p_value(0.3, 2) == 1.0
+        assert corr_p_value(1.0, 3) == 0.0
+
     def test_p_monotone_in_r_and_n(self):
         ps = [corr_p_value(r, 25) for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(b < a for a, b in zip(ps, ps[1:]))
