@@ -19,12 +19,10 @@ writes and scores an image, and whether it reads depth maps (fog only).
 
 run_sweep overlaps its work: the main thread makes each output's PNG
 job, while a pool of _PNG_WRITERS threads finishes the deflate and
-writes the files. A job is (IHDR payload, filter-0 scanlines, done):
-done[b] holds the deflated bytes of the scanlines' band b (see
-images._BAND_BYTES) when they are already made, else None, and done
-itself is None when no band is. A white-box job carries its source's
-bands, deflated once per source, and None only for the bands its box
-overlaps; fog and noise jobs carry none. The main thread waits for the
+writes the files. A job is (IHDR payload, filter-0 scanlines, source),
+the arguments of images._encode_png. A white-box job's source is its
+frame's deflated bands, made once per frame, and the rows its box
+covers; fog and noise jobs have none. The main thread waits for the
 oldest output whenever more than _PNG_WRITERS are unwritten, so at most
 _PNG_WRITERS + 1 jobs, each one frame of scanlines and at most one
 frame's deflated bands, are handed off at a time, and the files and
@@ -45,7 +43,7 @@ import numpy as np
 from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
 from .errors import ValidationError, check_seed
 from .images import DepthMap, ImageBuffer, _adopt, load_depth
-from .images import _bands_over, _deflated_bands, _encode_png, _quantize, _read_rgb, _scanlines
+from .images import _deflated_bands, _encode_png, _quantize, _read_rgb, _scanlines
 from .images import _sorted_pngs, _write_file
 
 # float64 values in one sweep block: b severities of an H x W image make
@@ -191,16 +189,20 @@ def apply_corruption(img: ImageBuffer, sweep: Sweep, depth: DepthMap | None = No
 
 def _fog_stack(pixels, depth, atmospheric_light, betas):
     # depth is (H, W) or the ramp's (H, 1) column; the output is the one
-    # frame-size temporary per severity
-    t = np.exp(-betas[:, None, None] * depth)[..., None]
+    # frame-size temporary per severity. beta * depth may overflow to inf,
+    # where t is its limit 0.
+    with np.errstate(over="ignore"):
+        t = np.exp(-betas[:, None, None] * depth)[..., None]
     out = pixels * t
     out += atmospheric_light * (1.0 - t)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _noise_stack(pixels, field, sigmas):
-    # sigma * field equals Generator.normal(0, sigma, shape) bit for bit
-    out = sigmas[:, None, None, None] * field
+    # sigma * field equals Generator.normal(0, sigma, shape) bit for bit;
+    # where it overflows to +-inf, the value clips to its bound
+    with np.errstate(over="ignore"):
+        out = sigmas[:, None, None, None] * field
     out += pixels
     return np.clip(out, 0.0, 1.0, out=out)
 
@@ -331,27 +333,23 @@ def _frame_outputs(pixels, depth, seed, sweep):
 
 
 def _box_outputs(pixels, depth, seed, sweep):
-    """(k, PNG job) per box fraction k of the uint8 image pixels. A band
-    of rows that a box misses is the source's, so the source's bands are
-    deflated once, and each job gets the scanlines with the box painted
-    255 and those bands' bytes, None for the bands the box overlaps."""
+    """(k, PNG job) per box fraction k of the uint8 image pixels: the
+    scanlines with the box painted 255, and as source the unpainted
+    scanlines' bands, deflated once for all the jobs, and the box rows."""
     h, w = pixels.shape[:2]
     header, rows = _scanlines(pixels)
-    source = _deflated_bands(rows)
+    bands = _deflated_bands(rows)
     for k, fraction in enumerate(sweep.severities):
         top, left, side = _box(h, w, seed, fraction)
         painted = rows.copy()
         painted[top : top + side, 1 + 3 * left : 1 + 3 * (left + side)] = 255
-        done = list(source)
-        for b in _bands_over(rows, top, top + side):
-            done[b] = None
-        yield k, (header, painted, done)
+        yield k, (header, painted, (bands, top, top + side))
 
 
-def _write_output(path, header, scanlines, done):
+def _write_output(path, header, scanlines, source):
     # runs on a writer thread, so it calls only private functions: a tracer
     # that wraps the public ones keeps one span stack, not thread-safe
-    _write_file(path, _encode_png(header, scanlines, done))
+    _write_file(path, _encode_png(header, scanlines, source))
 
 
 def _wait_written(pool, future):

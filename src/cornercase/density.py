@@ -59,7 +59,7 @@ _TILE_ROWS = 128
 # (GEMM) GMM entry may carry before it is recomputed explicitly.
 _GEMM_REL_TOL = 1e-9
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmModel:
     """Diagonal-covariance Gaussian mixture over the fitting embeddings.
 
@@ -111,7 +111,7 @@ class GmmModel:
         return self.means.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnIndex:
     """Exact k-th-neighbor index over the stored fitting embeddings."""
 

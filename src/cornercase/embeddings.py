@@ -37,7 +37,7 @@ _CLIP_BLOCK_ELEMENTS = 1 << 16
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Pre-pooling encoder output stored channel-major: data is (C, H, W)."""
 
@@ -216,7 +216,8 @@ def _unclipped_count(p, f, sigmas) -> np.ndarray:
     hi = np.full(len(p), len(sigmas) - 1)
     for _ in range(len(sigmas).bit_length()):
         mid = (lo + hi) // 2
-        noisy = sigmas[mid] * f
+        with np.errstate(over="ignore"):  # +-inf clips as its value would
+            noisy = sigmas[mid] * f
         noisy += p
         inside = (noisy >= 0.0) & (noisy <= 1.0)
         lo = np.where(inside, mid + 1, lo)
@@ -272,7 +273,8 @@ def toy_encode_noise_sweep(img: ImageBuffer, field, sigmas, grid: int = 4) -> np
         p = pixels[r0 : r0 + band].reshape(-1, 3 * w)
         f = field[r0 : r0 + band].reshape(-1, 3 * w)
         centred = p - mean_row
-        noisy = ascending[-1] * f
+        with np.errstate(over="ignore"):  # +-inf clips as its value would
+            noisy = ascending[-1] * f
         noisy += p
         clips = (noisy < 0.0) | (noisy > 1.0)
         del noisy
@@ -308,8 +310,9 @@ def toy_encode_noise_sweep(img: ImageBuffer, field, sigmas, grid: int = 4) -> np
     s_p, s_f = np.cumsum(cell_terms[:2, ::-1], axis=1)[:, k - 1 :: -1]
     s_pp, s_pf, s_ff = np.cumsum(channel_terms[:3, ::-1], axis=1)[:, k - 1 :: -1]
     sums = s_p + ascending[:, None, None, None] * s_f + np.cumsum(cell_terms[2, :k], axis=0)
-    # (sigma * sqrt(S_f^2))^2 is at most n, where sigma^2 may overflow
-    sq = s_pp + 2.0 * ascending[:, None] * s_pf + (ascending[:, None] * np.sqrt(s_ff)) ** 2
+    # (sigma * sqrt(S_f^2))^2 is at most n, where sigma^2 may overflow, and
+    # sigma * 2 S_(p-a)f at most 2n, where 2 sigma may (doubling is exact)
+    sq = s_pp + ascending[:, None] * (2.0 * s_pf) + (ascending[:, None] * np.sqrt(s_ff)) ** 2
     sq += np.cumsum(channel_terms[3, :k], axis=0)
     shift = sums.sum(axis=(1, 2)) / (h * w) - a
     sq -= (h * w) * shift**2

@@ -95,7 +95,7 @@ def _quantize(values: np.ndarray) -> np.ndarray:
     return np.floor(values, out=values).astype(np.uint8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageBuffer:
     """Normalized RGB image: pixels is (H, W, 3) float64 in [0, 1]."""
 
@@ -128,7 +128,7 @@ class ImageBuffer:
         return _adopt(cls, np.divide(arr, 255.0, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthMap:
     """Per-pixel depth in meters with a validity mask.
 
@@ -377,14 +377,6 @@ def _band_rows(scanlines: np.ndarray) -> int:
     return max(1, _BAND_BYTES // scanlines.shape[1])
 
 
-def _bands_over(scanlines: np.ndarray, top: int, stop: int) -> range:
-    """The indices of the bands that hold any of rows top to stop - 1."""
-    if stop <= top:
-        return range(0)
-    step = _band_rows(scanlines)
-    return range(top // step, (stop - 1) // step + 1)
-
-
 def _deflate_band(rows, last: bool) -> bytes:
     """Raw level-6 deflate of one band's scanlines by a fresh compressor,
     ended by a full flush, or by the stream's final block when last."""
@@ -393,25 +385,29 @@ def _deflate_band(rows, last: bool) -> bytes:
     return compressor.compress(rows) + compressor.flush(end)
 
 
-def _deflated_bands(scanlines: np.ndarray, done=None) -> list[bytes]:
-    """Each band's _deflate_band, top down, the last one finished; done[b],
-    when given and not None, is band b's deflate made before."""
+def _deflated_bands(scanlines: np.ndarray, source=None) -> list[bytes]:
+    """Each band's _deflate_band, top down, the last one finished. With
+    source = (bands, top, stop), scanlines equal the rows that deflated to
+    bands outside rows top to stop - 1, and only the bands that hold one
+    of those rows are deflated again (none when top == stop); the others
+    are taken from bands."""
     step, height = _band_rows(scanlines), len(scanlines)
-    bands = []
-    for b, top in enumerate(range(0, height, step)):
-        made = None if done is None else done[b]
-        last = top + step >= height
-        bands.append(_deflate_band(scanlines[top : top + step], last) if made is None else made)
-    return bands
+    bands, top, stop = source or ((), 0, height)
+    return [
+        _deflate_band(scanlines[row : row + step], row + step >= height)
+        if max(row, top) < min(row + step, stop)
+        else bands[b]
+        for b, row in enumerate(range(0, height, step))
+    ]
 
 
-def _encode_png(header: bytes, scanlines: np.ndarray, done=None) -> list[bytes]:
+def _encode_png(header: bytes, scanlines: np.ndarray, source=None) -> list[bytes]:
     """The PNG file of an IHDR payload and its filter-0 scanlines, as the
     pieces that _write_file writes in turn. Its IDAT is the zlib header
-    78 9c, _deflated_bands(scanlines, done) and the adler32 of all the
+    78 9c, _deflated_bands(scanlines, source) and the adler32 of all the
     scanlines: for one band, the bytes of zlib.compress(scanlines, 6)."""
     adler = struct.pack(">I", zlib.adler32(scanlines))
-    idat = [b"\x78\x9c", *_deflated_bands(scanlines, done), adler]
+    idat = [b"\x78\x9c", *_deflated_bands(scanlines, source), adler]
     pieces = [_PNG_SIGNATURE]
     for ctype, payload in ((b"IHDR", [header]), (b"IDAT", idat), (b"IEND", [])):
         crc = zlib.crc32(ctype)
@@ -496,9 +492,12 @@ def load_depth(path) -> DepthMap:
         scale = json.loads(sidecar.read_text(), parse_int=float)[_DEPTH_SCALE_KEY]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{sidecar}: bad depth sidecar ({exc})") from exc
-    # a JSON number only: float() would also take true and "0.5"
-    if type(scale) is not float or not 0 < scale < math.inf:
-        raise FormatError(f"{sidecar}: {_DEPTH_SCALE_KEY} must be a positive, finite number")
+    # a JSON number only: float() would also take true and "0.5"; the
+    # largest raw value, 65535, must give a finite depth
+    if type(scale) is not float or not 0 < 65535 * scale < math.inf:
+        raise FormatError(
+            f"{sidecar}: {_DEPTH_SCALE_KEY} must be a positive number, finite times 65535"
+        )
     valid = arr > 0
     depth = arr.astype(float) * scale
     depth[~valid] = 1.0  # placeholder; masked out

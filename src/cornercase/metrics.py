@@ -40,7 +40,7 @@ from .uncertainty import _SIXTEEN_BIT_MAX
 _COUNT_BLOCK = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledScores:
     """Detection scores split by ground truth; larger = more in-distribution."""
 
@@ -81,7 +81,7 @@ class DetectionReport:
                 raise ValidationError(f"{name}={v} outside [0, 100]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PixelScoreMap:
     """Pixel anomaly scores (larger = more anomalous) with ground truth."""
 

@@ -37,7 +37,7 @@ class CorrelationResult:
             raise ValidationError("coefficient must be in [-1, 1] and p in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     """Top-k principal axes of the fitting set.
 
@@ -175,9 +175,20 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _centred(v: np.ndarray) -> np.ndarray:
+    """v less its mean, scaled by a power of two to a largest magnitude in
+    [0.5, 1) unless all zero. v is scaled the same way first, so its sum
+    stays finite. Scaling is exact, so the coefficient keeps its bits,
+    while its squares neither overflow near the float maximum nor vanish
+    near the minimum."""
+    v = np.ldexp(v, -np.frexp(max(v.max(), -v.min()))[1])
+    v -= v.mean()
+    return np.ldexp(v, -np.frexp(max(v.max(), -v.min()))[1])
+
+
 def _pearson_coefficient(x: np.ndarray, y: np.ndarray) -> float:
-    xm = x - x.mean()
-    ym = y - y.mean()
+    xm = _centred(x)
+    ym = _centred(y)
     den = math.sqrt(float((xm * xm).sum()) * float((ym * ym).sum()))
     if den == 0.0:
         raise DegenerateInputError("constant input has no defined correlation")

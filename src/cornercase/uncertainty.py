@@ -23,7 +23,7 @@ SIMPLEX_TOL = 1e-9
 _SIXTEEN_BIT_MAX = 65535
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletParams:
     """Concentration parameters of a Dirichlet over K >= 2 classes."""
 
@@ -42,7 +42,7 @@ class DirichletParams:
         return self.kappa.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintyMap:
     """Pixel-wise uncertainty in [0, 1]; values is (H, W)."""
 

@@ -462,6 +462,24 @@ class TestSweepRoutes:
         # identical scenes corrupted at beta=0 would be the ID side itself
         assert report.sweep_rows[0][0] == 0.005
 
+    # 9e307 is past half the float maximum, where 2 sigma overflows in
+    # the noise rows from sums; from 8e307 up, the centred severities'
+    # squares overflow in Pearson
+    @pytest.mark.parametrize("top", [8e307, 9e307])
+    def test_noise_sweep_up_to_the_float_maximum(self, tmp_path, top):
+        sweep = SweepSettings(kind="gaussian_noise", grid=(0.001, 0.01, top))
+        report = run_benchmark(self._image_dir_config(tmp_path, sweep))
+        severities = [severity for severity, _ in report.sweep_rows]
+        assert severities == [0.001, 0.01, top]
+        # a power-of-two scaling is exact and leaves the coefficient as it is
+        scaled = np.ldexp(severities, -1023)
+        pearsons = [(metric, c) for metric, c in report.correlations if c.kind == "pearson"]
+        assert "fpr_at_95" in dict(pearsons)
+        for metric, corr in pearsons:
+            values = [getattr(rep, metric) for _, rep in report.sweep_rows]
+            want = np.corrcoef(scaled, values)[0, 1]
+            assert corr.coefficient == pytest.approx(want, abs=1e-12), metric
+
     @staticmethod
     def _image_dir_config(tmp_path, sweep):
         from cornercase.synthetic import FOG_FAMILY, write_scene_set

@@ -568,13 +568,14 @@ def _pca_k_argv(tmp_path, k):
 
 
 # meters_per_unit values a depth sidecar must not load with; 1e400 and
-# the 400-digit integer overflow a float
+# the 400-digit integer overflow a float, and 1e308 a depth of 65535 units
 BAD_DEPTH_SCALES = {
     "true": "true",
     "string": '"0.5"',
     "NaN": "NaN",
     "Infinity": "Infinity",
     "1e400": "1e400",
+    "1e308": "1e308",
     "400-digit integer": "1" + "0" * 400,
     "0": "0",
     "negative": "-0.5",

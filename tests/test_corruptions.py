@@ -12,14 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornercase import images as images_module
+from cornercase.bench import run_corruption_sweep
 from cornercase.cli import main
 from cornercase.corruptions import (
+    _KINDS,
     _PNG_WRITERS,
     _SWEEP_BLOCK_ELEMENTS,
     DEFAULT_ATMOSPHERIC_LIGHT,
     SWEEP_PRESETS,
     Sweep,
+    _block_rows,
     _box,
+    _box_outputs,
     _box_stack,
     _fog_stack,
     _image_blocks,
@@ -39,12 +44,16 @@ from cornercase.corruptions import (
 from cornercase.embeddings import toy_encode, toy_encode_noise_sweep
 from cornercase.errors import ValidationError
 from cornercase.images import (
+    _BAND_BYTES,
     DepthMap,
     ImageBuffer,
+    _deflated_bands,
     _encode_png,
     _quantize,
     _read_rgb,
+    _scanlines,
     load_image,
+    read_png,
     save_image,
     write_png,
 )
@@ -735,3 +744,162 @@ class TestSpecValidation:
         out = apply_corruption(img, Sweep(kind, (0.0,), seed=3))[0]
         assert out is not img and out.pixels.tobytes() == img.pixels.tobytes()
 
+
+
+def _encode_spied(header, scanlines, source=None):
+    """(file bytes, indices of the bands deflated) of one _encode_png, the
+    bands found from where each deflated slice starts in scanlines."""
+    step = max(1, _BAND_BYTES // scanlines.shape[1])
+    deflate = images_module._deflate_band
+    bands = []
+
+    def spy(rows, last):
+        row = (rows.ctypes.data - scanlines.ctypes.data) // scanlines.strides[0]
+        bands.append(row // step)
+        return deflate(rows, last)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(images_module, "_deflate_band", spy)
+        data = b"".join(_encode_png(header, scanlines, source))
+    return data, bands
+
+
+def _painted_job(height, width, top, stop, seed=0):
+    """(header, source scanlines, scanlines painted 255 in rows top to
+    stop - 1 of the middle columns) of a random RGB frame."""
+    rng = np.random.default_rng(seed)
+    header, rows = _scanlines(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
+    painted = rows.copy()
+    painted[top:stop, 1 + 3 * (width // 4) : 1 + 3 * (width // 4 + width // 2 + 1)] = 255
+    return header, rows, painted
+
+
+class TestBandReuse:
+    """A white-box job names its source's deflated bands and the box rows;
+    the encoder re-deflates exactly the bands that hold any of those rows
+    and writes the bytes of a full encode."""
+
+    # 64 x 96 RGB scanlines are 289 bytes, so a band holds 28 rows and a
+    # 64-row frame has 3 bands; 2 x 2730 gray-size rows of 1 + 8190 bytes
+    # make bands of one row
+    @pytest.mark.parametrize(
+        "height, width, top, stop, want",
+        [
+            (64, 96, 64, 64, []),  # side 0, as _box places it
+            (64, 96, 30, 30, []),  # side 0 inside the frame
+            (64, 96, 0, 64, [0, 1, 2]),  # the full frame
+            (64, 96, 27, 29, [0, 1]),  # across the edge of bands 0 and 1
+            (64, 96, 28, 56, [1]),  # exactly band 1
+            (64, 96, 55, 57, [1, 2]),  # across the edge of bands 1 and 2
+            (64, 96, 63, 64, [2]),  # the last row, in the short last band
+            (10, 20, 3, 7, [0]),  # a one-band frame
+            (1, 37, 0, 1, [0]),  # a one-row frame
+            (1, 37, 1, 1, []),
+            (2, 2730, 1, 2, [1]),  # one row a band
+        ],
+    )
+    def test_redeflates_exactly_the_bands_the_rows_touch(self, height, width, top, stop, want):
+        header, rows, painted = _painted_job(height, width, top, stop)
+        _, made = _encode_spied(header, rows)
+        assert made == list(range(len(made)))
+        got, redone = _encode_spied(header, painted, (_deflated_bands(rows), top, stop))
+        assert redone == want
+        assert got == b"".join(_encode_png(header, painted))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 400),
+        bands=st.integers(1, 5),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_equal_an_encode_without_source(self, seed, width, bands, data):
+        step = max(1, _BAND_BYTES // (3 * width + 1))
+        height = data.draw(st.integers((bands - 1) * step + 1, bands * step))
+        top = data.draw(st.integers(0, height))
+        stop = data.draw(st.integers(top, height))
+        header, rows, painted = _painted_job(height, width, top, stop, seed)
+        got, redone = _encode_spied(header, painted, (_deflated_bands(rows), top, stop))
+        assert got == b"".join(_encode_png(header, painted))
+        assert redone == list(range(top // step, (stop - 1) // step + 1) if stop > top else [])
+
+    def test_white_box_jobs_share_one_band_list(self, tmp_path):
+        # 130 x 130 RGB: bands of 20 rows; the paper grid's boxes span 11 to 45 rows
+        pixels = np.random.default_rng(3).integers(0, 256, (130, 130, 3), dtype=np.uint8)
+        sweep = severity_sweep("white_box", "whitebox-paper", base_seed=4)
+        jobs = list(_box_outputs(pixels, None, 4, sweep))
+        header, rows = _scanlines(pixels)
+        bands = jobs[0][1][2][0]
+        assert bands == _deflated_bands(rows)
+        for k, (j, (job_header, painted, (job_bands, top, stop))) in enumerate(jobs):
+            box_top, left, side = _box(130, 130, 4, sweep.severities[k])
+            assert j == k and job_header == header and job_bands is bands
+            assert (top, stop) == (box_top, box_top + side)
+            path = tmp_path / f"{k}.png"
+            path.write_bytes(_encode_spied(job_header, painted, (job_bands, top, stop))[0])
+            want = pixels.copy()
+            want[box_top : box_top + side, left : left + side] = 255
+            np.testing.assert_array_equal(read_png(path), want)
+
+
+class TestExtremeSeverities:
+    """Severities up to the float maximum: where beta * depth or sigma *
+    field overflow, the value takes its limit, with no RuntimeWarning
+    (the suite turns those into errors)."""
+
+    def test_fog_at_largest_beta_is_the_light(self):
+        img = _random_image(20)
+        depth = DepthMap(np.full((12, 16), 2.0), np.ones((12, 16), dtype=bool))
+        for d in (None, depth):
+            out = apply_fog(img, d, 1e308, atmospheric_light=0.7)
+            assert (out.pixels == 0.7).all()
+
+    def test_noise_at_largest_sigma_clips_to_the_field_sign(self):
+        img = _random_image(21)
+        field = _noise_field(5, img.pixels.shape)
+        assert (apply_gaussian_noise(img, 1e308, seed=5).pixels == (field > 0)).all()
+        field[0, 0] = 0.0  # a zero draw leaves its pixel as it was
+        want = np.where(field > 0, 1.0, np.where(field < 0, 0.0, img.pixels))
+        assert (_noise_stack(img.pixels, field, np.array([1e308]))[0] == want).all()
+
+    @pytest.mark.parametrize("kind", ["fog", "gaussian_noise"])
+    def test_run_sweep_at_largest_severity(self, tmp_path, kind):
+        src = tmp_path / "clean"
+        src.mkdir()
+        save_image(_random_image(22), src / "a.png")
+        sweep = Sweep(kind, (0.01, 1e308), seed=1, atmospheric_light=0.6)
+        run_sweep(src, sweep, tmp_path / "o")
+        out = read_png(tmp_path / "o" / kind / "1e+308" / "a.png")
+        if kind == "fog":
+            assert (out == 153).all()  # floor(0.6 * 255 + 0.5)
+        else:
+            assert set(np.unique(out)) <= {0, 255}
+
+    @pytest.mark.parametrize(
+        "grid", [(0.001, 0.01, 9e307), (0.0, 0.5, 1e308), (1e308,), (1e-300, 8e307, 1e308)]
+    )
+    def test_noise_rows_from_sums_equal_the_engine_rows(self, grid):
+        # a black and a white patch, so values clip at every sigma
+        px = _random_image(23, h=24, w=32).pixels.copy()
+        px[:6, :8] = 0.0
+        px[-6:, -8:] = 1.0
+        img = ImageBuffer(px)
+        sweep = Sweep("gaussian_noise", grid, seed=7)
+        got = _KINDS["gaussian_noise"].rows(img, None, 7, sweep, 4)
+        want = _block_rows(img, None, 7, sweep, 4)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["fog", "gaussian_noise"])
+    def test_run_corruption_sweep_at_largest_severity(self, kind):
+        from cornercase.density import fit_gmm
+        from cornercase.embeddings import EmbeddingSet
+
+        images = [(f"s{i}", _random_image(30 + i)) for i in range(6)]
+        train = EmbeddingSet([f"t{i}" for i in range(20)],
+                             [toy_encode(_random_image(40 + i)) for i in range(20)])
+        model = fit_gmm(train, components=1, seed=0)
+        rows, _ = run_corruption_sweep(images, Sweep(kind, (0.001, 0.01, 1e308), seed=2), model)
+        assert [severity for severity, _ in rows] == [0.001, 0.01, 1e308]
+        for _, report in rows:
+            assert all(math.isfinite(v) for v in (report.auroc, report.fpr_at_95))

@@ -579,14 +579,23 @@ class TestDepthMap:
     @pytest.mark.parametrize(
         "scale",
         ["true", '"0.5"', "NaN", "Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400"),
-         "0", "-0.5", "null"],
+         "0", "-0.5", "null", "1e308", "2.8e303"],
     )
     def test_sidecar_scale_must_be_a_positive_finite_number(self, tmp_path, scale):
+        # 65535 times 1e308 or 2.8e303 is not finite: rejected before any depth is made
         path = tmp_path / "d.png"
         write_png(path, np.full((2, 2), 100, dtype=np.uint16))
         Path(str(path) + ".json").write_text('{"meters_per_unit": %s}' % scale)
         with pytest.raises(FormatError, match="d.png.json"):
             load_depth(path)
+
+    def test_largest_sidecar_scale_loads(self, tmp_path):
+        scale = 2.7e303  # 65535 times it is 1.77e308, below the float maximum
+        path = tmp_path / "d.png"
+        write_png(path, np.array([[65535, 0]], dtype=np.uint16))
+        Path(str(path) + ".json").write_text('{"meters_per_unit": %r}' % scale)
+        dm = load_depth(path)
+        assert dm.depth[0, 0] == 65535 * scale and dm.valid.tolist() == [[True, False]]
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_save_rejects_a_bad_scale(self, tmp_path, scale):

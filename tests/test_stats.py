@@ -202,6 +202,37 @@ class TestPearson:
         assert corr_p_value(0.3, 2) == 1.0
         assert corr_p_value(1.0, 3) == 0.0
 
+    # unscaled, the squares of these centred values overflow or vanish
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, 1e200, 2e200], [1.0, 2.0, 3.0]),
+            ([1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0]),
+            ([0.001, 0.01, 8e307], [96.9, 93.8, 0.0]),
+            ([1e308, 1.5e308, 1.7e308], [3.0, 2.0, 1.0]),  # whose sum overflows too
+        ],
+    )
+    def test_float_extremes(self, x, y):
+        x = np.array(x)
+        want = pearson_formula_oracle(np.ldexp(x, -np.frexp(x.max())[1]), y)
+        res = pearson(x, y)
+        assert res.coefficient == pytest.approx(want, abs=1e-12)
+        # these points are monotone, so the coefficient has Spearman's sign
+        assert math.copysign(1.0, res.coefficient) == spearman(x, y).coefficient
+        assert res.p_value == corr_p_value(res.coefficient, 3)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        ex=st.integers(-900, 900),
+        ey=st.integers(-900, 900),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_scaling_keeps_every_bit(self, seed, ex, ey):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=12)
+        y = 0.3 * x + rng.normal(size=12)
+        assert pearson(np.ldexp(x, ex), np.ldexp(y, ey)) == pearson(x, y)
+
     def test_p_monotone_in_r_and_n(self):
         ps = [corr_p_value(r, 25) for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(b < a for a, b in zip(ps, ps[1:]))
