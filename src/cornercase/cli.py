@@ -236,6 +236,8 @@ def _cmd_pca(args) -> int:
         name, sep, path = item.partition("=")
         if not sep or not name or not path:
             raise ConfigError(f"--embeddings expects NAME=PATH, got {item!r}")
+        if any(name == seen for seen, _ in named):
+            raise ConfigError(f"--embeddings name {name!r} given twice; each names one dataset")
         named.append((name, load_embeddings(path)))
     parts = [(name, es) for name, es in named if len(es)]
     if not parts:

@@ -465,19 +465,6 @@ def build_knn_index(ids: EmbeddingSet, k: int = 50) -> KnnIndex:
     return KnnIndex(k=k, points=ids.matrix())
 
 
-def _kth_in_rows(row: np.ndarray, values: np.ndarray, n: int, ranks: np.ndarray) -> np.ndarray:
-    """Per row i in 0..n-1, the ranks[i]-th smallest (from 0) of its
-    values, from (row, value) pairs sorted by row; +inf pads the shorter
-    rows of the (n, widest row) table."""
-    counts = np.bincount(row, minlength=n)
-    first = np.cumsum(counts) - counts
-    table = np.full((n, counts.max()), np.inf)
-    table[row, np.arange(row.size) - first[row]] = values
-    # the distinct ranks, ascending (np.unique would import numpy.ma, 50 ms)
-    kth = np.flatnonzero(np.bincount(ranks))
-    return np.partition(table, kth, axis=1)[np.arange(n), ranks]
-
-
 def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
     """(table, cols) of a query block: per row, the b of the points that
     pass and the points' indices, the table padded with +inf; None if
@@ -532,12 +519,14 @@ def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
 def _kth_block(block, points, p_sq, k, slack, keep_all, tile) -> np.ndarray:
     """knn_kth_sqdist of one query block, the points in tiles of `tile`.
 
-    Only pairs whose b lies within slack of tau get explicit distances:
-    a point more than slack below it lies strictly below the k-th
-    explicit distance (see knn_kth_sqdist), so each such point lowers
-    its row's rank by one. A block whose candidates outgrow their bound
-    (_block_candidates) runs again against all points at once, in as many
-    rows as fit.
+    Only pairs whose b lies within slack of tau get explicit distances,
+    written over the candidate table's layout: a pair more than slack
+    below tau lies strictly below the k-th explicit distance (see
+    knn_kth_sqdist) and reads -inf, one more than slack above reads +inf.
+    At most k - 1 pairs of a row read -inf and the band holds the k-th
+    explicit distance, so it is the row's (k-1)-th smallest (from 0). A
+    block whose candidates outgrow their bound (_block_candidates) runs
+    again against all points at once, in as many rows as fit.
     """
     found = _block_candidates(block, points, p_sq, k, slack, keep_all, tile)
     if found is None:
@@ -548,7 +537,6 @@ def _kth_block(block, points, p_sq, k, slack, keep_all, tile) -> np.ndarray:
             for s in range(0, len(block), step)
         ])
     table, cols = found
-    n, dim = block.shape
     tau = np.partition(table, k - 1, axis=1)[:, k - 1]
     lo, hi = tau - slack, tau + slack
     lo[keep_all], hi[keep_all] = -np.inf, np.inf
@@ -556,18 +544,17 @@ def _kth_block(block, points, p_sq, k, slack, keep_all, tile) -> np.ndarray:
     # overflowing b (nan) never is. The +inf padding lies above hi: a row
     # that keeps all points, the one with an infinite hi, has none.
     below = table < lo[:, None]
-    ranks = k - 1 - np.count_nonzero(below, axis=1)
-    band = ~(below | (table > hi[:, None]))
-    row, place = np.divmod(np.flatnonzero(band), table.shape[1])
+    row, place = np.nonzero(~(below | (table > hi[:, None])))
     col = cols[row, place]
-    exact = np.empty(row.size)
-    step = max(1, _BLOCK_ELEMENTS // dim)
+    table = np.where(below, -np.inf, np.inf)
+    step = max(1, _BLOCK_ELEMENTS // block.shape[1])
     for s in range(0, row.size, step):
         diff = block[row[s : s + step]]
         diff -= points[col[s : s + step]]
         diff *= diff
-        exact[s : s + step] = diff.sum(axis=1)
-    return _kth_in_rows(row, exact, n, ranks)
+        table[row[s : s + step], place[s : s + step]] = diff.sum(axis=1)
+    table.partition(k - 1, axis=1)
+    return table[:, k - 1]
 
 
 def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
@@ -582,8 +569,10 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
        Numerical Algorithms, 3.1), so every point within 2E of the k-th
        smallest expanded distance is kept (_block_candidates).
     2. Re-rank. Explicit differences are recomputed for the candidates
-       that are not provably nearer than the k-th, and the result is the
-       k-th smallest of those, counting the nearer ones (_kth_block).
+       that are neither provably nearer nor provably farther than the
+       k-th. In the candidate table, the nearer ones read -inf and the
+       farther ones +inf, and one partition of each row takes the k-th
+       smallest (_kth_block).
 
     Queries run in blocks of up to _TILE_ROWS rows against tiles of the
     points. Every temporary holds at most _BLOCK_ELEMENTS values, beyond

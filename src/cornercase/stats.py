@@ -187,11 +187,15 @@ def _centred(v: np.ndarray) -> np.ndarray:
 
 
 def _pearson_coefficient(x: np.ndarray, y: np.ndarray) -> float:
+    # a constant series whose mean does not round back to its value
+    # (0.1, 96.9) would centre to residues, not zeros. In any other, some
+    # value differs from the computed mean, so _centred scales a nonzero
+    # residue to at least 0.5 and den is never 0.
+    if x.min() == x.max() or y.min() == y.max():
+        raise DegenerateInputError("constant input has no defined correlation")
     xm = _centred(x)
     ym = _centred(y)
     den = math.sqrt(float((xm * xm).sum()) * float((ym * ym).sum()))
-    if den == 0.0:
-        raise DegenerateInputError("constant input has no defined correlation")
     r = float((xm * ym).sum()) / den
     r = max(-1.0, min(1.0, r))
     # snap floating-point residue on exactly (anti)linear data

@@ -690,6 +690,19 @@ class TestSweepRoutes:
                 sweep=SweepSettings(kind="fog", grid=(0.1, 0.2)),
             )
 
+    def test_metric_constant_across_sweep_has_no_correlation_row(self):
+        # three means of 96.9 do not round back to 96.9; a Pearson row of
+        # r = 0, p = 1 was kept for it while Spearman's was dropped
+        reports = [
+            DetectionReport(fpr_at_95=96.9, auroc=auroc, aupr_in=50.0, aupr_out=50.0)
+            for auroc in (60.0, 70.0, 90.0)
+        ]
+        correlations = bench_module._sweep_correlations([0.1, 0.2, 0.3], reports)
+        assert [(metric, c.kind) for metric, c in correlations] == [
+            ("auroc", "pearson"),
+            ("auroc", "spearman"),
+        ]
+
 
 class TestReportRendering:
     def _report(self):

@@ -345,6 +345,23 @@ class TestPcaCli:
         pca_err, knn_err = capsys.readouterr().err.splitlines()
         assert pca_err == knn_err == "data error: k must be a positive integer"
 
+    @pytest.mark.parametrize("same_file", [True, False])
+    def test_repeated_name_rejected(self, tmp_path, capsys, same_file):
+        # the same file twice collided on a pooled id; two files whose ids
+        # differ exported two datasets both named x
+        a = _write_embeddings(tmp_path / "a.ccemb", n=30)
+        b = a
+        if not same_file:
+            b = tmp_path / "b.ccemb"
+            save_embeddings(EmbeddingSet([f"b{i}" for i in range(20)], np.ones((20, 6))), b)
+        out = tmp_path / "coords.jsonl"
+        assert main(["pca", "--embeddings", f"x={a}", "--embeddings", f"x={b}",
+                     "--k", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --embeddings name 'x' given twice; each names one dataset\n"
+        )
+        assert not out.exists()
+
 
 # The public names of `cornercase/__init__.py`, which it resolves on first
 # access, by the submodule each comes from.

@@ -441,11 +441,29 @@ def _core_types():
         "Haswell", "Sandybridge")
 
 
+def _score_files_under_core_types(tmp_path, model, queries):
+    """The bytes of `cornercase score` of the queries file against the
+    model file, in a fresh process under each core type."""
+    import cornercase
+
+    src = str(Path(cornercase.__file__).resolve().parents[1])
+    outputs = []
+    for core in _core_types():
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"{core}.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "cornercase", "score", "--model", str(model),
+             "--embeddings", str(queries), "--label", "id", "--out", str(out)],
+            check=True, env=env, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    return outputs
+
+
 def test_scores_of_a_model_equal_under_every_blas_core_type(tmp_path):
     # A GEMM-scored model's score files differed from the 50th character
     # on between these core types, since each kernel sums in its own order.
-    import cornercase
-
     rng = np.random.default_rng(17)
     model = GmmModel(
         weights=rng.dirichlet(np.ones(4)),
@@ -456,18 +474,22 @@ def test_scores_of_a_model_equal_under_every_blas_core_type(tmp_path):
     )
     persist_model(model, tmp_path / "gmm.ccmdl")
     save_embeddings(_set_from(rng.standard_normal((500, 128)), "q"), tmp_path / "q.ccemb")
-    src = str(Path(cornercase.__file__).resolve().parents[1])
-    outputs = []
-    for core in _core_types():
-        env = dict(os.environ, OPENBLAS_CORETYPE=core)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        out = tmp_path / f"{core}.jsonl"
-        subprocess.run(
-            [sys.executable, "-m", "cornercase", "score", "--model", str(tmp_path / "gmm.ccmdl"),
-             "--embeddings", str(tmp_path / "q.ccemb"), "--label", "id", "--out", str(out)],
-            check=True, env=env, capture_output=True,
-        )
-        outputs.append(out.read_bytes())
+    outputs = _score_files_under_core_types(tmp_path, tmp_path / "gmm.ccmdl", tmp_path / "q.ccemb")
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_knn_scores_equal_under_every_blas_core_type(tmp_path):
+    # Each kernel sums the candidate GEMMs in its own order, so the
+    # candidates differ while the k-th explicit distance must not. 5000
+    # points span three tiles of 2048 for a block of 128 queries.
+    from cornercase.cli import main
+
+    rng = np.random.default_rng(18)
+    save_embeddings(_set_from(rng.standard_normal((5000, 32))), tmp_path / "train.ccemb")
+    save_embeddings(_set_from(rng.standard_normal((500, 32)) + 0.2, "q"), tmp_path / "q.ccemb")
+    assert main(["fit-knn", "--embeddings", str(tmp_path / "train.ccemb"), "--k", "50",
+                 "--out", str(tmp_path / "knn.ccmdl")]) == 0
+    outputs = _score_files_under_core_types(tmp_path, tmp_path / "knn.ccmdl", tmp_path / "q.ccemb")
     assert all(out == outputs[0] for out in outputs[1:])
 
 
@@ -569,6 +591,28 @@ class TestKnnTwoStage:
         rng = np.random.default_rng(27)
         pts = 1e150 * rng.normal(size=(60, 4)) + 1e154
         self._check(pts, 1e150 * rng.normal(size=(5, 4)) + 1e154, k=3)
+
+    @pytest.mark.parametrize("rows", [1, 128])
+    def test_k_minus_one_proven_below_and_ties_at_kth(self, monkeypatch, rows):
+        # each query has k - 1 stored copies of itself, proven below the
+        # k-th, and 2 dim points at exactly 3 on its axes, which tie at it.
+        # 128 queries take 128-row blocks over several tiles; one-row
+        # blocks take one tile of all points.
+        monkeypatch.setattr("cornercase.density._TILE_ROWS", rows)
+        rng = np.random.default_rng(29)
+        k, dim = 10, 8
+        queries = rng.integers(-50, 51, size=(128, dim)).astype(float)
+        axes = np.vstack([3.0 * np.eye(dim), -3.0 * np.eye(dim)])
+        spread = 30.0 * rng.normal(size=(3000, dim))
+        nearest = ((spread[:, None] - queries) ** 2).sum(axis=2).min(axis=1)
+        pts = np.vstack([
+            np.repeat(queries, k - 1, axis=0),
+            (queries[:, None] + axes).reshape(-1, dim),
+            spread[nearest > 16.0],
+        ])
+        got = knn_kth_sqdist(KnnIndex(k=k, points=pts), queries)
+        assert np.array_equal(got, _brute_kth(pts, queries, k))
+        assert (got == 9.0).all()
 
     def test_nan_query_rejected(self):
         index = KnnIndex(k=1, points=np.eye(3))

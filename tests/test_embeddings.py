@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cornercase.corruptions import (
@@ -12,6 +12,7 @@ from cornercase.corruptions import (
     apply_fog,
     severity_sweep,
 )
+from cornercase.density import _gamma
 from cornercase.embeddings import (
     _CLIP_BLOCK_ELEMENTS,
     DatasetManifest,
@@ -74,16 +75,19 @@ class TestPoolSpatialMean:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
     @given(seed=st.integers(0, 2**31 - 1))
+    @example(seed=393701)  # channel means of 3.9e-6 that differ by 1.2e-12 relative
     @settings(max_examples=20, deadline=None)
     def test_spatial_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(2, 4, 3))
         perm = rng.permutation(12)
         shuffled = data.reshape(2, 12)[:, perm].reshape(2, 4, 3)
-        np.testing.assert_allclose(
-            pool_spatial_mean(FeatureMap(data)),
-            pool_spatial_mean(FeatureMap(shuffled)),
-            rtol=1e-12,
+        # a mean that cancels has no relative bound; each order's mean of
+        # 12 values is within gamma_12 * mean|x| of the exact one
+        bound = 2 * _gamma(12) * np.abs(data).mean(axis=(1, 2))
+        np.testing.assert_array_less(
+            np.abs(pool_spatial_mean(FeatureMap(data)) - pool_spatial_mean(FeatureMap(shuffled))),
+            bound,
         )
 
 

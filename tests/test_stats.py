@@ -172,6 +172,16 @@ class TestPearson:
         with pytest.raises(DegenerateInputError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    # the mean of three 0.1s or 96.9s does not round back to the value, so
+    # centring leaves residues of about 1e-14 rather than zeros
+    @pytest.mark.parametrize("value", [0.1, 96.9, 1 / 3])
+    @pytest.mark.parametrize("kind", [pearson, spearman])
+    def test_constant_input_whose_mean_rounds_away_is_degenerate(self, kind, value):
+        with pytest.raises(DegenerateInputError, match="constant input"):
+            kind([value] * 3, [0.0, 1.0, 2.0])
+        with pytest.raises(DegenerateInputError, match="constant input"):
+            kind([0.0, 1.0, 2.0], [value] * 3)
+
     @given(
         a=st.floats(0.01, 50.0),
         b=st.floats(-100.0, 100.0),
