@@ -30,7 +30,7 @@ from .corruptions import (
 from .density import build_knn_index, fit_gmm, fit_gmm_bic, score_set
 from .embeddings import DatasetManifest, EmbeddingSet, load_embeddings, save_embeddings, toy_encode
 from .errors import ConfigError, DegenerateInputError, FormatError, ValidationError, check_seed
-from .images import ImageBuffer, _sorted_pngs, load_image
+from .images import ImageBuffer, _sorted_pngs, _write_json, load_image
 from .metrics import DetectionReport, LabeledScores, detection_report
 from .stats import CorrelationResult, pearson, spearman
 from .uncertainty import score_dataset_maps
@@ -547,9 +547,7 @@ def generate_synthetic_benchmark(
         "id_test": {"name": "id_test", "role": "id_test", "path": test_file},
         "ood_sets": [{"name": "shifted", "role": "ood", "path": ood_file}],
     }
-    (out_dir / "config.json").write_text(
-        json.dumps(cfg_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "config.json", cfg_dict)
     return config_from_dict(cfg_dict, out_dir)
 
 
@@ -703,10 +701,7 @@ def report_from_dict(data: dict) -> BenchReport:
 
 
 def save_report_json(report: BenchReport, path) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(path, report_to_dict(report))
 
 
 def load_report_json(path) -> BenchReport:

@@ -165,6 +165,8 @@ def _cmd_score(args) -> int:
     from .embeddings import DatasetManifest, load_embeddings
 
     if args.maps:
+        if args.model or args.embeddings:
+            raise ConfigError("--model and --embeddings are not read with --maps")
         from .uncertainty import score_dataset_maps
 
         manifest = DatasetManifest(name="maps", role="id_test", path=args.maps)
@@ -274,6 +276,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_bench(args) -> int:
     from . import bench
+    from .images import _write_file
 
     cfg = bench.load_config(args.config)
     report = bench.run_benchmark(cfg)
@@ -282,7 +285,7 @@ def _cmd_bench(args) -> int:
     bench.save_report_json(report, out_dir / "report.json")
     ext = "csv" if args.format == "csv" else "md"
     rendered = bench.emit_report(report, args.format)
-    (out_dir / f"report.{ext}").write_text(rendered, encoding="utf-8")
+    _write_file(out_dir / f"report.{ext}", [rendered])
     print(rendered, end="")
     return EXIT_OK
 

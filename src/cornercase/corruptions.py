@@ -27,11 +27,13 @@ oldest output whenever more than _PNG_WRITERS are unwritten, so at most
 _PNG_WRITERS + 1 jobs, each one frame of scanlines and at most one
 frame's deflated bands, are handed off at a time, and the files and
 manifest are byte-identical to writing the outputs one by one.
+run_sweep removes its kind's old manifest.json before it hands off its
+first output and writes the new one last, so a manifest exists only
+beside the outputs of a finished sweep.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -44,7 +46,7 @@ from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
 from .errors import ValidationError, check_seed
 from .images import DepthMap, ImageBuffer, _adopt, load_depth
 from .images import _deflated_bands, _encode_png, _quantize, _read_rgb, _scanlines
-from .images import _sorted_pngs, _write_file
+from .images import _sorted_pngs, _write_file, _write_json
 
 # float64 values in one sweep block: b severities of an H x W image make
 # b*H*W*3 <= 2^16 (512 KiB). Blocks feed fog and noise file sweeps and
@@ -385,6 +387,9 @@ def run_sweep(
     sev_dirs = [out_dir / kind / severity_dirname(s) for s in sweep.severities]
     for sev_dir in sev_dirs:
         sev_dir.mkdir(parents=True, exist_ok=True)
+    # a manifest lists a finished sweep: the old one goes before any output
+    manifest_path = out_dir / kind / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     entries = [[] for _ in sev_dirs]
     # here, so `cornercase --version` does not load it
     from concurrent.futures import ThreadPoolExecutor
@@ -413,8 +418,7 @@ def run_sweep(
     }
     if record.reads_depth:
         manifest.update(depth_policy=depth_policy, atmospheric_light=sweep.atmospheric_light)
-    manifest_path = out_dir / kind / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(manifest_path, manifest)
     return manifest
 
 

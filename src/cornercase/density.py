@@ -661,7 +661,7 @@ def persist_model(model, path) -> None:
         arrays = (model.points,)
     else:
         raise ValidationError(f"cannot persist model of type {type(model).__name__}")
-    payload = [a.astype("<f8").tobytes() for a in arrays]
+    payload = [np.ascontiguousarray(a, "<f8") for a in arrays]
     write_container(path, MODEL_MAGIC, _MODEL_LAYOUTS[header[0]][0], header, payload)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .images import MAX_MAGNITUDE, ImageBuffer, _frozen_array, _in_envelope
+from .images import MAX_MAGNITUDE, ImageBuffer, _frozen_array, _in_envelope, _write_file
 
 EMBED_MAGIC = b"CCEMB1"
 FMAP_MAGIC = b"CCFMP1"
@@ -358,7 +358,7 @@ def write_container(path, magic: bytes, header: str, values, payload) -> None:
     header values packed by the little-endian struct format `header`,
     then the payload parts."""
     head = magic + struct.pack("<H" + header, CONTAINER_VERSION, *values)
-    Path(path).write_bytes(b"".join([head, *payload]))
+    _write_file(path, [head, *payload])
 
 
 def read_container(path, data: bytes, magic: bytes, what: str, header: str, payload_size=None):
@@ -382,29 +382,22 @@ def read_container(path, data: bytes, magic: bytes, what: str, header: str, payl
     return values, end
 
 
-def _format_real(v: float) -> str:
-    return format(v, ".9g")
-
-
 def save_embeddings(es: EmbeddingSet, path, fmt: str = "binary") -> None:
     """Write an embedding set as JSON-lines text or the binary container."""
-    path = Path(path)
-    rows = zip(es.ids(), es.matrix())
     if fmt == "text":
-        lines = []
-        for ident, row in rows:
-            vec = ", ".join(_format_real(v) for v in row.tolist())
-            lines.append(f'{{"id": {json.dumps(ident)}, "vec": [{vec}]}}\n')
-        path.write_text("".join(lines), encoding="utf-8")
+        # "%.9g" % v is format(v, ".9g"): one %-format per row
+        row_format = ", ".join(["%.9g"] * es.dim)
+        _write_file(path, (
+            f'{{"id": {json.dumps(ident)}, "vec": [{row_format % tuple(row.tolist())}]}}\n'
+            for ident, row in zip(es.ids(), es.matrix())
+        ))
     elif fmt == "binary":
         parts = []
-        for ident, row in rows:
+        for ident, row in zip(es.ids(), np.ascontiguousarray(es.matrix(), "<f4")):
             encoded = ident.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise ValidationError(f"id {ident!r} too long for binary format")
-            parts.append(struct.pack("<H", len(encoded)))
-            parts.append(encoded)
-            parts.append(row.astype("<f4").tobytes())
+            parts += (struct.pack("<H", len(encoded)), encoded, row)
         write_container(path, EMBED_MAGIC, "IQ", (es.dim, len(es)), parts)
     else:
         raise ValidationError(f"unknown embedding format {fmt!r}")
@@ -506,7 +499,7 @@ def load_embeddings(path) -> EmbeddingSet:
 
 def save_feature_map(fm: FeatureMap, path) -> None:
     """Write a feature map as a little-endian f32 tensor container."""
-    write_container(path, FMAP_MAGIC, "III", fm.data.shape, [fm.data.astype("<f4").tobytes()])
+    write_container(path, FMAP_MAGIC, "III", fm.data.shape, [fm.data.astype("<f4", order="C")])
 
 
 def load_feature_map(path) -> FeatureMap:

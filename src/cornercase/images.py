@@ -18,13 +18,21 @@ bytes (0.78 MB), built on first use.
 
 Pixel values travel through the toolkit as float64 in [0, 1]; 8-bit
 quantization uses round-half-up so file output is bit-reproducible.
+
+Every file the toolkit writes, not only PNGs, goes through _write_file:
+its pieces are written in turn to a temporary beside the target,
+<name>.<pid>-<n>.tmp, which is then renamed over the target, so a file
+under its final name is always whole. Nothing is fsync'ed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import math
+import os
 import struct
 import sys
 import zlib
@@ -418,10 +426,31 @@ def _encode_png(header: bytes, scanlines: np.ndarray, source=None) -> list[bytes
     return pieces
 
 
+# Numbers the temporaries of one process; next() on it is atomic, so the
+# sweep's writer threads may share it.
+_temporaries = itertools.count()
+
+
 def _write_file(path, pieces) -> None:
-    """Write pieces to path one after another, never joined in memory."""
-    with open(path, "wb") as f:
-        f.writelines(pieces)
+    """Write pieces one after another, never joined in memory, to a
+    temporary beside path, then rename it over path: the one place the
+    toolkit writes a file. A piece is bytes-like, a C-contiguous numpy
+    array included, or a str, written as UTF-8. On any error the
+    temporary is removed and path keeps what it held."""
+    temporary = f"{os.fspath(path)}.{os.getpid()}-{next(_temporaries)}.tmp"
+    try:
+        with open(temporary, "wb") as f:
+            f.writelines(p.encode() if isinstance(p, str) else p for p in pieces)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+
+
+def _write_json(path, obj) -> None:
+    """Write obj as JSON indented by 2 with sorted keys and a final newline."""
+    _write_file(path, [json.dumps(obj, indent=2, sort_keys=True), "\n"])
 
 
 def _scanlines(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -512,6 +541,4 @@ def save_depth(dm: DepthMap, path, meters_per_unit: float) -> None:
     raw = np.clip(raw, 1, 65535)
     raw[~dm.valid] = 0
     write_png(path, raw.astype(np.uint16))
-    Path(str(path) + ".json").write_text(
-        json.dumps({_DEPTH_SCALE_KEY: meters_per_unit}) + "\n"
-    )
+    _write_file(f"{path}.json", [json.dumps({_DEPTH_SCALE_KEY: meters_per_unit}), "\n"])

@@ -26,13 +26,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .embeddings import json_lines
 from .errors import FormatError, ValidationError
-from .images import _frozen_array, read_png
+from .images import _frozen_array, _write_file, read_png
 from .stats import _tie_ends
 from .uncertainty import _SIXTEEN_BIT_MAX
 
@@ -315,11 +314,10 @@ def save_scores(path, ids, scores, label: str) -> None:
         raise ValidationError(f"{len(ids)} ids for {scores.size} scores")
     if not np.all(np.isfinite(scores)):
         raise ValidationError("scores must be finite")
-    lines = [
+    _write_file(path, (
         json.dumps({"id": ident, "score": score, "label": label}) + "\n"
         for ident, score in zip(ids, scores.tolist())
-    ]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    ))
 
 
 def load_score_lines(path) -> list[tuple[str, float, str]]:

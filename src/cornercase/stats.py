@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DegenerateInputError, ValidationError
-from .images import _frozen_array
+from .images import _frozen_array, _write_file
 
 CORRELATION_KINDS = ("pearson", "spearman")
 
@@ -266,12 +265,9 @@ def export_pca_coords(model: PcaModel, named_sets, path) -> None:
     """Write JSON-lines {"id", "dataset", "coords"} for external plotting."""
     # "%.9g" % v is format(v, ".9g"): one %-format per row
     row_format = ", ".join(["%.9g"] * model.components.shape[0])
-    lines = []
-    for name, es in named_sets:
-        for ident, row in zip(es.ids(), pca_transform(model, es.matrix())):
-            coords = row_format % tuple(row.tolist())
-            lines.append(
-                f'{{"id": {json.dumps(ident)}, "dataset": {json.dumps(name)}, '
-                f'"coords": [{coords}]}}\n'
-            )
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    _write_file(path, (
+        f'{{"id": {json.dumps(ident)}, "dataset": {json.dumps(name)}, '
+        f'"coords": [{row_format % tuple(row.tolist())}]}}\n'
+        for name, es in named_sets
+        for ident, row in zip(es.ids(), pca_transform(model, es.matrix()))
+    ))

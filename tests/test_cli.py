@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import zlib
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from cornercase.cli import main
 from cornercase.density import MODEL_MAGIC
 from cornercase.embeddings import EMBED_MAGIC, FMAP_MAGIC, EmbeddingSet, save_embeddings
-from cornercase.images import DepthMap, ImageBuffer, save_depth, save_image, write_png
+from cornercase.images import DepthMap, ImageBuffer, read_png, save_depth, save_image, write_png
 from cornercase.synthetic import WHITEBOX_FAMILY, write_scene_set
 from cornercase.version import TOOLKIT_VERSION
 
@@ -76,6 +77,19 @@ class TestFitScoreEval:
         assert main(["score", "--maps", str(maps_dir), "--out", str(out)]) == 0
         recs = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(recs) == 3 and all(r["score"] <= 0 for r in recs)
+
+    @pytest.mark.parametrize("flag", ["--model", "--embeddings"])
+    def test_maps_with_a_model_flag_is_a_config_error(self, tmp_path, capsys, flag):
+        (tmp_path / "maps").mkdir()
+        write_png(tmp_path / "maps" / "m.png", np.zeros((4, 4), dtype=np.uint16))
+        out = tmp_path / "u.jsonl"
+        argv = ["score", "--maps", str(tmp_path / "maps"), flag, str(tmp_path / "x"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: --model and --embeddings are not read with --maps\n"
+        )
+        assert not out.exists()
 
 
 class TestSynthBenchReport:
@@ -316,6 +330,20 @@ class TestSweepWriterLifecycle:
         # the first source's outputs were all written before the error
         assert sorted(p.name for p in (tmp_path / "o").rglob("*.png")) == [first.name] * 3
 
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
+        # the seed-0 manifest must not outlive a seed-1 re-run that
+        # rewrote the first source's outputs and then failed
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 2, seed=0)
+        out = tmp_path / "o"
+        argv = ["sweep", "--images", str(tmp_path / "imgs"), "--kind", "white_box",
+                "--preset", "whitebox-paper", "--out", str(out)]
+        assert _main_within([*argv, "--seed", "0"]) == 0
+        _, second = sorted((tmp_path / "imgs").glob("*.png"))
+        second.write_bytes(b"not a PNG file")
+        assert _main_within([*argv, "--seed", "1"]) == 3
+        assert not (out / "white_box" / "manifest.json").exists()
+        assert not list(out.rglob("*.tmp"))
+
     def test_output_path_that_is_a_directory_exits_4(self, tmp_path):
         write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 3, seed=0)
         _, second, _ = sorted((tmp_path / "imgs").glob("*.png"))
@@ -391,15 +419,22 @@ MODEL_LAYERS = {"bench", "density", "embeddings", "metrics", "stats", "uncertain
 def _fresh_python(*args, cwd=None) -> subprocess.CompletedProcess:
     """Run this interpreter in a new process on the cornercase package
     that this test process imports."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True,
+        env=_package_env(), cwd=cwd,
+    )
+
+
+def _package_env() -> dict:
+    """This process's environment, with the cornercase package that this
+    test process imports first on PYTHONPATH."""
     import cornercase
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(cornercase.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
     )
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, check=True, env=env, cwd=cwd
-    )
+    return env
 
 
 def _cornercase_process_modules(*argv, cwd=None) -> tuple[str, set]:
@@ -413,6 +448,48 @@ def _cornercase_process_modules(*argv, cwd=None) -> tuple[str, set]:
     )
     *out, modules = _fresh_python("-c", snippet, *argv, cwd=cwd).stdout.splitlines()
     return "\n".join(out), set(json.loads(modules))
+
+
+def test_killed_sweep_leaves_no_manifest_that_lies(tmp_path, monkeypatch):
+    # 8 frames of 256x512 at 20 box sizes: about half a second of writes,
+    # so the kill lands while the re-run is writing its outputs
+    rng = np.random.default_rng(0)
+    (tmp_path / "imgs").mkdir()
+    for i in range(8):
+        save_image(ImageBuffer(rng.random((256, 512, 3))), tmp_path / "imgs" / f"f{i}.png")
+
+    def argv(seed, out):
+        return ["sweep", "--images", "imgs", "--kind", "white_box", "--preset", "whitebox-paper",
+                "--seed", str(seed), "--out", out]
+
+    monkeypatch.chdir(tmp_path)  # manifests name their outputs as the flags give them
+    assert main(argv(1, "fresh")) == 0
+    assert main(argv(0, "o")) == 0
+    manifest = Path("o", "white_box", "manifest.json")
+    first = Path(json.loads(manifest.read_text())["entries"][0]["output"])
+    before = first.read_bytes()
+    rerun = subprocess.Popen([sys.executable, "-m", "cornercase", *argv(1, "o")],
+                             env=_package_env(), stdout=subprocess.DEVNULL)
+    try:
+        # kill once the re-run's first output is on disk
+        deadline = time.monotonic() + 60
+        while rerun.poll() is None and first.read_bytes() == before:
+            assert time.monotonic() < deadline, "the re-run wrote nothing in 60 s"
+            time.sleep(0.002)
+    finally:
+        rerun.kill()
+        rerun.wait()
+    for png in Path("o").rglob("*.png"):
+        read_png(png)  # no file under a final name is truncated
+    if manifest.exists():  # only a re-run that finished before the kill leaves one
+        written, fresh = (json.loads(Path(out, "white_box", "manifest.json").read_text())
+                          for out in ("o", "fresh"))
+        for entry in (*written["entries"], *fresh["entries"]):
+            entry["output"] = str(Path(*Path(entry["output"]).parts[1:]))  # drop o/ or fresh/
+        assert written == fresh
+        for entry in written["entries"]:
+            output = entry["output"]
+            assert Path("o", output).read_bytes() == Path("fresh", output).read_bytes(), output
 
 
 def test_cli_import_loads_no_thread_pool(tmp_path):

@@ -1,5 +1,6 @@
 """Fog, noise and white-box corruption tests."""
 
+import itertools
 import json
 import math
 import threading
@@ -483,6 +484,39 @@ class TestRunSweep:
         assert threading.active_count() == before
         # the writers stop after the failure; the manifest is never written
         assert not (out / "white_box" / "manifest.json").exists()
+
+    # the first output's write fails, a middle one's, and the last one's
+    @pytest.mark.parametrize("written", [0, 4, 8])
+    def test_failed_write_leaves_no_manifest_and_no_temporary(self, tmp_path, monkeypatch, written):
+        import cornercase.corruptions as corruptions
+
+        src = tmp_path / "clean"
+        src.mkdir()
+        for i in range(3):
+            save_image(_random_image(60 + i, h=8, w=8), src / f"img-{i}.png")
+        out = tmp_path / "o"
+        run_sweep(src, severity_sweep("white_box", [0.05, 0.1, 0.2]), out)
+        outputs = itertools.count()
+
+        def failing_encode_png(*job):
+            pieces = _encode_png(*job)
+            if next(outputs) < written:
+                return pieces
+
+            def cut_short():  # a write that fails after its first pieces
+                yield from pieces[:3]
+                raise OSError("no space left")
+
+            return cut_short()
+
+        monkeypatch.setattr(corruptions, "_encode_png", failing_encode_png)
+        with pytest.raises(OSError, match="no space left"):
+            run_sweep(src, severity_sweep("white_box", [0.05, 0.1, 0.2], base_seed=1), out)
+        # the first run's manifest is gone, not left to describe mixed outputs
+        assert not (out / "white_box" / "manifest.json").exists()
+        assert not list(out.rglob("*.tmp"))
+        for png in out.rglob("*.png"):
+            read_png(png)  # every file under a final name is whole
 
     def test_hand_offs_stop_while_writers_are_busy(self, tmp_path, monkeypatch):
         import cornercase.corruptions as corruptions

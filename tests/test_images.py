@@ -1,7 +1,11 @@
 """PNG codec and container validation tests."""
 
 import math
+import os
+import stat
 import struct
+import sys
+import threading
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -20,6 +24,7 @@ from cornercase.images import (
     _png_chunks,
     _predictor_table,
     _scanlines,
+    _write_file,
     ImageBuffer,
     load_depth,
     load_image,
@@ -315,6 +320,71 @@ class TestPngWriterBytes:
         path = tmp_path / "w.png"
         write_png(path, arr)
         assert path.read_bytes() == _png_file(shape[1], shape[0], color_type, idat, bit_depth)
+
+
+class TestWriteFile:
+    def test_pieces_written_in_turn(self, tmp_path):
+        path = tmp_path / "out"
+        _write_file(path, [b"ab", "\u00e9\n", np.arange(3, dtype="<u2"), bytearray(b"z")])
+        assert path.read_bytes() == b"ab\xc3\xa9\n\x00\x00\x01\x00\x02\x00z"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_failed_write_keeps_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+
+        def pieces():
+            yield b"new"
+            raise OSError("no space left")
+
+        with pytest.raises(OSError, match="no space left"):
+            _write_file(path, pieces())
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_symlink_is_replaced_not_followed(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"kept")
+        link.symlink_to(target)
+        _write_file(link, [b"new"])
+        assert not link.is_symlink() and link.read_bytes() == b"new"
+        assert target.read_bytes() == b"kept"
+
+    def test_threads_writing_one_path_never_share_a_temporary(self, tmp_path):
+        # the sweep's writer threads name temporaries from one counter: a
+        # shared name would fail a rename or mix two writers' pieces
+        path, errors = tmp_path / "out", []
+        payloads = [bytes([i]) * 4096 for i in range(8)]
+
+        def write(payload):
+            try:
+                for _ in range(40):
+                    _write_file(path, [payload[:2048], payload[2048:]])
+            except OSError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert path.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_mode_comes_from_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            _write_file(tmp_path / "out", [b"x"])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == 0o640
 
 
 def banded_idat_loop_reference(scanlines: bytes, stride: int) -> bytes:
