@@ -115,6 +115,13 @@ class BenchConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {BENCH_METHODS}")
         if len(set(methods)) != len(methods):
             raise ConfigError("methods must be unique")
+        # map directories and embedding files or image directories: no
+        # manifest can be both
+        if "mean_uncertainty" in methods and len(methods) > 1:
+            raise ConfigError(
+                "mean_uncertainty reads uncertainty maps and gmm/knn read embeddings; "
+                "a config cannot mix them"
+            )
         ood_sets = tuple(self.ood_sets)
         if not ood_sets:
             raise ConfigError("config needs at least one ood_set")
@@ -360,14 +367,14 @@ def _reports(id_scores, ood_scores, tpr_target) -> list:
     return [detection_report(LabeledScores(id_scores, s), tpr_target) for s in ood_scores]
 
 
-def _score_sweep(model, id_set: EmbeddingSet, severity_sets, severities, tpr_target) -> tuple:
-    """Score the ID side once and each severity's set against it.
+def _score_sweep(model, id_scores, severity_sets, severities, tpr_target) -> tuple:
+    """Score each severity's set against the ID side's scores.
 
     severity_sets aligns with severities and is consumed lazily, one set
     at a time. Returns (sweep_rows, correlations).
     """
     ood_scores = (score_set(model, es) for es in severity_sets)
-    reports = _reports(score_set(model, id_set), ood_scores, tpr_target)
+    reports = _reports(id_scores, ood_scores, tpr_target)
     return tuple(zip(severities, reports)), _sweep_correlations(severities, reports)
 
 
@@ -399,22 +406,24 @@ def run_corruption_sweep(
     return _toy_sweep(list(ids), zip(images, depths), sweep, model, grid, tpr_target)
 
 
-def _toy_sweep(ids, sources, sweep: Sweep, model, grid, tpr_target, id_set=None) -> tuple:
+def _toy_sweep(ids, sources, sweep: Sweep, model, grid, tpr_target, id_scores=None) -> tuple:
     """run_corruption_sweep of the (ImageBuffer, depth) sources named by ids,
-    consumed once; id_set, if given, is their clean toy encoding."""
+    consumed once; id_scores, if given, are the scores of their clean toy
+    encoding."""
     toy_rows = _KINDS[sweep.kind].rows
     clean, feats = [], []
     for _, seed, img, depth in _seeded_sources(sources, sweep.seed):
-        if id_set is None:
+        if id_scores is None:
             clean.append(toy_encode(img, grid=grid))
         feats.append(toy_rows(img, depth, seed, sweep, grid))
-    if id_set is None:
-        id_set = EmbeddingSet(ids, clean)
+    if id_scores is None:
+        id_scores = score_set(model, EmbeddingSet(ids, clean))
     severity_sets = (EmbeddingSet(ids, per_severity) for per_severity in np.stack(feats, axis=1))
-    return _score_sweep(model, id_set, severity_sets, sweep.severities, tpr_target)
+    return _score_sweep(model, id_scores, severity_sets, sweep.severities, tpr_target)
 
 
-def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_test, model) -> tuple:
+def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_scores, model) -> tuple:
+    """The sweep of a config, its ID side id_test's scores under model."""
     settings = cfg.sweep
     sweep = _sweep_of(settings, cfg.seed)
     if settings.encoder == "external":
@@ -424,7 +433,7 @@ def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_test, model)
                 _check_dim(train, es, f"sweep severity {severity_dirname(severity)}")
                 yield es
 
-        return _score_sweep(model, id_test, severity_sets(), sweep.severities, cfg.tpr_target)
+        return _score_sweep(model, id_scores, severity_sets(), sweep.severities, cfg.tpr_target)
 
     images_dir = settings.images or cfg.id_test.path
     if settings.images is None and not Path(images_dir).is_dir():
@@ -432,10 +441,13 @@ def _run_sweep_for_config(cfg: BenchConfig, train: EmbeddingSet, id_test, model)
     pngs = _sorted_pngs(Path(images_dir))
     read = _read_sources(pngs, settings.depth, sweep.kind)
     sources = ((ImageBuffer.from_uint8(pixels), depth) for pixels, depth in read)
-    # without sweep.images, the clean images are id_test's, encoded with this grid
-    id_set = id_test if settings.images is None else None
+    # without sweep.images, the clean images are id_test's, encoded with
+    # this grid, and id_scores are their scores
+    clean_scores = id_scores if settings.images is None else None
     ids = [p.stem for p in pngs]
-    return _toy_sweep(ids, sources, sweep, model, settings.encoder_grid, cfg.tpr_target, id_set)
+    return _toy_sweep(
+        ids, sources, sweep, model, settings.encoder_grid, cfg.tpr_target, clean_scores
+    )
 
 
 def _tpr_provenance(tpr_target: float) -> tuple:
@@ -453,7 +465,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     test_sets = (cfg.id_test, *cfg.ood_sets)
     train = None
     embeddings = []
-    if any(m != "mean_uncertainty" for m in cfg.methods):
+    if "mean_uncertainty" not in cfg.methods:
         train = load_dataset_embeddings(cfg.id_train, grid)
         if len(train) == 0:
             raise ValidationError("id_train embedding set is empty; cannot fit")
@@ -463,13 +475,14 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 
     # every method scores (id_test, *ood_sets), one array per dataset
     rows = []
-    models = {}
+    fitted = {}  # per density method, its model and its id_test scores
     for method in cfg.methods:
         if method == "mean_uncertainty":
             scores = [score_dataset_maps(m)[1] for m in test_sets]
         else:
-            models[method] = _fit_method(method, train, cfg)
-            scores = [score_set(models[method], es) for es in embeddings]
+            model = _fit_method(method, train, cfg)
+            scores = [score_set(model, es) for es in embeddings]
+            fitted[method] = model, scores[0]
         reports = _reports(scores[0], scores[1:], cfg.tpr_target)
         rows += [(method, m.name, rep) for m, rep in zip(cfg.ood_sets, reports)]
 
@@ -482,7 +495,8 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     if cfg.sweep is None:
         return BenchReport(rows=tuple(rows), provenance=provenance)
     method = cfg.methods[0]
-    sweep_rows, correlations = _run_sweep_for_config(cfg, train, embeddings[0], models[method])
+    model, id_scores = fitted[method]
+    sweep_rows, correlations = _run_sweep_for_config(cfg, train, id_scores, model)
     return BenchReport(
         rows=tuple(rows),
         sweep_kind=cfg.sweep.kind,

@@ -465,7 +465,7 @@ def build_knn_index(ids: EmbeddingSet, k: int = 50) -> KnnIndex:
     return KnnIndex(k=k, points=ids.matrix())
 
 
-def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
+def _block_candidates(block, points, p_sq, k, slack, tile):
     """(table, cols) of a query block: per row, the b of the points that
     pass and the points' indices, the table padded with +inf; None if
     they outgrow the bound.
@@ -473,18 +473,16 @@ def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
     b = |p|^2 - 2 x.p is the expanded distance less the row's own |x|^2.
     The points are scanned in tiles of `tile`, at least k of them. Pairs
     pass when their b is at most slack above a bound that is never below
-    tau, the row's k-th smallest b; a row that keeps all points passes
-    them all. With one tile, the bound is tau. With more, it is the k-th
-    smallest of the first tile's minima over 4k groups of its points, k
-    of which are b of distinct points, and takes no partition of the
-    whole tile. Either way the pairs that pass hold every candidate, so
-    the k-th smallest b over them is tau. None when a block of more than
-    one tile has a row that keeps all points, or one where more than
-    _BLOCK_ELEMENTS // len(block) pairs pass.
+    tau, the row's k-th smallest b: the k-th smallest of the first tile's
+    minima over min(4k, width) groups of its points, k of which are b of
+    distinct points. A tile of fewer than 4k points has groups of one,
+    and the bound is its exact k-th b. So the pairs that pass hold every
+    candidate, and the k-th smallest b over them is tau; a row with
+    infinite slack passes every point. None when a block of more than
+    one row has a row where more than _BLOCK_ELEMENTS // len(block)
+    pairs pass.
     """
     n, count = len(block), len(points)
-    if tile < count and keep_all.any():
-        return None
     neg2 = -2.0 * block
     passed = np.zeros(n, dtype=np.intp)
     found = []
@@ -492,20 +490,20 @@ def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
         b = neg2 @ points[c0 : c0 + tile].T
         b += p_sq[c0 : c0 + tile]
         if c0 == 0:
-            first = b
-            if tile < count:
-                groups = min(4 * k, tile)
-                first = b[:, : groups * (tile // groups)].reshape(n, -1, groups).min(axis=1)
+            width = b.shape[1]
+            groups = min(4 * k, width)
+            first = b[:, : groups * (width // groups)].reshape(n, -1, groups).min(axis=1)
             thr = np.partition(first, k - 1, axis=1)[:, k - 1] + slack
-        keep = b <= thr[:, None]
-        keep[keep_all] = True
+        # a nan b can only occur in a row of infinite slack, and must pass;
+        # in every other row b and thr are finite, so this is b <= thr
+        keep = ~(b > thr[:, None])
         flat = np.flatnonzero(keep)
         row, col = np.divmod(flat, b.shape[1])
         counts = np.bincount(row, minlength=n)
         # each pair's place in its row, after the pairs of earlier tiles
         place = np.arange(flat.size) - (np.cumsum(counts) - counts - passed)[row]
         passed += counts
-        if tile < count and passed.max() > _BLOCK_ELEMENTS // n:
+        if n > 1 and passed.max() > _BLOCK_ELEMENTS // n:
             return None
         found.append((row, place, col + c0, b.ravel()[flat]))
     table = np.full((n, passed.max()), np.inf)
@@ -516,7 +514,7 @@ def _block_candidates(block, points, p_sq, k, slack, keep_all, tile):
     return table, cols
 
 
-def _kth_block(block, points, p_sq, k, slack, keep_all, tile) -> np.ndarray:
+def _kth_block(block, points, p_sq, k, slack, tile) -> np.ndarray:
     """knn_kth_sqdist of one query block, the points in tiles of `tile`.
 
     Only pairs whose b lies within slack of tau get explicit distances,
@@ -526,23 +524,23 @@ def _kth_block(block, points, p_sq, k, slack, keep_all, tile) -> np.ndarray:
     At most k - 1 pairs of a row read -inf and the band holds the k-th
     explicit distance, so it is the row's (k-1)-th smallest (from 0). A
     block whose candidates outgrow their bound (_block_candidates) runs
-    again against all points at once, in as many rows as fit.
+    again over the same tiles, in blocks of rows that may each keep
+    every point.
     """
-    found = _block_candidates(block, points, p_sq, k, slack, keep_all, tile)
+    found = _block_candidates(block, points, p_sq, k, slack, tile)
     if found is None:
         step = max(1, _BLOCK_ELEMENTS // len(points))
         return np.concatenate([
-            _kth_block(block[s : s + step], points, p_sq, k, slack[s : s + step],
-                       keep_all[s : s + step], len(points))
+            _kth_block(block[s : s + step], points, p_sq, k, slack[s : s + step], tile)
             for s in range(0, len(block), step)
         ])
     table, cols = found
     tau = np.partition(table, k - 1, axis=1)[:, k - 1]
     lo, hi = tau - slack, tau + slack
-    lo[keep_all], hi[keep_all] = -np.inf, np.inf
     # a pair is passed over only when it is proven below or above; an
-    # overflowing b (nan) never is. The +inf padding lies above hi: a row
-    # that keeps all points, the one with an infinite hi, has none.
+    # overflowing b (nan) never is, nor is any pair of a row of infinite
+    # slack, whose bounds tau -+ inf are infinite or nan. The +inf padding
+    # lies above hi: such a row keeps all points, so it has none.
     below = table < lo[:, None]
     row, place = np.nonzero(~(below | (table > hi[:, None])))
     col = cols[row, place]
@@ -587,8 +585,7 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise ValidationError("kNN query rows must be finite")
-    points, k = index.points, index.k
-    count, dim = points.shape
+    points, k, dim = index.points, index.k, index.dim
     # For a query x and a point p, let f be the explicit distance, b the
     # computed |p|^2 - 2 x.p and a = b + |x|^2, with |x|^2 and the sum
     # exact. Each of a and f is at most gamma_(dim+2) * (|x| + |p|)^2 away
@@ -607,16 +604,14 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     #     over the candidates is F itself;
     #   - any point with b < tau - 2E has f <= a + E < tau + |x|^2 - E
     #     <= F: it lies strictly below F, so at most k - 1 do.
-    # When 4 (|x| + max|p|)^2 is not finite, the bound can overflow, and
-    # the row keeps all points.
+    # When 4 (|x| + max|p|)^2 is not finite, the bound can overflow: the
+    # row's slack is infinite, and it keeps all points.
     roundings = 2 * dim + 4
     gamma = _gamma(roundings)
     floor = roundings * np.finfo(float).tiny
     # a tile holds at least k points, so its k-th smallest b exists
     rows = max(1, min(len(X), _TILE_ROWS, _BLOCK_ELEMENTS // k))
     tile = max(k, _BLOCK_ELEMENTS // rows)
-    if tile >= count:
-        tile, rows = count, max(1, _BLOCK_ELEMENTS // count)
     out = np.empty(len(X))
     # overflow in the expanded form is expected: such rows keep all points
     with np.errstate(over="ignore", invalid="ignore"):
@@ -626,8 +621,8 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
             block = X[start : start + rows]
             scale = (np.sqrt(np.einsum("ij,ij->i", block, block)) + p_max) ** 2
             slack = 4.0 * (gamma * scale + floor)
-            keep_all = ~np.isfinite(4.0 * scale)
-            out[start : start + rows] = _kth_block(block, points, p_sq, k, slack, keep_all, tile)
+            slack[~np.isfinite(4.0 * scale)] = np.inf
+            out[start : start + rows] = _kth_block(block, points, p_sq, k, slack, tile)
     return out
 
 

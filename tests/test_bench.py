@@ -31,7 +31,7 @@ from cornercase.corruptions import (
     _seeded_sources,
     severity_sweep,
 )
-from cornercase.density import fit_gmm, fit_gmm_bic, score_set
+from cornercase.density import fit_gmm, fit_gmm_bic, knn_kth_sqdist, score_set
 from cornercase.embeddings import (
     DatasetManifest,
     EmbeddingSet,
@@ -412,7 +412,9 @@ class TestSweepRoutes:
                 feats[j : j + len(block), i] = toy_encode(block)
         id_set = EmbeddingSet(ids, [toy_encode(img) for img in scenes])
         severity_sets = (EmbeddingSet(ids, per_severity) for per_severity in feats)
-        want = bench_module._score_sweep(model, id_set, severity_sets, sweep.severities, 0.95)
+        want = bench_module._score_sweep(
+            model, score_set(model, id_set), severity_sets, sweep.severities, 0.95
+        )
         assert (rows, correlations) == want
 
     def test_noise_sweep_spec_checks_shared_with_engine(self):
@@ -517,6 +519,37 @@ class TestSweepRoutes:
         # the same rows as a sweep that encodes those images itself
         given = dataclasses.replace(sweep, images=str(tmp_path / "test"))
         again = run_benchmark(self._image_dir_config(tmp_path, given))
+        assert (report.sweep_rows, report.correlations) == (again.sweep_rows, again.correlations)
+
+    @staticmethod
+    def _count_knn_queries(monkeypatch):
+        from cornercase import density
+
+        queries = []
+
+        def counting_query(index, X):
+            queries.append(len(X))
+            return knn_kth_sqdist(index, X)
+
+        monkeypatch.setattr(density, "knn_kth_sqdist", counting_query)
+        return queries
+
+    @pytest.mark.parametrize("kind", ["gaussian_noise", "white_box"])
+    def test_config_toy_sweep_scores_id_test_once(self, tmp_path, monkeypatch, kind):
+        queries = self._count_knn_queries(monkeypatch)
+        sweep = SweepSettings(kind=kind, grid=(0.01, 0.05, 0.2))
+        cfg = dataclasses.replace(
+            self._image_dir_config(tmp_path, sweep), methods=("knn",), knn_k=5
+        )
+        report = run_benchmark(cfg)
+        # id_test, the OOD set and 3 severities: the sweep's ID side is
+        # the method's id_test scores
+        assert queries == [8] * 5
+        queries.clear()
+        # a sweep with its own images still encodes and scores them
+        given = dataclasses.replace(sweep, images=str(tmp_path / "test"))
+        again = run_benchmark(dataclasses.replace(cfg, sweep=given))
+        assert queries == [8] * 6
         assert (report.sweep_rows, report.correlations) == (again.sweep_rows, again.correlations)
 
     def test_config_sweep_reads_depth_maps_for_fog_only(self, tmp_path):
@@ -672,6 +705,14 @@ class TestSweepRoutes:
         run_benchmark(cfg)
         assert sorted(loaded) == ["id_test", "id_train", "ood", "sev0", "sev1", "sev2"]
 
+    def test_external_sweep_scores_id_test_once(self, tmp_path, monkeypatch):
+        queries = self._count_knn_queries(monkeypatch)
+        cfg = dataclasses.replace(self._external_sweep_config(tmp_path), methods=("knn",))
+        report = run_benchmark(cfg)
+        # id_test, the OOD set and 3 severity files
+        assert queries == [80, 80, 50, 50, 50]
+        assert len(report.sweep_rows) == 3
+
     def test_external_sweep_length_mismatch(self):
         with pytest.raises(ConfigError, match="per severity"):
             SweepSettings(
@@ -680,6 +721,16 @@ class TestSweepRoutes:
                 encoder="external",
                 severity_embeddings=("only-one.ccemb",),
             )
+
+    @pytest.mark.parametrize(
+        "methods", [("gmm", "mean_uncertainty"), ("mean_uncertainty", "knn")]
+    )
+    def test_mean_uncertainty_with_a_density_method_rejected(self, tmp_path, methods):
+        # no manifest holds both uncertainty maps and embeddings; the
+        # config fails before any dataset is read
+        paths = {name: str(tmp_path / "missing") for name in ("id_train", "id_test", "ood")}
+        with pytest.raises(ConfigError, match="cannot mix"):
+            _basic_config(paths, methods=methods)
 
     def test_sweep_with_uncertainty_first_method_rejected(self, tmp_path):
         paths = _write_sets(tmp_path)

@@ -807,6 +807,50 @@ def _png_chunk(ctype, payload):
     return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
 
 
+def _png_header_only(bit_depth=8, color_type=2, filter_method=0, interlace=0, ihdr=True):
+    """A 1x1 PNG of IHDR and IEND chunks: read_png checks the header
+    before it inflates any image data."""
+    fields = struct.pack(">IIBBBBB", 1, 1, bit_depth, color_type, 0, filter_method, interlace)
+    chunks = _png_chunk(b"IHDR", fields) if ihdr else b""
+    return b"\x89PNG\r\n\x1a\n" + chunks + _png_chunk(b"IEND", b"")
+
+
+def _sweep_source_argv(tmp_path, png):
+    (tmp_path / "imgs").mkdir()
+    (tmp_path / "imgs" / "a.png").write_bytes(png)
+    return ["sweep", "--images", str(tmp_path / "imgs"), "--kind", "white_box",
+            "--grid", "0.01", "--out", str(tmp_path / "o")]
+
+
+def _pca_two_dims_argv(tmp_path):
+    _write_embeddings(tmp_path / "a.ccemb", n=10, dim=6)
+    _write_embeddings(tmp_path / "b.ccemb", n=10, dim=4)
+    return ["pca", "--embeddings", f"a={tmp_path / 'a.ccemb'}",
+            "--embeddings", f"b={tmp_path / 'b.ccemb'}", "--out", str(tmp_path / "p.jsonl")]
+
+
+def _rgb_depth_argv(tmp_path):
+    for name in ("imgs", "depth"):
+        (tmp_path / name).mkdir()
+    for name in ("imgs", "depth"):
+        save_image(ImageBuffer(np.full((8, 8, 3), 0.5)), tmp_path / name / "a.png")
+    return ["sweep", "--images", str(tmp_path / "imgs"), "--kind", "fog", "--grid", "0.01",
+            "--depth", str(tmp_path / "depth"), "--out", str(tmp_path / "o")]
+
+
+def _empty_id_train_argv(tmp_path):
+    _write_embeddings(tmp_path / "x.ccemb")
+    (tmp_path / "empty.jsonl").write_bytes(b"")
+    return _bench_argv(
+        tmp_path, None, id_train={"name": "train", "role": "id_train", "path": "empty.jsonl"}
+    )
+
+
+def _toy_sweep_of_file_argv(tmp_path):
+    _write_embeddings(tmp_path / "x.ccemb")  # so the run reaches the sweep
+    return _bench_argv(tmp_path, {"kind": "gaussian_noise", "grid": [0.01]}, gmm_components=1)
+
+
 MALFORMED_INPUTS = {
     "text embedding with a non-numeric value": (
         lambda t: _fit_gmm_argv(t, "e.jsonl", b'{"id": "a", "vec": [1.0, "x"]}\n'),
@@ -1156,6 +1200,88 @@ MALFORMED_INPUTS = {
         f"depth sidecar scale {label}": (lambda t, text=text: _depth_sidecar_argv(t, text), 3)
         for label, text in BAD_DEPTH_SCALES.items()
     },
+    "interlaced PNG sweep source": (
+        lambda t: _sweep_source_argv(t, _png_header_only(interlace=1)), 3
+    ),
+    "color type 6 PNG sweep source": (
+        lambda t: _sweep_source_argv(t, _png_header_only(color_type=6)), 3
+    ),
+    "color type 3 PNG sweep source": (
+        lambda t: _sweep_source_argv(t, _png_header_only(color_type=3)), 3
+    ),
+    "16-bit RGB PNG sweep source": (
+        lambda t: _sweep_source_argv(t, _png_header_only(bit_depth=16)), 3
+    ),
+    "PNG sweep source with filter method 1": (
+        lambda t: _sweep_source_argv(t, _png_header_only(filter_method=1)), 3
+    ),
+    "PNG sweep source with no IHDR chunk": (
+        lambda t: _sweep_source_argv(t, _png_header_only(ihdr=False)), 3
+    ),
+    "text embedding record that is a list": (
+        lambda t: _fit_gmm_argv(t, "e.jsonl", b"[1.0, 2.0]\n"),
+        3,
+    ),
+    "score file record without a label": (
+        lambda t: _eval_argv(t, _ID_SCORE, b'{"id": "b", "score": 2.0}'),
+        3,
+    ),
+    "binary embedding cut inside a record header": (
+        lambda t: _fit_gmm_argv(
+            t, "e.ccemb", EMBED_MAGIC + struct.pack("<HIQ", 1, 1, 2) + _CCEMB1_BODY[14:] + b"\x01"
+        ),
+        3,
+    ),
+    "config with an empty id_train": (_empty_id_train_argv, 3),
+    "pca --embeddings without a name": (
+        lambda t: ["pca", "--embeddings", str(_write_embeddings(t / "e.ccemb")),
+                   "--out", str(t / "p.jsonl")],
+        2,
+    ),
+    "pca of sets that differ in dim": (_pca_two_dims_argv, 3),
+    "score without --model": (
+        lambda t: ["score", "--embeddings", str(_write_embeddings(t / "e.ccemb")),
+                   "--out", str(t / "s.jsonl")],
+        2,
+    ),
+    "sweep --preset fog-mist": (
+        lambda t: [*_sweep_grid_argv(t, "0.01", "fog")[:5], "--preset", "fog-mist",
+                   "--out", str(t / "o")],
+        3,
+    ),
+    "score --maps on a directory with no map": (
+        lambda t: _score_maps_argv(t, "notes.txt", b"no maps here"),
+        3,
+    ),
+    "feature-map uncertainty value of 2": (
+        lambda t: _score_maps_argv(
+            t, "m.ccfm", FMAP_MAGIC + struct.pack("<HIII", 1, 1, 1, 1) + struct.pack("<f", 2.0)
+        ),
+        3,
+    ),
+    "RGB PNG as a fog depth map": (_rgb_depth_argv, 3),
+    "config with no methods": (lambda t: _bench_argv(t, None, methods=[]), 2),
+    "config with a repeated method": (lambda t: _bench_argv(t, None, methods=["gmm", "gmm"]), 2),
+    "config with mean_uncertainty and a density method": (
+        lambda t: _bench_argv(t, None, methods=["gmm", "mean_uncertainty"]),
+        2,
+    ),
+    "config knn_k 0": (lambda t: _bench_argv(t, None, knn_k=0), 2),
+    "config tpr_target 0": (lambda t: _bench_argv(t, None, tpr_target=0), 2),
+    "config that is a JSON list": (lambda t: _config_bytes_argv(t, b"[]"), 2),
+    "sweep with both preset and grid": (
+        lambda t: _bench_argv(t, {"kind": "fog", "preset": "fog-paper", "grid": [0.01]}),
+        2,
+    ),
+    "sweep.encoder_grid 0": (
+        lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.01], "encoder_grid": 0}),
+        2,
+    ),
+    "sweep.encoder vit": (
+        lambda t: _bench_argv(t, {"kind": "fog", "grid": [0.01], "encoder": "vit"}),
+        2,
+    ),
+    "toy sweep with an embedding-file id_test and no sweep.images": (_toy_sweep_of_file_argv, 2),
 }
 
 

@@ -478,14 +478,16 @@ def test_scores_of_a_model_equal_under_every_blas_core_type(tmp_path):
     assert all(out == outputs[0] for out in outputs[1:])
 
 
-def test_knn_scores_equal_under_every_blas_core_type(tmp_path):
+@pytest.mark.parametrize("count", [5000, 1000])
+def test_knn_scores_equal_under_every_blas_core_type(tmp_path, count):
     # Each kernel sums the candidate GEMMs in its own order, so the
     # candidates differ while the k-th explicit distance must not. 5000
-    # points span three tiles of 2048 for a block of 128 queries.
+    # points span three tiles of 2048 for a block of 128 queries; 1000
+    # points are one tile.
     from cornercase.cli import main
 
     rng = np.random.default_rng(18)
-    save_embeddings(_set_from(rng.standard_normal((5000, 32))), tmp_path / "train.ccemb")
+    save_embeddings(_set_from(rng.standard_normal((count, 32))), tmp_path / "train.ccemb")
     save_embeddings(_set_from(rng.standard_normal((500, 32)) + 0.2, "q"), tmp_path / "q.ccemb")
     assert main(["fit-knn", "--embeddings", str(tmp_path / "train.ccemb"), "--k", "50",
                  "--out", str(tmp_path / "knn.ccmdl")]) == 0
@@ -669,11 +671,12 @@ class TestKnnTwoStage:
 
         monkeypatch.setattr(density, "_BLOCK_ELEMENTS", 2048)
         monkeypatch.setattr(density, "_TILE_ROWS", 8)
-        found = []
+        found, tiles = [], set()
 
         def spy(block, points, *args):
             result = _block_candidates(block, points, *args)
             found.append(result is not None)
+            tiles.add(args[-1])
             return result
 
         monkeypatch.setattr(density, "_block_candidates", spy)
@@ -694,6 +697,8 @@ class TestKnnTwoStage:
         queries[3, 0] = 1e154
         self._check(rng.normal(size=(600, 3)), queries, k=5)
         assert found[0] is False and found[1:] and all(found[1:])
+        # the fallback reruns its rows over the query's own tiles
+        assert tiles == {256}
 
 
 class TestInvariants:

@@ -107,6 +107,17 @@ class TestEmbeddingFiles:
         assert es.dim == 3 and len(es) == 2
         assert es.ids() == ["a", "b"]
 
+    def test_text_blank_lines_are_skipped(self, tmp_path):
+        from cornercase.cli import main
+
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"id": "a", "vec": [1.0, 2.0]}\n\n  \n{"id": "b", "vec": [3.0, 5.0]}\n')
+        es = load_embeddings(path)
+        assert es.ids() == ["a", "b"]
+        np.testing.assert_array_equal(es.matrix(), [[1.0, 2.0], [3.0, 5.0]])
+        assert main(["fit-knn", "--embeddings", str(path), "--k", "1",
+                     "--out", str(tmp_path / "knn.ccmdl")]) == 0
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text("")
