@@ -187,6 +187,13 @@ def _string(value, where: str) -> str:
     raise ValidationError(f"{where}: expected a string, got {value!r}")
 
 
+def _array(value, where: str, read) -> tuple:
+    """A JSON array's (or a tuple's) entries, each read by read(entry, where[i])."""
+    if isinstance(value, (list, tuple)):
+        return tuple(read(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+    raise ValidationError(f"{where}: expected an array, got {value!r}")
+
+
 # how _from_keys reads a field it has no reader for, by the field's
 # annotation; annotations are postponed, so each is its source string
 _ANNOTATION_READERS = {
@@ -239,17 +246,16 @@ def config_from_dict(data: dict, base_dir) -> BenchConfig:
         return _from_keys(DatasetManifest, value, where, {"path": path})
 
     sweep_readers = {
-        "grid": lambda v, w: tuple(_number(x, f"{w}[{i}]") for i, x in enumerate(v or ())),
+        "grid": lambda v, w: _array(v, w, _number),
         "images": optional_path,
         "depth": optional_path,
-        "severity_embeddings": lambda v, w: tuple(
-            path(p, f"{w}[{i}]") for i, p in enumerate(v or ())
-        ),
+        "severity_embeddings": lambda v, w: _array(v, w, path),
     }
     readers = {
+        "methods": lambda v, w: _array(v, w, _string),
         "id_train": manifest,
         "id_test": manifest,
-        "ood_sets": lambda v, w: tuple(manifest(m, f"{w}[{i}]") for i, m in enumerate(v)),
+        "ood_sets": lambda v, w: _array(v, w, manifest),
         "sweep": lambda v, w: None if v is None else _from_keys(SweepSettings, v, w, sweep_readers),
     }
     try:

@@ -45,8 +45,9 @@ import numpy as np
 from .corruption_kinds import CORRUPTION_KINDS, DEFAULT_ATMOSPHERIC_LIGHT
 from .errors import ValidationError, check_seed
 from .images import DepthMap, ImageBuffer, _adopt, load_depth
-from .images import _deflated_bands, _encode_png, _quantize, _read_rgb, _scanlines
+from .images import RGB8, _deflated_bands, _encode_png, _quantize, _scanlines, read_png
 from .images import _sorted_pngs, _write_file, _write_json
+from .version import TOOLKIT_VERSION
 
 # float64 values in one sweep block: b severities of an H x W image make
 # b*H*W*3 <= 2^16 (512 KiB). Blocks feed fog and noise file sweeps and
@@ -291,7 +292,7 @@ def _read_sources(paths, depth_dir, kind):
     """(uint8 pixels, DepthMap | None) per path, depth_dir/<name> if the kind reads depth."""
     depths = depth_dir is not None and _KINDS[kind].reads_depth
     for path in paths:
-        yield _read_rgb(path), load_depth(Path(depth_dir) / path.name) if depths else None
+        yield read_png(path, RGB8), load_depth(Path(depth_dir) / path.name) if depths else None
 
 
 def _image_blocks(img, depth, seed, sweep):
@@ -374,11 +375,12 @@ def run_sweep(
 
     Output layout is <out>/<kind>/<severity>/<original-filename>, plus
     a manifest.json listing (source, severity, seed, output) entries,
-    severity by severity, and the depth policy actually used. A fog
-    sweep matches depth maps, when given, to images by filename in
-    depth_dir; no other kind reads them. Each source image and depth map
-    is read once. Image i (sorted filename order) gets the noise/box
-    seed sweep.seed + i at every severity, recorded in the manifest.
+    severity by severity, the depth policy actually used and the
+    toolkit_version. A fog sweep matches depth maps, when given, to
+    images by filename in depth_dir; no other kind reads them. Each
+    source image and depth map is read once. Image i (sorted filename
+    order) gets the noise/box seed sweep.seed + i at every severity,
+    recorded in the manifest, with base_seed = sweep.seed.
     """
     out_dir = Path(out_dir)
     sources = _sorted_pngs(Path(images_dir))
@@ -413,6 +415,8 @@ def run_sweep(
             _wait_written(pool, future)
     manifest = {
         "kind": kind,
+        "toolkit_version": TOOLKIT_VERSION,
+        "base_seed": sweep.seed,
         "depth_policy": "not_applicable",
         "entries": [entry for per_severity in entries for entry in per_severity],
     }

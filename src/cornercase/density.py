@@ -604,8 +604,9 @@ def knn_kth_sqdist(index: KnnIndex, X: np.ndarray) -> np.ndarray:
     #     over the candidates is F itself;
     #   - any point with b < tau - 2E has f <= a + E < tau + |x|^2 - E
     #     <= F: it lies strictly below F, so at most k - 1 do.
-    # When 4 (|x| + max|p|)^2 is not finite, the bound can overflow: the
-    # row's slack is infinite, and it keeps all points.
+    # When 4 (|x| + max|p|)^2 is not finite, the bound can overflow, and b
+    # can round to inf (tau too, and every finite b would read as below
+    # it): the row's slack is infinite, and it keeps all points.
     roundings = 2 * dim + 4
     gamma = _gamma(roundings)
     floor = roundings * np.finfo(float).tiny

@@ -1,6 +1,6 @@
 """Image and depth-map containers plus a self-contained PNG codec.
 
-Only the PNG subset the toolkit needs is implemented: 8-bit RGB
+Only the PNG layouts of _LAYOUTS are implemented: 8-bit RGB
 (corruption inputs and outputs), 8-bit grayscale (pixel ground truth)
 and 16-bit grayscale (depth and uncertainty maps), non-interlaced.
 Files written here use filter type 0 on every row, and their image data
@@ -299,18 +299,33 @@ def _png_chunks(path, data: bytes):
     return header, idat[0] if len(idat) == 1 else b"".join(idat)
 
 
+@dataclass(frozen=True)
+class PngLayout:
+    """A PNG layout: (H, W, *pixel_shape) arrays of dtype, big-endian on file."""
+
+    pixel_shape: tuple
+    dtype: np.dtype
+    name: str  # a file of this layout, in errors
+    wanted: str  # what a reader of this layout expected, in errors
+
+
+# frames; pixel ground truth; depth and uncertainty maps
+RGB8 = PngLayout((3,), np.dtype("u1"), "RGB", "an RGB image")
+GRAY8 = PngLayout((), np.dtype("u1"), "grayscale", "an 8-bit grayscale image")
+GRAY16 = PngLayout((), np.dtype("u2"), "16-bit grayscale", "a 16-bit grayscale image")
+# the one table of layouts, by IHDR (color type, bit depth)
+_LAYOUTS = {(2, 8): RGB8, (0, 8): GRAY8, (0, 16): GRAY16}
+
 # Most pixels a PNG header may claim, 16 paper frames of 1024x2048: a decode
 # takes about 30 B per claimed pixel (a 16-bit 4000x4000 map in 120 KB reached
 # 456 MB max RSS), and IHDR allows 2^31-1 a side. A constant, not a setting.
 _MAX_PNG_PIXELS = 1 << 25
 
 
-def read_png(path) -> np.ndarray:
-    """Decode a PNG file.
-
-    Returns (H, W, 3) uint8 for RGB images, (H, W) uint8 for 8-bit
-    grayscale, and (H, W) uint16 for 16-bit grayscale.
-    """
+def read_png(path, layout: PngLayout | None = None) -> np.ndarray:
+    """The (H, W, *pixel_shape) array of a PNG file of the given layout,
+    or of any in _LAYOUTS. A file of another layout is a FormatError,
+    raised from its header before any image data is inflated."""
     header, idat = _png_chunks(path, Path(path).read_bytes())
     width, height, bit_depth, color_type, compression, filter_method, interlace = header
     if width * height > _MAX_PNG_PIXELS:
@@ -319,16 +334,18 @@ def read_png(path) -> np.ndarray:
         raise FormatError(f"{path}: unsupported PNG compression/filter method")
     if interlace != 0:
         raise FormatError(f"{path}: interlaced PNG not supported")
-    if color_type not in (0, 2) or bit_depth not in (8, 16):
+    found = _LAYOUTS.get((color_type, bit_depth))
+    if found is None:
         raise FormatError(
             f"{path}: unsupported PNG layout (color type {color_type}, "
             f"bit depth {bit_depth}); expected 8/16-bit grayscale or 8-bit RGB"
         )
-    if color_type == 2 and bit_depth != 8:
-        raise FormatError(f"{path}: only 8-bit RGB is supported")
+    if layout is not None and found is not layout:
+        raise FormatError(f"{path}: expected {layout.wanted}, got {found.name}")
     if not (width and height):
         raise FormatError(f"{path}: PNG is {width}x{height}; width and height must be at least 1")
-    bpp = (3 if color_type == 2 else 1) * bit_depth // 8  # bytes per pixel
+    big_endian = found.dtype.newbyteorder(">")
+    bpp = big_endian.itemsize * math.prod(found.pixel_shape)  # bytes per pixel
     stride = width * bpp
     # Inflate at most one byte past the size the header implies, so a
     # small IDAT that inflates to gigabytes cannot exhaust memory.
@@ -345,10 +362,8 @@ def read_png(path) -> np.ndarray:
     if len(raw) != expected or not inflater.eof:
         raise FormatError(f"{path}: PNG pixel payload has wrong size")
     del idat  # frees the file's bytes: only the inflated rows are needed from here on
-    pixels = _unfilter(raw, height, stride, bpp)
-    if bit_depth == 16:
-        return pixels.view(">u2").astype(np.uint16)
-    return pixels.reshape(height, width, 3) if color_type == 2 else pixels
+    pixels = _unfilter(raw, height, stride, bpp).view(big_endian)
+    return pixels.astype(found.dtype, copy=False).reshape(height, width, *found.pixel_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +372,8 @@ def read_png(path) -> np.ndarray:
 
 
 def write_png(path, arr: np.ndarray) -> None:
-    """Encode an array as PNG.
-
-    Accepts (H, W, 3) uint8 (RGB), (H, W) uint8 (gray) or (H, W)
-    uint16 (16-bit gray). Rows are written with filter type 0.
-    """
+    """Encode an array of a layout in _LAYOUTS as PNG, every row with
+    filter type 0."""
     _write_file(path, _encode_png(*_scanlines(np.asarray(arr))))
 
 
@@ -455,20 +467,15 @@ def _write_json(path, obj) -> None:
 
 def _scanlines(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
     """(IHDR payload, (H, 1 + row bytes) uint8 filter-0 scanlines) of arr."""
-    if arr.ndim == 3 and arr.shape[2] == 3 and arr.dtype == np.uint8:
-        color_type, bit_depth = 2, 8
-    elif arr.ndim == 2 and arr.dtype == np.uint8:
-        color_type, bit_depth = 0, 8
-    elif arr.ndim == 2 and arr.dtype == np.uint16:
-        color_type, bit_depth = 0, 16
+    for (color_type, bit_depth), layout in _LAYOUTS.items():
+        if arr.ndim >= 2 and (arr.shape[2:], arr.dtype) == (layout.pixel_shape, layout.dtype):
+            break
     else:
-        raise ValidationError(
-            f"cannot encode array with shape {arr.shape} and dtype {arr.dtype}"
-        )
+        raise ValidationError(f"cannot encode array with shape {arr.shape} and dtype {arr.dtype}")
     height, width = arr.shape[0], arr.shape[1]
     if not arr.size:
         raise ValidationError(f"cannot encode an empty array of shape {arr.shape}")
-    samples = arr.astype(">u2" if bit_depth == 16 else np.uint8, copy=False).view(np.uint8)
+    samples = arr.astype(layout.dtype.newbyteorder(">"), copy=False).view(np.uint8)
     rows = samples.reshape(height, arr.nbytes // height)
     scanlines = np.hstack([np.zeros((height, 1), np.uint8), rows])
     header = struct.pack(">IIBBBBB", width, height, bit_depth, color_type, 0, 0, 0)
@@ -490,15 +497,7 @@ def _sorted_pngs(directory: Path) -> list[Path]:
 
 def load_image(path) -> ImageBuffer:
     """Load an 8-bit RGB PNG as a normalized image."""
-    return ImageBuffer.from_uint8(_read_rgb(path))
-
-
-def _read_rgb(path) -> np.ndarray:
-    """The (H, W, 3) uint8 pixels of an 8-bit RGB PNG."""
-    arr = read_png(path)
-    if arr.ndim != 3:
-        raise FormatError(f"{path}: expected an RGB image, got grayscale")
-    return arr
+    return ImageBuffer.from_uint8(read_png(path, RGB8))
 
 
 def save_image(img: ImageBuffer, path) -> None:
@@ -511,9 +510,7 @@ def load_depth(path) -> DepthMap:
     The sidecar `<path>.json` declares {"meters_per_unit": s}; depth in
     meters is raw_value * s. Raw value 0 marks an invalid pixel.
     """
-    arr = read_png(path)
-    if arr.ndim != 2 or arr.dtype != np.uint16:
-        raise FormatError(f"{path}: depth maps must be 16-bit single-channel PNG")
+    arr = read_png(path, GRAY16)
     sidecar = Path(str(path) + ".json")
     if not sidecar.exists():
         raise FormatError(f"{path}: missing depth sidecar {sidecar.name}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .embeddings import json_lines
 from .errors import FormatError, ValidationError
-from .images import _frozen_array, _write_file, read_png
+from .images import GRAY8, _frozen_array, _write_file, read_png
 from .stats import _tie_ends
 from .uncertainty import _SIXTEEN_BIT_MAX
 
@@ -294,9 +294,7 @@ def load_pixel_ground_truth(path) -> tuple[np.ndarray, np.ndarray]:
 
     Convention: 0 = negative, 255 = positive, anything else = invalid.
     """
-    arr = read_png(path)
-    if arr.ndim != 2 or arr.dtype != np.uint8:
-        raise FormatError(f"{path}: ground truth must be an 8-bit single-channel PNG")
+    arr = read_png(path, GRAY8)
     return arr == 255, (arr == 0) | (arr == 255)
 
 

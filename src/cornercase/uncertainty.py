@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import FMAP_MAGIC, DatasetManifest, load_feature_map
 from .errors import FormatError, ValidationError
-from .images import _adopt, _frozen_array, _keep_unit, read_png
+from .images import GRAY16, _adopt, _frozen_array, _keep_unit, read_png
 
 SIMPLEX_TOL = 1e-9
 # a 16-bit uncertainty map holds value / _SIXTEEN_BIT_MAX
@@ -129,9 +129,7 @@ def load_uncertainty_map(path) -> UncertaintyMap:
         if values.min() < 0.0 or values.max() > 1.0:
             raise FormatError(f"{path}: uncertainty values must lie in [0, 1]")
         return _adopt(UncertaintyMap, values)  # read-only, and fm is ours alone
-    arr = read_png(path)
-    if arr.ndim != 2 or arr.dtype != np.uint16:
-        raise FormatError(f"{path}: expected a 16-bit single-channel PNG")
+    arr = read_png(path, GRAY16)
     # one float pass, bit for bit arr.astype(float) / 65535
     return _adopt(UncertaintyMap, arr / _SIXTEEN_BIT_MAX)
 

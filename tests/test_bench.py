@@ -635,21 +635,24 @@ class TestSweepRoutes:
     def test_config_sweep_with_images_reads_and_encodes_each_image_once(
         self, tmp_path, monkeypatch
     ):
+        from cornercase import corruptions as corruptions_module
         from cornercase import images as images_module
         from cornercase.synthetic import FOG_FAMILY
 
         read_png = images_module.read_png
         reads, shapes = [], []
 
-        def counting_read_png(path):
+        def counting_read_png(path, layout=None):
             reads.append(Path(path))
-            return read_png(path)
+            return read_png(path, layout)
 
         def counting_toy_encode(images, grid=4):
             shapes.append(np.shape(images.pixels if isinstance(images, ImageBuffer) else images))
             return toy_encode(images, grid=grid)
 
-        monkeypatch.setattr(images_module, "read_png", counting_read_png)
+        # load_image reads id_test and the sweep reads its sources
+        for module in (images_module, corruptions_module):
+            monkeypatch.setattr(module, "read_png", counting_read_png)
         monkeypatch.setattr(bench_module, "toy_encode", counting_toy_encode)
         frames, depth = tmp_path / "frames", tmp_path / "depth"
         h, w = FOG_FAMILY.height, FOG_FAMILY.width

@@ -156,6 +156,24 @@ class TestCorruptSweepCli:
         assert _tree_bytes(tmp_path / "o") == swept
         assert len(swept) == 4  # 3 PNGs and the manifest
 
+    # the manifest names the toolkit that wrote it and the seed rule:
+    # image i in sorted filename order has seed base_seed + i
+    @pytest.mark.parametrize(
+        "argv, severities",
+        [(["sweep", "--grid", "0.01,0.02"], 2), (["corrupt", "--severity", "0.01"], 1)],
+    )
+    def test_manifest_records_toolkit_version_and_base_seed(self, tmp_path, argv, severities):
+        write_scene_set(tmp_path / "imgs", WHITEBOX_FAMILY, 3, seed=0)
+        sources = sorted(str(p) for p in (tmp_path / "imgs").iterdir())
+        assert main([*argv, "--images", str(tmp_path / "imgs"), "--kind", "gaussian_noise",
+                     "--seed", "9", "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "gaussian_noise" / "manifest.json").read_text())
+        assert manifest["toolkit_version"] == TOOLKIT_VERSION
+        assert manifest["base_seed"] == 9
+        assert len(manifest["entries"]) == 3 * severities
+        for entry in manifest["entries"]:
+            assert entry["seed"] == manifest["base_seed"] + sources.index(entry["source"])
+
     # only fog reads depth maps: a directory without them changes nothing
     # for the other kinds
     @pytest.mark.parametrize(
@@ -846,6 +864,22 @@ def _empty_id_train_argv(tmp_path):
     )
 
 
+def _bench_with_data_argv(tmp_path, sweep, **fields):
+    """_bench_argv with its embedding files written, so that a config
+    the loader passes runs to the end."""
+    for name in ("x", "e", "one"):
+        _write_embeddings(tmp_path / f"{name}.ccemb")
+    return _bench_argv(tmp_path, sweep, **fields)
+
+
+def _bench_without_argv(tmp_path, key):
+    argv = _bench_argv(tmp_path, None)
+    config = json.loads((tmp_path / "c.json").read_text())
+    del config[key]
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    return argv
+
+
 def _toy_sweep_of_file_argv(tmp_path):
     _write_embeddings(tmp_path / "x.ccemb")  # so the run reaches the sweep
     return _bench_argv(tmp_path, {"kind": "gaussian_noise", "grid": [0.01]}, gmm_components=1)
@@ -1260,6 +1294,9 @@ MALFORMED_INPUTS = {
         3,
     ),
     "RGB PNG as a fog depth map": (_rgb_depth_argv, 3),
+    "RGB PNG as an uncertainty map": (
+        lambda t: _score_maps_argv(t, "m.png", _png_header_only()), 3
+    ),
     "config with no methods": (lambda t: _bench_argv(t, None, methods=[]), 2),
     "config with a repeated method": (lambda t: _bench_argv(t, None, methods=["gmm", "gmm"]), 2),
     "config with mean_uncertainty and a density method": (
@@ -1282,6 +1319,36 @@ MALFORMED_INPUTS = {
         2,
     ),
     "toy sweep with an embedding-file id_test and no sweep.images": (_toy_sweep_of_file_argv, 2),
+    "config methods as an object": (
+        lambda t: _bench_with_data_argv(t, None, methods={"gmm": "yes", "knn": None}, knn_k=5),
+        2,
+    ),
+    "config sweep.severity_embeddings as an object": (
+        lambda t: _bench_with_data_argv(t, {
+            "kind": "gaussian_noise", "grid": [0.01, 0.02], "encoder": "external",
+            "severity_embeddings": {"e.ccemb": 0, "one.ccemb": 1},
+        }),
+        2,
+    ),
+    "config ood_sets as a number": (lambda t: _bench_argv(t, None, ood_sets=5), 2),
+    "config with no methods key": (lambda t: _bench_without_argv(t, "methods"), 2),
+    "config id_test with role bogus": (
+        lambda t: _bench_argv(t, None, id_test={"name": "x", "role": "bogus", "path": "x.ccemb"}),
+        2,
+    ),
+    "pca whose only embedding file is empty": (lambda t: _pca_argv(t, "e.jsonl", b""), 3),
+    "pca over a single record": (
+        lambda t: _pca_argv(t, "e.jsonl", b'{"id": "a", "vec": [1.0, 2.0]}\n'),
+        3,
+    ),
+    "binary embedding cut inside its container header": (
+        lambda t: _fit_gmm_argv(t, "e.ccemb", EMBED_MAGIC + b"\x01\x00\x05"),
+        3,
+    ),
+    "PNG sweep source cut 4 bytes after its IHDR chunk": (
+        lambda t: _sweep_source_argv(t, _png_header_only()[:8 + 25 + 4]),
+        3,
+    ),
 }
 
 

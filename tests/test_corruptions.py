@@ -51,7 +51,6 @@ from cornercase.images import (
     _deflated_bands,
     _encode_png,
     _quantize,
-    _read_rgb,
     _scanlines,
     load_image,
     read_png,
@@ -448,11 +447,11 @@ class TestRunSweep:
             save_image(_random_image(50 + i, h=8, w=8), src / f"img-{i}.png")
         reads = []
 
-        def counting_read_rgb(path):
+        def counting_read_png(path, layout=None):
             reads.append(path)
-            return _read_rgb(path)
+            return read_png(path, layout)
 
-        monkeypatch.setattr(corruptions, "_read_rgb", counting_read_rgb)
+        monkeypatch.setattr(corruptions, "read_png", counting_read_png)
         sweep = severity_sweep("white_box", [0.05, 0.1, 0.2, 0.4], base_seed=10)
         manifest = run_sweep(src, sweep, tmp_path / "o")
         assert len(reads) == 3
@@ -534,12 +533,12 @@ class TestRunSweep:
             release.wait()
             return _encode_png(*job)
 
-        def counting_read_rgb(path):
+        def counting_read_png(path, layout=None):
             reads.append(path)
-            return _read_rgb(path)
+            return read_png(path, layout)
 
         monkeypatch.setattr(corruptions, "_encode_png", blocked_encode_png)
-        monkeypatch.setattr(corruptions, "_read_rgb", counting_read_rgb)
+        monkeypatch.setattr(corruptions, "read_png", counting_read_png)
         # one severity: each source read makes one frame, handed off at once
         sweep = severity_sweep("white_box", [0.1])
         sweep = threading.Thread(

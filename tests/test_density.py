@@ -594,6 +594,21 @@ class TestKnnTwoStage:
         pts = 1e150 * rng.normal(size=(60, 4)) + 1e154
         self._check(pts, 1e150 * rng.normal(size=(5, 4)) + 1e154, k=3)
 
+    def test_expanded_distance_overflowing_under_a_finite_scale(self):
+        # (|x| + max|p|)^2 is finite and 4 times it is not. The expanded b
+        # of the first point rounds past the float maximum and the
+        # second's reads it, while their explicit distances are the float
+        # maximum and inf: with a finite slack, tau is inf and the second
+        # point reads as proven below the k-th.
+        pts = np.array([
+            [-3.529351559548133e153, -9.300613612369264e153, 8.98952598798768e153],
+            [-3.518985663709336e153, -9.304693255549856e153, 8.989367986956165e153],
+        ])
+        query = np.array([[5.135146501858793e140, 1.3563724068945132e141, -1.310994675556032e141]])
+        with np.errstate(over="ignore"):
+            self._check(pts, query, k=2)
+        assert knn_kth_sqdist(KnnIndex(k=2, points=pts), query)[0] == np.inf
+
     @pytest.mark.parametrize("rows", [1, 128])
     def test_k_minus_one_proven_below_and_ties_at_kth(self, monkeypatch, rows):
         # each query has k - 1 stored copies of itself, proven below the

@@ -1,5 +1,6 @@
 """PNG codec and container validation tests."""
 
+import itertools
 import math
 import os
 import stat
@@ -15,9 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornercase.corruptions import run_sweep, severity_sweep
 from cornercase.errors import FormatError, ValidationError
 from cornercase.images import (
     _BAND_BYTES,
+    _MAX_PNG_PIXELS,
+    GRAY8,
+    GRAY16,
+    RGB8,
     DepthMap,
     _deflate_band,
     _encode_png,
@@ -33,6 +39,8 @@ from cornercase.images import (
     save_image,
     write_png,
 )
+from cornercase.metrics import load_pixel_ground_truth
+from cornercase.uncertainty import load_uncertainty_map
 
 
 def _rng():
@@ -45,20 +53,22 @@ class TestPngRoundTrip:
         path = tmp_path / "img.png"
         write_png(path, arr)
         np.testing.assert_array_equal(read_png(path), arr)
+        np.testing.assert_array_equal(read_png(path, RGB8), arr)
 
     def test_gray8(self, tmp_path):
         arr = _rng().integers(0, 256, size=(9, 5), dtype=np.uint8)
         path = tmp_path / "img.png"
         write_png(path, arr)
         np.testing.assert_array_equal(read_png(path), arr)
+        np.testing.assert_array_equal(read_png(path, GRAY8), arr)
 
     def test_gray16(self, tmp_path):
         arr = _rng().integers(0, 65536, size=(7, 11), dtype=np.uint16)
         path = tmp_path / "img.png"
         write_png(path, arr)
-        decoded = read_png(path)
-        assert decoded.dtype == np.uint16
-        np.testing.assert_array_equal(decoded, arr)
+        for decoded in (read_png(path), read_png(path, GRAY16)):
+            assert decoded.dtype == np.uint16
+            np.testing.assert_array_equal(decoded, arr)
 
     def test_write_is_deterministic(self, tmp_path):
         arr = _rng().integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
@@ -555,6 +565,79 @@ class TestPngErrors:
             read_png(path)
         with pytest.raises(ValidationError, match="cannot encode an empty array"):
             write_png(tmp_path / "y.png", np.zeros((height, width, 3), dtype=np.uint8))
+
+
+# the largest frame the pixel budget admits
+_BUDGET_WIDTH, _BUDGET_HEIGHT = 8192, _MAX_PNG_PIXELS // 8192
+
+
+@pytest.fixture(scope="module")
+def budget_png(tmp_path_factory):
+    """make(color_type, bit_depth, bytes per pixel): a PNG of the largest
+    frame the pixel budget admits, whose IDAT inflates to the zero rows its
+    header implies, one file per layout: 65-131 KB on disk, 67-134 MB
+    inflated."""
+    made = {}
+
+    def make(color_type, bit_depth, bpp):
+        key = (color_type, bit_depth)
+        if key not in made:
+            row = bytes(1 + _BUDGET_WIDTH * bpp)
+            deflate = zlib.compressobj(6)
+            rows = [deflate.compress(row) for _ in range(_BUDGET_HEIGHT)]
+            idat = b"".join([*rows, deflate.flush()])
+            made[key] = tmp_path_factory.mktemp("budget") / f"{color_type}-{bit_depth}.png"
+            made[key].write_bytes(
+                _png_file(_BUDGET_WIDTH, _BUDGET_HEIGHT, color_type, idat, bit_depth)
+            )
+        return made[key]
+
+    return make
+
+
+def _sweep_source(path):
+    """run_sweep over a directory holding path as its one source."""
+    (path.parent / "imgs").mkdir(exist_ok=True)
+    (path.parent / "imgs" / "a.png").write_bytes(path.read_bytes())
+    run_sweep(path.parent / "imgs", severity_sweep("white_box", [0.1]), path.parent / "o")
+
+
+# the PNG headers a reader must reject, as (color type, bit depth, bytes
+# per pixel): RGB readers get 16-bit grayscale (67 MB inflated) and RGBA
+# (134 MB), the others RGB (101 MB)
+_GRAY_READERS = [load_depth, load_uncertainty_map, load_pixel_ground_truth]
+_WRONG_HEADERS = [
+    *((reader, header) for reader in (load_image, _sweep_source) for header in ((0, 16, 2), (6, 8, 4))),
+    *((reader, (2, 8, 3)) for reader in _GRAY_READERS),
+]
+
+
+class TestPngLayouts:
+    @pytest.mark.parametrize(
+        "layout, other", itertools.permutations([RGB8, GRAY8, GRAY16], 2),
+        ids=lambda layout: layout.name.replace(" ", "_"),
+    )
+    def test_other_layout_rejected_by_name(self, tmp_path, layout, other):
+        path = tmp_path / "x.png"
+        write_png(path, np.zeros((2, 3, *other.pixel_shape), dtype=other.dtype))
+        with pytest.raises(FormatError, match=f"expected {layout.wanted}, got {other.name}$"):
+            read_png(path, layout)
+
+    @pytest.mark.parametrize(
+        "reader, header", _WRONG_HEADERS,
+        ids=[f"{reader.__name__}-{header[0]}-{header[1]}" for reader, header in _WRONG_HEADERS],
+    )
+    def test_wrong_layout_rejected_before_inflate(self, budget_png, tmp_path, reader, header):
+        path = tmp_path / "x.png"
+        path.write_bytes(budget_png(*header).read_bytes())
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestImageBuffer:
