@@ -311,8 +311,9 @@ class PngLayout:
 
 # frames; pixel ground truth; depth and uncertainty maps
 RGB8 = PngLayout((3,), np.dtype("u1"), "RGB", "an RGB image")
-GRAY8 = PngLayout((), np.dtype("u1"), "grayscale", "an 8-bit grayscale image")
+GRAY8 = PngLayout((), np.dtype("u1"), "8-bit grayscale", "an 8-bit grayscale image")
 GRAY16 = PngLayout((), np.dtype("u2"), "16-bit grayscale", "a 16-bit grayscale image")
+_SIXTEEN_BIT_MAX = 65535  # the largest GRAY16 value; uncertainty maps hold value / it
 # the one table of layouts, by IHDR (color type, bit depth)
 _LAYOUTS = {(2, 8): RGB8, (0, 8): GRAY8, (0, 16): GRAY16}
 
@@ -518,11 +519,11 @@ def load_depth(path) -> DepthMap:
         scale = json.loads(sidecar.read_text(), parse_int=float)[_DEPTH_SCALE_KEY]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{sidecar}: bad depth sidecar ({exc})") from exc
-    # a JSON number only: float() would also take true and "0.5"; the
-    # largest raw value, 65535, must give a finite depth
-    if type(scale) is not float or not 0 < 65535 * scale < math.inf:
+    # a JSON number only (float() takes true and "0.5"), finite at the largest raw value
+    if type(scale) is not float or not 0 < _SIXTEEN_BIT_MAX * scale < math.inf:
         raise FormatError(
-            f"{sidecar}: {_DEPTH_SCALE_KEY} must be a positive number, finite times 65535"
+            f"{sidecar}: {_DEPTH_SCALE_KEY} must be a positive number, "
+            f"finite times {_SIXTEEN_BIT_MAX}"
         )
     valid = arr > 0
     depth = arr.astype(float) * scale
@@ -535,7 +536,7 @@ def save_depth(dm: DepthMap, path, meters_per_unit: float) -> None:
     if not 0 < meters_per_unit < math.inf:
         raise ValidationError("meters_per_unit must be positive and finite")
     raw = np.floor(dm.depth / meters_per_unit + 0.5)
-    raw = np.clip(raw, 1, 65535)
+    raw = np.clip(raw, 1, _SIXTEEN_BIT_MAX)
     raw[~dm.valid] = 0
     write_png(path, raw.astype(np.uint16))
     _write_file(f"{path}.json", [json.dumps({_DEPTH_SCALE_KEY: meters_per_unit}), "\n"])

@@ -10,14 +10,12 @@ Every metric reads one table: positives and total per tie group,
 highest score first. A LabeledScores split caches its table from one
 stable sort, so its four metrics share one ranking.
 
-Pixel AP and FPR95 of a 16-bit uncertainty map (every valid score
-k/65535) build the table from a count of the 65536 values, block by
-block, so no temporary grows with the pixel count; a PixelScoreMap
-caches the counts, so its AP and FPR95 share one pass. Any other float
-map (CCFMP1 features, negated or rescaled scores) is sorted for AP,
-while FPR95 keeps only the positive scores and counts the negatives at
-or above the threshold block by block. Both paths use the same
-integers, so they give identical results.
+A PixelScoreMap caches one table for AP and FPR95: a 16-bit map (every
+valid score k/65535) counts each of the 65536 values; any other map
+(CCFMP1 features, negated or rescaled scores) sorts only its positive
+scores and counts the negatives between them; both go block by block.
+The metrics read only cumulative counts at groups with positives, which
+equal a full sort's. FPR95 alone builds the table too; run AP first.
 """
 
 from __future__ import annotations
@@ -31,9 +29,8 @@ import numpy as np
 
 from .embeddings import json_lines
 from .errors import FormatError, ValidationError
-from .images import GRAY8, _frozen_array, _write_file, read_png
+from .images import _SIXTEEN_BIT_MAX, GRAY8, _frozen_array, _write_file, read_png
 from .stats import _tie_ends
-from .uncertainty import _SIXTEEN_BIT_MAX
 
 # pixels per block of the 16-bit count path (1 MiB of float64)
 _COUNT_BLOCK = 1 << 17
@@ -130,6 +127,14 @@ class PixelScoreMap:
         groups = np.flatnonzero(total)[::-1]
         return counts[groups, 1], total[groups]
 
+    @cached_property
+    def _counts(self):
+        """Both pixel metrics' table: _grid_counts, or else _positive_counts."""
+        if self._grid_counts is not None:
+            return self._grid_counts
+        positives = np.concatenate([s[truth] for s, truth in _valid_blocks(self)] or [np.empty(0)])
+        return _positive_counts(positives, _valid_blocks(self))
+
 
 # ---------------------------------------------------------------------------
 # core metrics
@@ -172,10 +177,9 @@ def _kth_lowest(n: int, tpr_target: float) -> int:
 
 
 def _fpr_from_counts(pos: np.ndarray, total: np.ndarray, tpr_target: float) -> float:
-    """FPR (%) at calibrate_threshold of the positives, from a _tie_counts
-    table. The threshold's group is the first by which n_pos - kth
-    positives are seen; every negative from the top through it scores
-    >= the threshold."""
+    """FPR (%) at calibrate_threshold of the positives, from a tie table:
+    the threshold's group is the first by which n_pos - kth positives are
+    seen, and every negative from the top through it scores >= it."""
     tp = np.cumsum(pos)
     n_pos = int(tp[-1])
     group = np.searchsorted(tp, n_pos - _kth_lowest(n_pos, tpr_target)) + 1
@@ -206,7 +210,7 @@ def _tie_counts(scores: np.ndarray, positive: np.ndarray) -> tuple:
 
 def _ap_from_counts(pos: np.ndarray, total: np.ndarray) -> float:
     """AP = sum over descending-threshold groups of (R_n - R_{n-1}) * P_n,
-    from a _tie_counts table. The terms are added one at a time in
+    from a tie table. The terms are added one at a time in
     threshold order; np.sum would add them pairwise and change the last
     bits."""
     tp = np.cumsum(pos)
@@ -253,40 +257,36 @@ def _valid_blocks(m: PixelScoreMap):
         yield scores[start : start + _COUNT_BLOCK][ok], truth[start : start + _COUNT_BLOCK][ok]
 
 
-def pixel_average_precision(m: PixelScoreMap) -> float:
-    """AP (%) over valid pixels with anomaly pixels as positives.
+def _positive_counts(positives: np.ndarray, blocks) -> tuple:
+    """A tie table cut at the positive scores, highest first: a group per
+    distinct positive score, with the negatives of blocks at or above it
+    that the group above lacks, then the rest. Sorts positives in place."""
+    positives.sort()
+    ends = _tie_ends(positives)
+    levels = positives[ends - 1]
+    # below[j]: the negatives with j distinct positive scores at or below them
+    below = np.zeros(levels.size + 1, dtype=np.intp)
+    for s, truth in blocks:
+        # sorted, the negatives look their bins up in order: 4-5x faster
+        np.add.at(below, np.searchsorted(levels, np.sort(s[~truth]), side="right"), 1)
+    pos = np.append(np.diff(ends, prepend=0)[::-1], 0)
+    return pos, pos + below[::-1]
 
-    Scores on the 16-bit grid are counted per value; others are sorted.
-    """
-    counts = m._grid_counts
-    if counts is None:
-        valid = m.valid_mask.ravel()
-        counts = _tie_counts(m.scores.ravel()[valid], m.ground_truth.ravel()[valid])
+
+def pixel_average_precision(m: PixelScoreMap) -> float:
+    """AP (%) over valid pixels with anomaly pixels as positives."""
+    counts = m._counts
     if not counts[0].any():
         raise ValidationError("pixel map has no valid positive pixel")
     return 100.0 * _ap_from_counts(*counts)
 
 
 def pixel_fpr_at_tpr(m: PixelScoreMap, tpr_target: float = 0.95) -> float:
-    """FPR (%) over valid negative pixels at tpr_target anomaly recall.
-
-    The threshold is calibrate_threshold of the valid positive scores.
-    On the 16-bit grid it is read from the shared value counts; other
-    maps are read block by block, keeping only the positive scores.
-    """
-    counts = m._grid_counts
-    if counts is None:
-        positives = np.concatenate([s[truth] for s, truth in _valid_blocks(m)] or [np.empty(0)])
-        n_neg = np.count_nonzero(m.valid_mask) - positives.size
-        if positives.size and n_neg:
-            kth = _kth_lowest(positives.size, tpr_target)
-            positives.partition(kth)
-            lam = positives[kth]
-            above = sum(np.count_nonzero(s[~truth] >= lam) for s, truth in _valid_blocks(m))
-            return 100.0 * float(above) / n_neg
-    elif 0 < counts[0].sum() < counts[1].sum():
-        return _fpr_from_counts(*counts, tpr_target)
-    raise ValidationError("pixel map needs valid positive and negative pixels")
+    """FPR (%) of the valid negatives at calibrate_threshold of the valid positives."""
+    counts = m._counts
+    if not 0 < counts[0].sum() < counts[1].sum():
+        raise ValidationError("pixel map needs valid positive and negative pixels")
+    return _fpr_from_counts(*counts, tpr_target)
 
 
 def load_pixel_ground_truth(path) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,9 @@ import numpy as np
 
 from .embeddings import FMAP_MAGIC, DatasetManifest, load_feature_map
 from .errors import FormatError, ValidationError
-from .images import GRAY16, _adopt, _frozen_array, _keep_unit, read_png
+from .images import GRAY16, _SIXTEEN_BIT_MAX, _adopt, _frozen_array, _keep_unit, read_png
 
 SIMPLEX_TOL = 1e-9
-# a 16-bit uncertainty map holds value / _SIXTEEN_BIT_MAX
-_SIXTEEN_BIT_MAX = 65535
 
 
 @dataclass(frozen=True, eq=False)

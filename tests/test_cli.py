@@ -221,7 +221,7 @@ class TestCorruptSweepCli:
         argv = ["sweep", "--images", str(tmp_path / "imgs"), "--kind", kind,
                 "--grid", "0.01,0.02", "--out", str(tmp_path / "o")]
         assert _main_within(argv) == 3
-        assert capsys.readouterr().err == f"data error: {gray}: expected an RGB image, got grayscale\n"
+        assert capsys.readouterr().err == f"data error: {gray}: expected an RGB image, got 8-bit grayscale\n"
         assert not list((tmp_path / "o").rglob("*.png"))
 
     @pytest.mark.parametrize("command", ["sweep", "corrupt"])

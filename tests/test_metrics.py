@@ -18,6 +18,7 @@ from cornercase.metrics import (
     LabeledScores,
     PixelScoreMap,
     _ap_from_counts,
+    _positive_counts,
     _tie_counts,
     apply_threshold,
     aupr,
@@ -534,32 +535,38 @@ def _sixteen_bit_draw(rng, shape, levels):
 
 
 class TestPixelApPaths:
-    """16-bit maps are scored from per-value counts and any other map by a
-    sort; both must equal the sort path and the loop reference under ==."""
+    """16-bit maps are scored from per-value counts and any other map from
+    a table cut at its sorted positive scores; both must equal a full sort
+    and the loop reference under ==."""
 
     @pytest.fixture
-    def sorted_sizes(self, monkeypatch):
-        # records each call of the sort path, so a test can tell which ran
-        sizes = []
+    def ranked(self, monkeypatch):
+        # records the scores each call of the off-grid builder ranks, so a
+        # test can tell which path ran and what it sorted
+        ranked = []
 
-        def spy(scores, positive):
-            sizes.append(scores.size)
-            return _tie_counts(scores, positive)
+        def spy(positives, blocks):
+            ranked.append(np.sort(positives))
+            return _positive_counts(positives, blocks)
 
-        monkeypatch.setattr(metrics, "_tie_counts", spy)
-        return sizes
+        monkeypatch.setattr(metrics, "_positive_counts", spy)
+        return ranked
 
-    def _check(self, scores, gt, valid, sorted_sizes, sort_path):
+    def _check(self, scores, gt, valid, ranked, off_grid):
         m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
         got = pixel_average_precision(m)
-        assert sorted_sizes == ([int(valid.sum())] if sort_path else [])
+        assert len(ranked) == (1 if off_grid else 0)
+        assert (m._grid_counts is None) == off_grid
+        if off_grid:
+            # the valid positive scores, and none of the negatives
+            assert np.array_equal(ranked[0], np.sort(scores[valid & gt]))
         flat, positive = m.scores[m.valid_mask], m.ground_truth[m.valid_mask]
         assert got == 100.0 * _ap_from_counts(*_tie_counts(flat, positive))
         assert got == 100.0 * average_precision_loop_reference(flat, positive)
         return got
 
     @pytest.mark.parametrize("levels", [1, 3, 40, 65536])
-    def test_heavy_ties_with_invalid_band(self, sorted_sizes, levels):
+    def test_heavy_ties_with_invalid_band(self, ranked, levels):
         # 600 x 512 spans three count blocks; rows 256-511 fill the second
         # block with invalid pixels only
         assert 256 * 512 == _COUNT_BLOCK
@@ -568,58 +575,58 @@ class TestPixelApPaths:
         gt = rng.uniform(size=scores.shape) < 0.07
         valid = np.ones(scores.shape, dtype=bool)
         valid[256:512] = False
-        self._check(scores, gt, valid, sorted_sizes, sort_path=False)
+        self._check(scores, gt, valid, ranked, off_grid=False)
 
-    def test_no_invalid_band(self, sorted_sizes):
+    def test_no_invalid_band(self, ranked):
         rng = np.random.default_rng(17)
         scores = _sixteen_bit_draw(rng, (64, 96), 9)
         gt = rng.uniform(size=scores.shape) < 0.3
-        self._check(scores, gt, np.ones(scores.shape, dtype=bool), sorted_sizes, sort_path=False)
+        self._check(scores, gt, np.ones(scores.shape, dtype=bool), ranked, off_grid=False)
 
-    def test_all_valid_pixels_positive(self, sorted_sizes):
+    def test_all_valid_pixels_positive(self, ranked):
         rng = np.random.default_rng(18)
         scores = _sixteen_bit_draw(rng, (40, 60), 5)
         valid = rng.uniform(size=scores.shape) < 0.5
-        got = self._check(scores, valid.copy(), valid, sorted_sizes, sort_path=False)
+        got = self._check(scores, valid.copy(), valid, ranked, off_grid=False)
         assert got == 100.0
 
-    def test_single_valid_pixel(self, sorted_sizes):
+    def test_single_valid_pixel(self, ranked):
         scores = _sixteen_bit_draw(np.random.default_rng(19), (8, 8), 4)
         valid = np.zeros(scores.shape, dtype=bool)
         valid[5, 2] = True
-        self._check(scores, valid.copy(), valid, sorted_sizes, sort_path=False)
+        self._check(scores, valid.copy(), valid, ranked, off_grid=False)
 
-    def test_sixteen_bit_png_maps(self, tmp_path, sorted_sizes):
+    def test_sixteen_bit_png_maps(self, tmp_path, ranked):
         rng = np.random.default_rng(20)
         write_png(tmp_path / "u.png", rng.integers(0, 65536, size=(48, 64), dtype=np.uint16))
         scores = load_uncertainty_map(tmp_path / "u.png").values
         gt = rng.uniform(size=scores.shape) < 0.1
         valid = np.ones(scores.shape, dtype=bool)
         valid[30:] = False
-        self._check(scores, gt, valid, sorted_sizes, sort_path=False)
+        self._check(scores, gt, valid, ranked, off_grid=False)
 
-    def test_one_pixel_off_the_grid_is_sorted(self, sorted_sizes):
+    def test_one_pixel_off_the_grid_is_sorted(self, ranked):
         rng = np.random.default_rng(21)
         scores = _sixteen_bit_draw(rng, (300, 512), 30)
         scores[200, 7] = np.nextafter(scores[200, 7], 2.0)
         gt = rng.uniform(size=scores.shape) < 0.1
-        self._check(scores, gt, np.ones(scores.shape, dtype=bool), sorted_sizes, sort_path=True)
+        self._check(scores, gt, np.ones(scores.shape, dtype=bool), ranked, off_grid=True)
 
-    def test_negated_scores_are_sorted(self, sorted_sizes):
+    def test_negated_scores_are_sorted(self, ranked):
         rng = np.random.default_rng(22)
         scores = -(rng.integers(1, 65536, size=(40, 50)) / 65535.0)
         gt = rng.uniform(size=scores.shape) < 0.2
-        self._check(scores, gt, rng.uniform(size=scores.shape) < 0.9, sorted_sizes, sort_path=True)
+        self._check(scores, gt, rng.uniform(size=scores.shape) < 0.9, ranked, off_grid=True)
 
-    def test_float_feature_maps_are_sorted(self, tmp_path, sorted_sizes):
+    def test_float_feature_maps_are_sorted(self, tmp_path, ranked):
         rng = np.random.default_rng(23)
         save_feature_map(FeatureMap(rng.uniform(size=(1, 40, 50))), tmp_path / "u.ccfm")
         scores = load_uncertainty_map(tmp_path / "u.ccfm").values
         gt = rng.uniform(size=scores.shape) < 0.2
-        self._check(scores, gt, np.ones(scores.shape, dtype=bool), sorted_sizes, sort_path=True)
+        self._check(scores, gt, np.ones(scores.shape, dtype=bool), ranked, off_grid=True)
 
     @pytest.mark.parametrize("scale", [1.0, -1.0])
-    def test_no_valid_positive_rejected(self, sorted_sizes, scale):
+    def test_no_valid_positive_rejected(self, ranked, scale):
         scores = scale * _sixteen_bit_draw(np.random.default_rng(24), (8, 8), 4)
         gt = np.zeros(scores.shape, dtype=bool)
         gt[0, 0] = True
@@ -631,14 +638,15 @@ class TestPixelApPaths:
 
 def _sorted(m: PixelScoreMap) -> PixelScoreMap:
     """m with its grid counts cached as absent, so both pixel metrics
-    take the sort path on the same scores."""
+    read the off-grid table of the same scores."""
     m.__dict__["_grid_counts"] = None
     return m
 
 
 class TestPixelFprPaths:
     """FPR95 of a 16-bit map is read from the cached value counts, of any
-    other map block by block; both equal the pooled-copy reference."""
+    other map from the cached table cut at its positive scores; both equal
+    the pooled-copy reference."""
 
     TARGETS = [0.95, 0.5, 1.0, 1e-3]
 
@@ -662,26 +670,36 @@ class TestPixelFprPaths:
         assert pixel_fpr_at_tpr(by_sort, target) == want
 
     def test_random_maps_with_ties_and_invalid_pixels(self):
+        # 16-bit levels, few-level normals, and signed zeros beside -1.0,
+        # where positives at 0.0 tie negatives at -0.0
         rng = np.random.default_rng(31)
-        checked = 0
-        for _ in range(300):
+        draws = [
+            lambda shape: _sixteen_bit_draw(rng, shape, int(rng.integers(1, 12))),
+            lambda shape: rng.choice(rng.normal(size=int(rng.integers(1, 12))), size=shape),
+            lambda shape: rng.choice([-0.0, 0.0, -1.0], size=shape),
+        ]
+        checked = off_grid = 0
+        for i in range(450):
             shape = tuple(int(v) for v in rng.integers(1, 40, size=2))
-            scores = _sixteen_bit_draw(rng, shape, int(rng.integers(1, 12)))
+            scores = draws[i % 3](shape)
             gt = rng.uniform(size=shape) < rng.uniform(0.05, 0.95)
             valid = rng.uniform(size=shape) < rng.uniform(0.3, 1.0)
             target = float(rng.choice([*self.TARGETS, rng.uniform(1e-3, 1.0)]))
-            grid, by_sort = self._maps(scores, gt, valid)
+            m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
+            by_sort = _sorted(PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid))
             try:
-                want = pixel_fpr_pooled_reference(grid, target)
+                want = pixel_fpr_pooled_reference(m, target)
             except ValidationError as exc:
-                for m in (grid, by_sort):
+                for each in (m, by_sort):
                     with pytest.raises(ValidationError, match=str(exc)):
-                        pixel_fpr_at_tpr(m, target)
+                        pixel_fpr_at_tpr(each, target)
                 continue
-            assert pixel_fpr_at_tpr(grid, target) == want
+            assert pixel_fpr_at_tpr(m, target) == want
             assert pixel_fpr_at_tpr(by_sort, target) == want
             checked += 1
-        assert checked > 200
+            off_grid += m._grid_counts is None
+        assert checked > 300
+        assert off_grid > 180
 
     def test_off_grid_maps_equal_reference(self):
         rng = np.random.default_rng(32)
@@ -730,22 +748,34 @@ class TestPixelFprPaths:
             passes.append(m)
             return blocks(m)
 
+        def full_sort(scores, positive):
+            raise AssertionError("a pixel metric sorted the whole map")
+
         monkeypatch.setattr(metrics, "_valid_blocks", spy)
+        monkeypatch.setattr(metrics, "_tie_counts", full_sort)
         rng = np.random.default_rng(34)
         scores = _sixteen_bit_draw(rng, (300, 512), 50)
-        m = PixelScoreMap(scores=scores, ground_truth=rng.uniform(size=scores.shape) < 0.1,
-                          valid_mask=np.ones(scores.shape, dtype=bool))
-        pixel_average_precision(m)
-        pixel_fpr_at_tpr(m, 0.95)
-        pixel_fpr_at_tpr(m, 0.5)
-        assert len(passes) == 1
+        truth = rng.uniform(size=scores.shape) < 0.1
+        # on the grid the count pass; negated, off the grid, the grid
+        # test, then the positives and the negatives
+        for sign, table_passes in ((1.0, 1), (-1.0, 3)):
+            passes.clear()
+            m = PixelScoreMap(scores=sign * scores, ground_truth=truth,
+                              valid_mask=np.ones(scores.shape, dtype=bool))
+            pixel_average_precision(m)
+            assert len(passes) == table_passes
+            pixel_fpr_at_tpr(m, 0.95)
+            pixel_fpr_at_tpr(m, 0.5)
+            assert passes == [m] * table_passes
 
     @pytest.mark.parametrize("on_grid", [True, False])
     def test_pooled_maps_in_bounded_memory(self, on_grid):
         # 40 pooled 192x384 maps, 8% positive, an invalid band at the
         # bottom of each; rescaled scores leave the grid. Pooled copies
-        # of the valid pixels peaked at 44.8 MiB for FPR95; blocks of
-        # _COUNT_BLOCK pixels hold about 4-5 MiB on either path.
+        # of the valid pixels peaked at 44.8 MiB for FPR95 and a sort of
+        # them at 70.1 MiB for AP; blocks of _COUNT_BLOCK pixels hold
+        # about 5-6 MiB on either path, with the positives off the grid.
+        # Each metric is traced on a fresh map, so each builds the table.
         rng = np.random.default_rng(35)
         maps, height, width = 40, 192, 384
         scores = rng.integers(0, 65536, size=(maps * height, width)) / 65535.0
@@ -755,17 +785,24 @@ class TestPixelFprPaths:
         gt[:, 100:130] = True
         valid = np.ones((maps, height, width), dtype=bool)
         valid[:, -16:] = False
-        m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid.reshape(scores.shape))
-        del scores, gt, valid
-        tracemalloc.start()
-        try:
-            got = pixel_fpr_at_tpr(m, 0.95)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-        assert got == pixel_fpr_pooled_reference(m, 0.95)
-        assert (m._grid_counts is not None) == on_grid
+        valid = valid.reshape(scores.shape)
+        flat, positive = scores[valid], gt[valid]
+        want = {
+            pixel_average_precision: 100.0 * _ap_from_counts(*_tie_counts(flat, positive)),
+            pixel_fpr_at_tpr: pixel_fpr_pooled_reference(PixelScoreMap(scores, gt, valid), 0.95),
+        }
+        del flat, positive
+        for metric, expected in want.items():
+            m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
+            tracemalloc.start()
+            try:
+                got = metric(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20, metric.__name__
+            assert got == expected
+            assert (m._grid_counts is not None) == on_grid
 
 
 class TestScoreFiles:
