@@ -130,10 +130,10 @@ class PixelScoreMap:
     @cached_property
     def _counts(self):
         """Both pixel metrics' table: _grid_counts, or else _positive_counts."""
-        if self._grid_counts is not None:
-            return self._grid_counts
-        positives = np.concatenate([s[truth] for s, truth in _valid_blocks(self)] or [np.empty(0)])
-        return _positive_counts(positives, _valid_blocks(self))
+        return self._grid_counts or _positive_counts(
+            np.concatenate([s[truth] for s, truth in _valid_blocks(self)] or [np.empty(0)]),
+            _valid_blocks(self),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +263,14 @@ def _positive_counts(positives: np.ndarray, blocks) -> tuple:
     that the group above lacks, then the rest. Sorts positives in place."""
     positives.sort()
     ends = _tie_ends(positives)
-    levels = positives[ends - 1]
+    positives = positives[ends - 1]  # distinct, so the sorted copy is freed
+    pos = np.append(np.diff(ends, prepend=0)[::-1], 0)
+    del ends
     # below[j]: the negatives with j distinct positive scores at or below them
-    below = np.zeros(levels.size + 1, dtype=np.intp)
+    below = np.zeros(positives.size + 1, dtype=np.intp)
     for s, truth in blocks:
         # sorted, the negatives look their bins up in order: 4-5x faster
-        np.add.at(below, np.searchsorted(levels, np.sort(s[~truth]), side="right"), 1)
-    pos = np.append(np.diff(ends, prepend=0)[::-1], 0)
+        np.add.at(below, np.searchsorted(positives, np.sort(s[~truth]), side="right"), 1)
     return pos, pos + below[::-1]
 
 

@@ -670,23 +670,31 @@ class TestPixelFprPaths:
         assert pixel_fpr_at_tpr(by_sort, target) == want
 
     def test_random_maps_with_ties_and_invalid_pixels(self):
-        # 16-bit levels, few-level normals, and signed zeros beside -1.0,
-        # where positives at 0.0 tie negatives at -0.0
+        # 300 maps of 16-bit levels, on the grid, then 300 off it:
+        # few-level normals, and signed zeros beside -1.0, where positives
+        # at 0.0 tie negatives at -0.0
         rng = np.random.default_rng(31)
-        draws = [
-            lambda shape: _sixteen_bit_draw(rng, shape, int(rng.integers(1, 12))),
+        off_grid_draws = [
             lambda shape: rng.choice(rng.normal(size=int(rng.integers(1, 12))), size=shape),
             lambda shape: rng.choice([-0.0, 0.0, -1.0], size=shape),
         ]
-        checked = off_grid = 0
-        for i in range(450):
+        checked = [0, 0]
+        off_grid = 0
+        for i in range(600):
             shape = tuple(int(v) for v in rng.integers(1, 40, size=2))
-            scores = draws[i % 3](shape)
+            if i < 300:
+                scores = _sixteen_bit_draw(rng, shape, int(rng.integers(1, 12)))
+            else:
+                scores = off_grid_draws[i % 2](shape)
             gt = rng.uniform(size=shape) < rng.uniform(0.05, 0.95)
             valid = rng.uniform(size=shape) < rng.uniform(0.3, 1.0)
             target = float(rng.choice([*self.TARGETS, rng.uniform(1e-3, 1.0)]))
-            m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
-            by_sort = _sorted(PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid))
+            if i < 300:
+                m, by_sort = self._maps(scores, gt, valid)
+            else:
+                m = PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid)
+                by_sort = _sorted(PixelScoreMap(scores=scores, ground_truth=gt, valid_mask=valid))
+                off_grid += m._grid_counts is None
             try:
                 want = pixel_fpr_pooled_reference(m, target)
             except ValidationError as exc:
@@ -696,10 +704,9 @@ class TestPixelFprPaths:
                 continue
             assert pixel_fpr_at_tpr(m, target) == want
             assert pixel_fpr_at_tpr(by_sort, target) == want
-            checked += 1
-            off_grid += m._grid_counts is None
-        assert checked > 300
-        assert off_grid > 180
+            checked[i >= 300] += 1
+        assert checked[0] > 200 and checked[1] > 200
+        assert off_grid > 270
 
     def test_off_grid_maps_equal_reference(self):
         rng = np.random.default_rng(32)
